@@ -10,10 +10,10 @@ repetition can always be cut out of a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .pltl import Formula, SurfaceFormula, parse_formula, to_pnf, past_depth, s_not
+from .pltl import SurfaceFormula, parse_formula, to_pnf, s_not
 from .model import SymbolicModel, eval_expr
 from .sat import Solver, CircuitBuilder, SAT, UNSAT, export_dimacs, run_external_solver
 from .encode import (
@@ -24,8 +24,6 @@ from .encode import (
     encode_ltl_buchi,
     encode_pltl,
     encode_general_buchi,
-    EncodeError,
-    PastOperatorError,
 )
 from .tightba import build_tight_ba, product
 
@@ -81,6 +79,42 @@ class RunOptions:
     dimacs_dir: Optional[str] = None
 
 
+# Scheme name -> encoder.  An entry lowers (model, psi, k) into the builder
+# ``b`` over ``vm`` and returns the literal whose assertion asks for a witness
+# of bound k.  The general-buchi entry ignores psi: its model is already the
+# product with psi's automaton (see ``scheme_model``).  The encoders are looked
+# up in this module's globals at call time.
+SCHEMES = {
+    "fixpoint": lambda m, psi, k, b, vm, opts: encode_ltl_fixpoint(m, psi, k, b, vm),
+    "eventuality": lambda m, psi, k, b, vm, opts: encode_ltl_eventuality(m, psi, k, b, vm),
+    "buchi": lambda m, psi, k, b, vm, opts: encode_ltl_buchi(
+        m, psi, k, b, vm, release_acceptance=opts.release_acceptance
+    ),
+    "pltl": lambda m, psi, k, b, vm, opts: encode_pltl(
+        m, psi, k, opts.d_max, b, vm, force_stabilise=opts.force_stabilise
+    ),
+    "general-buchi": lambda m, psi, k, b, vm, opts: encode_general_buchi(m, k, b, vm),
+}
+
+
+def scheme_model(m: SymbolicModel, psi, opts: RunOptions) -> SymbolicModel:
+    """The model the scheme unrolls: for general-buchi the product of m with
+    the tight automaton of psi, otherwise m itself."""
+    if opts.scheme == "general-buchi":
+        return product(m, build_tight_ba(psi, d_max=opts.d_max))
+    return m
+
+
+def encode_bound(target: SymbolicModel, psi, k, opts: RunOptions):
+    """A fresh solver holding the scheme's encoding of bound k, and its
+    variable map."""
+    s = Solver()
+    b = CircuitBuilder(s, polarity_aware=opts.polarity_aware)
+    vm = TimedVarMap(b, d_max=opts.d_max)
+    b.assert_(SCHEMES[opts.scheme](target, psi, k, b, vm, opts))
+    return s, vm
+
+
 # ---------------------------------------------------------------------------
 # Witness extraction
 # ---------------------------------------------------------------------------
@@ -120,40 +154,6 @@ def extract_witness(value_of, vm: TimedVarMap, m: SymbolicModel, k) -> Witness:
 
 
 # ---------------------------------------------------------------------------
-# Simple path constraint
-# ---------------------------------------------------------------------------
-
-
-def build_simple_path(k, vm: TimedVarMap, b: CircuitBuilder, cl, model_vars) -> int:
-    """Pairwise distinctness over 0 <= i < j <= k; true when k = 0.
-
-    Two positions clash when they agree on the model state, the in-loop
-    flag, the depth-0 formula values, and (inside the loop) on all formula
-    and auxiliary values.
-    """
-    pairs = []
-    for j in range(1, k + 1):
-        for i in range(0, j):
-            pairs.append(_simple_path_pair(b, vm, cl, model_vars, i, j))
-    return b.and_(*pairs)
-
-
-def _simple_path_pair(b, vm, cl, model_vars, i, j):
-    diff_state = b.or_(*[b.xor(vm.state_bit(i, n), vm.state_bit(j, n)) for n in model_vars])
-    diff_inloop = b.xor(vm.in_loop(i), vm.in_loop(j))
-    diff_f0 = b.or_(*[b.xor(vm.fvar(f, i, 0), vm.fvar(f, j, 0)) for f in cl])
-    deep = []
-    for f in cl:
-        for d in range(0, vm.dcap(f) + 1):
-            deep.append(b.xor(vm.fvar(f, i, d), vm.fvar(f, j, d)))
-        if f.kind in ("U", "R"):
-            role = "F" if f.kind == "U" else "G"
-            deep.append(b.xor(vm.aux_var(role, f.right.fid, i), vm.aux_var(role, f.right.fid, j)))
-    both_in = b.and_(vm.in_loop(i), vm.in_loop(j), b.or_(*deep))
-    return b.or_(diff_state, diff_inloop, diff_f0, both_in)
-
-
-# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -164,12 +164,12 @@ def run_bmc(m: SymbolicModel, spec, opts: RunOptions = None):
     if isinstance(spec, str):
         spec = parse_formula(spec)
     psi = to_pnf(s_not(spec)) if isinstance(spec, SurfaceFormula) else spec
-    if opts.scheme not in ("fixpoint", "eventuality", "buchi", "pltl", "general-buchi"):
+    if opts.scheme not in SCHEMES:
         raise CheckError(f"unknown scheme {opts.scheme!r}")
-    if opts.scheme in ("fixpoint", "eventuality", "buchi") and past_depth(psi) > 0:
-        raise PastOperatorError(
-            f"scheme {opts.scheme!r} handles future formulas only; use pltl"
-        )
+    if opts.max_k < 0:
+        raise CheckError(f"max_k must be non-negative, got {opts.max_k}")
+    if opts.increment < 1:
+        raise CheckError(f"increment must be at least 1, got {opts.increment}")
     if opts.completeness:
         if opts.scheme != "pltl" or not opts.incremental:
             raise CheckError("completeness needs the incremental pltl scheme")
@@ -182,28 +182,13 @@ def run_bmc(m: SymbolicModel, spec, opts: RunOptions = None):
 
 
 def _bounds(opts):
-    return range(0, opts.max_k + 1, max(1, opts.increment))
+    return range(0, opts.max_k + 1, opts.increment)
 
 
 def _run_monolithic(m, psi, opts):
-    target = m
-    if opts.scheme == "general-buchi":
-        target = product(m, build_tight_ba(psi, d_max=opts.d_max))
+    target = scheme_model(m, psi, opts)
     for k in _bounds(opts):
-        s = Solver()
-        b = CircuitBuilder(s, polarity_aware=opts.polarity_aware)
-        vm = TimedVarMap(b, d_max=opts.d_max)
-        if opts.scheme == "fixpoint":
-            lit = encode_ltl_fixpoint(m, psi, k, b, vm)
-        elif opts.scheme == "eventuality":
-            lit = encode_ltl_eventuality(m, psi, k, b, vm)
-        elif opts.scheme == "buchi":
-            lit = encode_ltl_buchi(m, psi, k, b, vm, release_acceptance=opts.release_acceptance)
-        elif opts.scheme == "pltl":
-            lit = encode_pltl(m, psi, k, opts.d_max, b, vm, force_stabilise=opts.force_stabilise)
-        else:
-            lit = encode_general_buchi(target, k, b, vm)
-        b.assert_(lit)
+        s, vm = encode_bound(target, psi, k, opts)
         res, value_of = _solve(s, opts, k)
         if res == SAT:
             w = extract_witness(value_of, vm, target, k)
@@ -262,7 +247,7 @@ def _run_complete(m, psi, opts):
         force_stabilise=opts.force_stabilise,
         polarity_aware=opts.polarity_aware,
     )
-    step_one = opts.increment <= 1
+    step_one = opts.increment == 1
     query_at = set(_bounds(opts))
     for k in range(0, opts.max_k + 1):
         inc.step(k)

@@ -16,17 +16,9 @@ import sys
 
 from .pltl import parse_formula, to_pnf, s_not, format_formula, closure
 from .model import parse_model, model_to_text, explicit_expand, ModelError
-from .sat import Solver, CircuitBuilder, export_dimacs
-from .encode import (
-    TimedVarMap,
-    encode_ltl_fixpoint,
-    encode_ltl_eventuality,
-    encode_ltl_buchi,
-    encode_pltl,
-    encode_general_buchi,
-)
-from .tightba import build_tight_ba, product
-from .l2s import l2s_transform, check_l2s_reachability, Reachable
+from .sat import export_dimacs
+from .tightba import build_tight_ba
+from .l2s import l2s_transform
 from .oracle import Budget, exists_witness_bounded, BudgetExceeded
 from . import check as checker
 
@@ -34,6 +26,8 @@ EXIT_PROVED = 0
 EXIT_WITNESS = 1
 EXIT_UNKNOWN = 2
 EXIT_ERROR = 3
+
+DMAX_HELP = "virtual unrolling cap: a non-negative integer or 'full'"
 
 
 def _load_model(path):
@@ -57,8 +51,12 @@ def _dmax(value):
 def _add_common(p):
     p.add_argument("model", help="model file")
     p.add_argument("--spec", help="property (overrides the model's SPEC line)")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
     p.add_argument("--emit-json", action="store_true", help="also print machine-readable records")
+
+
+def _add_scheme(p):
+    p.add_argument("--scheme", choices=list(checker.SCHEMES), default="pltl")
+    p.add_argument("--dmax", default="full", help=DMAX_HELP)
 
 
 def main(argv=None) -> int:
@@ -67,12 +65,7 @@ def main(argv=None) -> int:
 
     pc = sub.add_parser("check", help="run bounded model checking")
     _add_common(pc)
-    pc.add_argument(
-        "--scheme",
-        choices=["fixpoint", "eventuality", "buchi", "pltl", "general-buchi"],
-        default="pltl",
-    )
-    pc.add_argument("--dmax", default="full", help="virtual unrolling cap (number or 'full')")
+    _add_scheme(pc)
     pc.add_argument("--no-incremental", action="store_true")
     pc.add_argument("--complete", action="store_true", help="enable the termination check")
     pc.add_argument("--max-k", type=int, default=25)
@@ -93,12 +86,7 @@ def main(argv=None) -> int:
 
     pe = sub.add_parser("encode", help="emit DIMACS plus a variable map for one bound")
     _add_common(pe)
-    pe.add_argument(
-        "--scheme",
-        choices=["fixpoint", "eventuality", "buchi", "pltl", "general-buchi"],
-        default="pltl",
-    )
-    pe.add_argument("--dmax", default="full")
+    _add_scheme(pe)
     pe.add_argument("-k", type=int, required=True)
     pe.add_argument("-o", "--out", required=True, help="output CNF path")
     pe.add_argument("--map", help="variable map path (default: OUT.map)")
@@ -110,7 +98,7 @@ def main(argv=None) -> int:
 
     pt = sub.add_parser("tightba", help="write a formula's tight automaton as a model file")
     pt.add_argument("formula", help="PLTL formula text")
-    pt.add_argument("--dmax", default="full")
+    pt.add_argument("--dmax", default="full", help=DMAX_HELP)
     pt.add_argument("-o", "--out", help="output model path (default: stdout)")
 
     po = sub.add_parser("oracle", help="brute-force verdict on a small model")
@@ -190,23 +178,8 @@ def _cmd_encode(args):
     m = _load_model(args.model)
     spec = _spec_formula(args, m)
     psi = to_pnf(s_not(spec))
-    d_max = _dmax(args.dmax)
-    s = Solver()
-    b = CircuitBuilder(s)
-    vm = TimedVarMap(b, d_max=d_max)
-    k = args.k
-    if args.scheme == "fixpoint":
-        lit = encode_ltl_fixpoint(m, psi, k, b, vm)
-    elif args.scheme == "eventuality":
-        lit = encode_ltl_eventuality(m, psi, k, b, vm)
-    elif args.scheme == "buchi":
-        lit = encode_ltl_buchi(m, psi, k, b, vm)
-    elif args.scheme == "pltl":
-        lit = encode_pltl(m, psi, k, d_max, b, vm)
-    else:
-        prod = product(m, build_tight_ba(psi, d_max=d_max))
-        lit = encode_general_buchi(prod, k, b, vm)
-    b.assert_(lit)
+    opts = checker.RunOptions(scheme=args.scheme, d_max=_dmax(args.dmax))
+    s, vm = checker.encode_bound(checker.scheme_model(m, psi, opts), psi, args.k, opts)
     export_dimacs(s, args.out)
     map_path = args.map or (args.out + ".map")
     _write_var_map(map_path, vm, psi)

@@ -15,16 +15,12 @@ clauses, it just stops assuming the stale activators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .pltl import Formula, closure, past_depth
 from .model import SymbolicModel, ModelError
-from .sat import CircuitBuilder, Solver, SAT, UNSAT
+from .sat import CircuitBuilder, Solver
 
 E_INDEX = "E"
 L_INDEX = "L"
-
-SCHEMES = ("fixpoint", "eventuality", "buchi", "pltl", "general-buchi")
 
 
 class EncodeError(Exception):
@@ -43,6 +39,10 @@ class TimedVarMap:
     """Bijection from (role, subformula, time, unrolling) to solver variables."""
 
     def __init__(self, builder: CircuitBuilder, d_max=None):
+        if d_max is not None and d_max < 0:
+            raise EncodeError(
+                f"d_max must be a non-negative integer or None for full unrolling, got {d_max}"
+            )
         self.b = builder
         self.d_max = d_max
         self.state = {}  # (i, varname) -> lit
@@ -186,7 +186,7 @@ def encode_model_k(m: SymbolicModel, k, b, vm) -> int:
     return b.and_(*parts)
 
 
-def encode_loop_constraints(k, b, vm, model_vars=None) -> int:
+def encode_loop_constraints(k, b, vm, model_vars) -> int:
     """Loop selector machinery for bound k.
 
     l_0 and InLoop_0 are false; a true l_i commits the path to a (k,i)-loop
@@ -194,28 +194,17 @@ def encode_loop_constraints(k, b, vm, model_vars=None) -> int:
     LoopExists mirrors InLoop_k.
     """
     parts = []
-    names = model_vars if model_vars is not None else _state_names(vm)
-    sk = [vm.state_bit(k, n) for n in names]
+    sk = [vm.state_bit(k, n) for n in model_vars]
     for i in range(1, k + 1):
         li = vm.loop_sel(i)
         prev_il = vm.in_loop(i - 1)
         il = vm.in_loop(i)
-        eq = b.equal_vectors([vm.state_bit(i - 1, n) for n in names], sk)
+        eq = b.equal_vectors([vm.state_bit(i - 1, n) for n in model_vars], sk)
         parts.append(b.implies(li, eq))
         parts.append(b.iff(il, b.or_(prev_il, li)))
         parts.append(b.implies(prev_il, -li))
     parts.append(b.iff(vm.loop_exists(), vm.in_loop(k)))
     return b.and_(*parts)
-
-
-def _state_names(vm):
-    names = []
-    seen = set()
-    for (i, n) in vm.state:
-        if i == 0 and n not in seen:
-            seen.add(n)
-            names.append(n)
-    return names
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +284,9 @@ def encode_ltl_fixpoint(m: SymbolicModel, psi: Formula, k, b, vm) -> int:
 
 def _reject_past(psi):
     if past_depth(psi) > 0:
-        raise PastOperatorError("formula contains past operators; use the pltl scheme")
+        raise PastOperatorError(
+            "formula contains past operators; this scheme handles future formulas only, use pltl"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -349,15 +340,13 @@ def _encode_constraint_style(
     return b.and_(*cons, vm.fvar(psi, 0, 0))
 
 
-def _step_constraints(m, b, vm, f, i, k, force_stabilise, end=None):
+def _step_constraints(m, b, vm, f, i, end, force_stabilise):
     """Defining constraints of all unrollings of subformula f at time i.
 
     ``end`` is the index holding the values of the previous unrolling at the
     path end: the bound itself for monolithic encodings, the end proxy for
     the incremental one.
     """
-    if end is None:
-        end = k
     out = []
     kk = f.kind
     dc = vm.dcap(f)
@@ -457,28 +446,12 @@ def _aux_constraints(b, vm, cl, k, aux_style, release_acceptance, end):
         if f.kind not in ("U", "R"):
             continue
         if aux_style == "eventuality":
-            role = "F" if f.kind == "U" else "G"
-            tgt = f.right
-            key = (role, tgt.fid)
-            dsub = vm.dcap(tgt)
-            if key not in chains_done:  # untils may share their right side
+            key = (f.kind, f.right.fid)
+            if key not in chains_done:
                 chains_done.add(key)
-                a0 = vm.aux_var(role, tgt.fid, 0)
-                cons.append(a0 if f.kind == "R" else -a0)
-                for i in range(1, k + 1):
-                    ai = vm.aux_var(role, tgt.fid, i)
-                    prev = vm.aux_var(role, tgt.fid, i - 1)
-                    sub = vm.fvar(tgt, i, dsub)
-                    if f.kind == "U":
-                        cons.append(b.iff(ai, b.or_(prev, b.and_(vm.in_loop(i), sub))))
-                    else:
-                        cons.append(b.iff(ai, b.and_(prev, b.or_(-vm.in_loop(i), sub))))
-            a_end = vm.aux_var(role, tgt.fid, end)
-            top = vm.fvar(f, end, vm.dcap(f))
-            if f.kind == "U":
-                cons.append(b.implies(le, b.implies(top, a_end)))
-            else:
-                cons.append(b.implies(le, b.implies(a_end, top)))
+                cons.append(_chain_start(vm, f))
+                cons.extend(_chain_step(b, vm, f, i) for i in range(1, k + 1))
+            cons.append(_chain_end(b, vm, f, end))
         else:  # buechi acceptance chains, keyed by the whole subformula
             if f.kind == "R" and not release_acceptance:
                 continue
@@ -496,6 +469,63 @@ def _aux_constraints(b, vm, cl, k, aux_style, release_acceptance, end):
                 cons.append(b.iff(ai, b.or_(prev, b.and_(vm.in_loop(i), hit))))
             cons.append(b.implies(le, vm.aux_var("ACC", f.fid, end)))
     return cons
+
+
+# Eventuality chains.  An until ``a U c`` has the chain <<F c>>_i, "c held at
+# an in-loop position up to i"; a release ``a R c`` has <<G c>>_i, "c held at
+# every in-loop position up to i".  Untils (releases) sharing their right
+# operand share the chain.  The monolithic and the incremental encodings
+# emit the same start, steps and end condition, at ``end`` = k or E_INDEX.
+
+
+def _chain_var(vm, f, i) -> int:
+    role = "F" if f.kind == "U" else "G"
+    return vm.aux_var(role, f.right.fid, i)
+
+
+def _chain_start(vm, f) -> int:
+    a0 = _chain_var(vm, f, 0)
+    return a0 if f.kind == "R" else -a0
+
+
+def _chain_step(b, vm, f, i) -> int:
+    ai = _chain_var(vm, f, i)
+    prev = _chain_var(vm, f, i - 1)
+    sub = vm.fvar(f.right, i, vm.dcap(f.right))
+    if f.kind == "U":
+        return b.iff(ai, b.or_(prev, b.and_(vm.in_loop(i), sub)))
+    return b.iff(ai, b.and_(prev, b.or_(-vm.in_loop(i), sub)))
+
+
+def _chain_end(b, vm, f, end) -> int:
+    """Under LoopExists, the top unrolling of f at the path end agrees with
+    its chain there."""
+    a_end = _chain_var(vm, f, end)
+    top = vm.fvar(f, end, vm.dcap(f))
+    if f.kind == "U":
+        return b.implies(vm.loop_exists(), b.implies(top, a_end))
+    return b.implies(vm.loop_exists(), b.implies(a_end, top))
+
+
+def simple_path_pair(b, vm, cl, model_vars, i, j) -> int:
+    """Literal that holds when positions i and j of the path differ.
+
+    Two positions clash when they agree on the model state, the in-loop
+    flag, the depth-0 formula values, and, when both are inside the loop,
+    on every formula unrolling and eventuality chain.
+    """
+    diff_state = b.or_(*[b.xor(vm.state_bit(i, n), vm.state_bit(j, n)) for n in model_vars])
+    diff_inloop = b.xor(vm.in_loop(i), vm.in_loop(j))
+    diff_f0 = b.or_(*[b.xor(vm.fvar(f, i, 0), vm.fvar(f, j, 0)) for f in cl])
+    deep = []
+    for f in cl:
+        for d in range(0, vm.dcap(f) + 1):
+            deep.append(b.xor(vm.fvar(f, i, d), vm.fvar(f, j, d)))
+    for f in cl:
+        if f.kind in ("U", "R"):
+            deep.append(b.xor(_chain_var(vm, f, i), _chain_var(vm, f, j)))
+    diff_loop_part = b.and_(vm.in_loop(i), vm.in_loop(j), b.or_(*deep))
+    return b.or_(diff_state, diff_inloop, diff_f0, diff_loop_part)
 
 
 # ---------------------------------------------------------------------------
@@ -522,12 +552,6 @@ def encode_general_buchi(m: SymbolicModel, k, b, vm) -> int:
 # ---------------------------------------------------------------------------
 # Incremental encoding
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class QueryResult:
-    status: str
-    k: int
 
 
 class IncrementalEncoder:
@@ -559,7 +583,6 @@ class IncrementalEncoder:
         self.simple_path = simple_path
         self.cl = closure(psi)
         self.k = -1
-        self._last = None
 
     # -- constraint emission -------------------------------------------------
 
@@ -587,9 +610,7 @@ class IncrementalEncoder:
             self._assert(b.iff(vm.in_loop(k), b.or_(vm.in_loop(k - 1), li)))
             self._assert(b.implies(vm.in_loop(k - 1), -li))
         for f in self.cl:
-            for lit in _step_constraints(
-                m, b, vm, f, k, k, self.force_stabilise, end=E_INDEX
-            ):
+            for lit in _step_constraints(m, b, vm, f, k, E_INDEX, self.force_stabilise):
                 self._assert(lit)
         # loop proxy: l_k selects index k as the loop point
         if k >= 1:
@@ -612,39 +633,19 @@ class IncrementalEncoder:
             for d in range(0, vm.dcap(f) + 1):
                 self._assert(b.implies(-le, -vm.fvar(f, L_INDEX, d)))
         for f in self.cl:
-            if f.kind not in ("U", "R"):
-                continue
-            role = "F" if f.kind == "U" else "G"
-            a0 = vm.aux_var(role, f.right.fid, 0)
-            self._assert(a0 if f.kind == "R" else -a0)
-            a_end = vm.aux_var(role, f.right.fid, E_INDEX)
-            top = vm.fvar(f, E_INDEX, vm.dcap(f))
-            if f.kind == "U":
-                self._assert(b.implies(le, b.implies(top, a_end)))
-            else:
-                self._assert(b.implies(le, b.implies(a_end, top)))
+            if f.kind in ("U", "R"):
+                self._assert(_chain_start(vm, f))
+                self._assert(_chain_end(b, vm, f, E_INDEX))
         self._assert(vm.fvar(self.psi, 0, 0))
 
     def _emit_aux_invariant(self, k):
         if k == 0:
             return
-        b, vm = self.b, self.vm
         done = set()
         for f in self.cl:
-            if f.kind not in ("U", "R"):
-                continue
-            role = "F" if f.kind == "U" else "G"
-            key = (role, f.right.fid)
-            if key in done:
-                continue
-            done.add(key)
-            ai = vm.aux_var(role, f.right.fid, k)
-            prev = vm.aux_var(role, f.right.fid, k - 1)
-            sub = vm.fvar(f.right, k, vm.dcap(f.right))
-            if f.kind == "U":
-                self._assert(b.iff(ai, b.or_(prev, b.and_(vm.in_loop(k), sub))))
-            else:
-                self._assert(b.iff(ai, b.and_(prev, b.or_(-vm.in_loop(k), sub))))
+            if f.kind in ("U", "R") and (f.kind, f.right.fid) not in done:
+                done.add((f.kind, f.right.fid))
+                self._assert(_chain_step(self.b, self.vm, f, k))
 
     def _emit_k_dependent(self, k):
         b, vm, m = self.b, self.vm, self.m
@@ -659,47 +660,14 @@ class IncrementalEncoder:
                     act, b.iff(vm.fvar(f, k + 1, d), vm.fvar(f, L_INDEX, d + 1))
                 )
             if f.kind in ("U", "R"):
-                role = "F" if f.kind == "U" else "G"
-                self._guard(
-                    act,
-                    b.iff(
-                        vm.aux_var(role, f.right.fid, E_INDEX),
-                        vm.aux_var(role, f.right.fid, k),
-                    ),
-                )
+                self._guard(act, b.iff(_chain_var(vm, f, E_INDEX), _chain_var(vm, f, k)))
 
     def _emit_simple_path(self, k):
         if not self.simple_path:
             return
-        b, vm = self.b, self.vm
-        act = vm.sp_activation_lit(k)
+        act = self.vm.sp_activation_lit(k)
         for i in range(0, k):
-            self._guard(act, self._simple_path_pair(i, k))
-
-    def _simple_path_pair(self, i, j):
-        b, vm, m = self.b, self.vm, self.m
-        diff_state = b.or_(
-            *[b.xor(vm.state_bit(i, n), vm.state_bit(j, n)) for n in m.vars]
-        )
-        diff_inloop = b.xor(vm.in_loop(i), vm.in_loop(j))
-        diff_f0 = b.or_(
-            *[b.xor(vm.fvar(f, i, 0), vm.fvar(f, j, 0)) for f in self.cl]
-        )
-        deep = []
-        for f in self.cl:
-            for d in range(0, vm.dcap(f) + 1):
-                deep.append(b.xor(vm.fvar(f, i, d), vm.fvar(f, j, d)))
-        for f in self.cl:
-            if f.kind in ("U", "R"):
-                role = "F" if f.kind == "U" else "G"
-                deep.append(
-                    b.xor(
-                        self.vm.aux_var(role, f.right.fid, i),
-                        self.vm.aux_var(role, f.right.fid, j),
-                    )
-                )
-        diff_loop_part = b.and_(vm.in_loop(i), vm.in_loop(j), b.or_(*deep))
-        return b.or_(diff_state, diff_inloop, diff_f0, diff_loop_part)
+            self._guard(act, simple_path_pair(self.b, self.vm, self.cl, self.m.vars, i, k))
 
     # -- queries ---------------------------------------------------------------
 
@@ -721,22 +689,18 @@ class IncrementalEncoder:
         """Solve the full encoding at the current bound."""
         if self.k < 0:
             raise EncodeError("step(0) must run before queries")
-        res = self.solver.solve(
+        return self.solver.solve(
             self._assumptions(True, simple_path), conflict_budget=conflict_budget
         )
-        self._last = res
-        return res
 
     def query_completeness(self, conflict_budget=None) -> str:
         """Solve with every bound-dependent constraint retired, plus the
         simple path constraint; UNSAT proves no witness at any larger bound."""
         if self.k < 0:
             raise EncodeError("step(0) must run before queries")
-        res = self.solver.solve(
+        return self.solver.solve(
             self._assumptions(False, True), conflict_budget=conflict_budget
         )
-        self._last = res
-        return res
 
     def model_value(self, lit) -> bool:
         return self.solver.model_value(lit)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .model import (
     SymbolicModel,
-    BoolExpr,
     band,
     band_all,
     biff,
@@ -24,8 +23,10 @@ from .model import (
     bnot,
     bor,
     bvar,
+    expand_defines,
     explicit_expand,
     input_vars_irrelevant_for_fairness,
+    to_next,
     ModelError,
 )
 
@@ -58,27 +59,6 @@ class Reachable:
 @dataclass(frozen=True)
 class Unreachable:
     pass
-
-
-def _to_next(expr):
-    """Substitute every variable by its next-state copy."""
-    k = expr.kind
-    if k == "var":
-        return bnext(expr.name)
-    if k == "next":
-        raise L2SError("next() inside a state expression")
-    if k in ("true", "false"):
-        return expr
-    return BoolExpr(k, args=tuple(_to_next(a) for a in expr.args))
-
-
-def _expand(expr, define_map):
-    k = expr.kind
-    if k == "var" and expr.name in define_map:
-        return _expand(define_map[expr.name], define_map)
-    if expr.args:
-        return BoolExpr(k, name=expr.name, args=tuple(_expand(a, define_map) for a in expr.args))
-    return expr
 
 
 def l2s_transform(m: SymbolicModel, optimise=False) -> L2SModel:
@@ -114,7 +94,7 @@ def l2s_transform(m: SymbolicModel, optimise=False) -> L2SModel:
     trans_parts.append(biff(bnext(INLOOP_VAR), bor(bvar(INLOOP_VAR), bnext(SAVE_VAR))))
     trans_parts.append(bimp(bvar(INLOOP_VAR), bnot(bnext(SAVE_VAR))))
     for i, fexpr in enumerate(m.fairness):
-        fnext = _to_next(_expand(fexpr, define_map))
+        fnext = to_next(expand_defines(fexpr, define_map))
         trans_parts.append(
             biff(bnext(acc_vars[i]), bor(bvar(acc_vars[i]), band(bnext(INLOOP_VAR), fnext)))
         )

@@ -21,7 +21,7 @@ and ``next(name)`` (TRANS only, state variables only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -90,16 +90,6 @@ def band_all(exprs):
     out = exprs[0]
     for e in exprs[1:]:
         out = band(out, e)
-    return out
-
-
-def bor_all(exprs):
-    exprs = list(exprs)
-    if not exprs:
-        return BFALSE
-    out = exprs[0]
-    for e in exprs[1:]:
-        out = bor(out, e)
     return out
 
 
@@ -424,6 +414,28 @@ def referenced_names_expanded(expr, defines) -> set:
 
     walk(expr)
     return out
+
+
+def expand_defines(expr, define_map):
+    """Substitute define bodies for define names, recursively."""
+    k = expr.kind
+    if k == "var" and expr.name in define_map:
+        return expand_defines(define_map[expr.name], define_map)
+    if expr.args:
+        return BoolExpr(k, name=expr.name, args=tuple(expand_defines(a, define_map) for a in expr.args))
+    return expr
+
+
+def to_next(expr):
+    """Substitute every variable of a state expression by its next-state copy."""
+    k = expr.kind
+    if k == "var":
+        return bnext(expr.name)
+    if k == "next":
+        raise ModelError("next() inside a state expression")
+    if k in ("true", "false"):
+        return expr
+    return BoolExpr(k, args=tuple(to_next(a) for a in expr.args))
 
 
 # ---------------------------------------------------------------------------

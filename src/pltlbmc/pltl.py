@@ -10,7 +10,7 @@ to positive normal form, and caches the past operator depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 # Node kinds shared by both representations.  PNF kinds:
 #   "true" "false" "atom" "natom" "&" "|" "X" "U" "R" "Y" "Z" "S" "T"
@@ -455,10 +455,6 @@ def embed(f: Formula) -> SurfaceFormula:
 def past_depth(f: Formula) -> int:
     """Past operator depth: Y/Z/S/T each add one level of nesting."""
     return f.depth
-
-
-def surface_negation(f: SurfaceFormula) -> SurfaceFormula:
-    return s_not(f)
 
 
 def closure(f: Formula) -> list:

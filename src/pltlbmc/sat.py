@@ -360,9 +360,6 @@ class CircuitBuilder:
     def var(self) -> int:
         return self.solver.new_var()
 
-    def not_(self, a) -> int:
-        return -a
-
     def and_(self, *lits) -> int:
         return self._nary("and", lits)
 

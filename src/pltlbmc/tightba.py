@@ -31,6 +31,8 @@ from .model import (
     bnot,
     bor,
     bvar,
+    expand_defines,
+    to_next,
     BTRUE,
     BFALSE,
     ModelError,
@@ -57,6 +59,10 @@ class TightBA:
 
 def build_tight_ba(psi: Formula, d_max=None) -> TightBA:
     """Construct the automaton accepting exactly the words satisfying psi."""
+    if d_max is not None and d_max < 0:
+        raise TightBAError(
+            f"d_max must be a non-negative integer or None for full unrolling, got {d_max}"
+        )
     cl = closure(psi)
     atoms = tuple(sorted(atoms_of(psi)))
 
@@ -101,7 +107,7 @@ def build_tight_ba(psi: Formula, d_max=None) -> TightBA:
 
     def nref(f, d) -> BoolExpr:
         # macros expand before shifting; next() may only hit state variables
-        return _to_next(_expand_defines(ref(f, d), define_map))
+        return to_next(expand_defines(ref(f, d), define_map))
 
     inloop = bvar(INLOOP_VAR)
     le = bvar(LE_VAR)
@@ -216,17 +222,6 @@ def build_tight_ba(psi: Formula, d_max=None) -> TightBA:
     )
 
 
-def _to_next(expr):
-    k = expr.kind
-    if k == "var":
-        return bnext(expr.name)
-    if k == "next":
-        raise TightBAError("double next")
-    if k in ("true", "false"):
-        return expr
-    return BoolExpr(k, args=tuple(_to_next(a) for a in expr.args))
-
-
 def product(m: SymbolicModel, b: TightBA) -> SymbolicModel:
     """Synchronous product: the automaton reads the model's propositions.
 
@@ -251,7 +246,7 @@ def product(m: SymbolicModel, b: TightBA) -> SymbolicModel:
     def fix_next(expr):
         k = expr.kind
         if k == "next" and expr.name in define_map:
-            return _to_next(_expand_defines(define_map[expr.name], define_map))
+            return to_next(expand_defines(define_map[expr.name], define_map))
         if expr.args:
             return BoolExpr(k, name=expr.name, args=tuple(fix_next(a) for a in expr.args))
         return expr
@@ -265,12 +260,3 @@ def product(m: SymbolicModel, b: TightBA) -> SymbolicModel:
         inputs=m.inputs,
         spec_text=None,
     )
-
-
-def _expand_defines(expr, define_map):
-    k = expr.kind
-    if k == "var" and expr.name in define_map:
-        return _expand_defines(define_map[expr.name], define_map)
-    if expr.args:
-        return BoolExpr(k, name=expr.name, args=tuple(_expand_defines(a, define_map) for a in expr.args))
-    return expr

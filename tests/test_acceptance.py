@@ -15,16 +15,9 @@ import pytest
 
 from pltlbmc.model import parse_model, explicit_expand, model_to_text
 from pltlbmc.pltl import parse_formula, to_pnf, closure, past_depth
-from pltlbmc.sat import SAT, UNSAT, Solver, CircuitBuilder, export_dimacs, run_external_solver
-from pltlbmc.encode import (
-    IncrementalEncoder,
-    TimedVarMap,
-    encode_ltl_buchi,
-    encode_ltl_eventuality,
-    encode_ltl_fixpoint,
-    encode_pltl,
-)
-from pltlbmc.check import Proved, RunOptions, WitnessFound, run_bmc
+from pltlbmc.sat import SAT, UNSAT, Solver, export_dimacs, run_external_solver
+from pltlbmc.encode import IncrementalEncoder
+from pltlbmc.check import Proved, RunOptions, WitnessFound, encode_bound, run_bmc, scheme_model
 from pltlbmc.l2s import Reachable, Unreachable, check_l2s_reachability, l2s_transform
 from pltlbmc.oracle import (
     BoundedPath,
@@ -125,18 +118,8 @@ def grid():
 
 
 def solve_monolithic(scheme, m, psi, k, d_max=None):
-    s = Solver()
-    b = CircuitBuilder(s)
-    vm = TimedVarMap(b, d_max=d_max)
-    if scheme == "fixpoint":
-        lit = encode_ltl_fixpoint(m, psi, k, b, vm)
-    elif scheme == "eventuality":
-        lit = encode_ltl_eventuality(m, psi, k, b, vm)
-    elif scheme == "buchi":
-        lit = encode_ltl_buchi(m, psi, k, b, vm)
-    else:
-        lit = encode_pltl(m, psi, k, d_max, b, vm)
-    b.assert_(lit)
+    opts = RunOptions(scheme=scheme, d_max=d_max)
+    s, vm = encode_bound(scheme_model(m, psi, opts), psi, k, opts)
     return s.solve() == SAT, s, vm
 
 

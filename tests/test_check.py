@@ -5,7 +5,7 @@ import pytest
 from pltlbmc.model import parse_model, explicit_expand
 from pltlbmc.pltl import parse_formula, to_pnf, closure, s_not
 from pltlbmc.sat import SAT, UNSAT, Solver, CircuitBuilder
-from pltlbmc.encode import IncrementalEncoder, TimedVarMap, encode_pltl
+from pltlbmc.encode import IncrementalEncoder, TimedVarMap, encode_pltl, simple_path_pair
 from pltlbmc.check import (
     BoundExhausted,
     CheckError,
@@ -13,7 +13,6 @@ from pltlbmc.check import (
     RunOptions,
     WitnessFound,
     WitnessValidationError,
-    build_simple_path,
     extract_witness,
     run_bmc,
     trace_lines,
@@ -120,9 +119,31 @@ class TestRunBmc:
         v = run_bmc(COUNTER, "G !p7", RunOptions(completeness=True, increment=3, max_k=30))
         assert isinstance(v, Proved)
 
+    @pytest.mark.parametrize(
+        "opts, message",
+        [
+            (RunOptions(max_k=-1), "max_k"),
+            (RunOptions(increment=0), "increment"),
+            (RunOptions(increment=-2), "increment"),
+            (RunOptions(d_max=-1), "d_max"),
+            (RunOptions(d_max=-1, incremental=False), "d_max"),
+            (RunOptions(d_max=-1, scheme="general-buchi"), "d_max"),
+        ],
+    )
+    def test_out_of_range_options_are_rejected(self, opts, message):
+        with pytest.raises(Exception, match=message):
+            run_bmc(COUNTER, "!(F (x3 & O (x4 & O x5)))", opts)
+
     def test_verdict_lines(self):
         assert verdict_line(Proved(k=4)) == "VERDICT PROVED k=4"
         assert verdict_line(BoundExhausted(max_k=9)) == "VERDICT UNKNOWN max_k=9"
+
+
+def build_simple_path(k, vm, b, cl, model_vars):
+    """Pairwise distinctness over 0 <= i < j <= k."""
+    return b.and_(
+        *[simple_path_pair(b, vm, cl, model_vars, i, j) for j in range(1, k + 1) for i in range(j)]
+    )
 
 
 class TestSimplePath:
@@ -133,6 +154,8 @@ class TestSimplePath:
         psi = pnf("F x4")
         encode_pltl(COUNTER, psi, 0, None, b, vm)
         assert build_simple_path(0, vm, b, closure(psi), COUNTER.vars) == b.TRUE
+        # a position never differs from itself
+        assert simple_path_pair(b, vm, closure(psi), COUNTER.vars, 0, 0) == b.FALSE
 
     def test_identical_positions_violate_the_constraint(self):
         m = parse_model("VAR a b\nINIT true\nTRANS true\n")

@@ -4,9 +4,12 @@ import sys
 
 import pytest
 
+from pltlbmc.check import SCHEMES, RunOptions, scheme_model
 from pltlbmc.cli import main
+from pltlbmc.encode import TimedVarMap
 from pltlbmc.model import parse_model
-from pltlbmc.sat import parse_dimacs
+from pltlbmc.pltl import parse_formula, s_not, to_pnf
+from pltlbmc.sat import CircuitBuilder, Solver, parse_dimacs
 
 COUNTER = "fixtures/counter.mod"
 COUNTER_FAIR = "fixtures/counter_fair.mod"
@@ -131,6 +134,22 @@ class TestCheck:
         )
         assert code == 1 and out.startswith("VERDICT WITNESS k=6")
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--dmax", "-1"], "d_max"),
+            (["--dmax", "-1", "--no-incremental"], "d_max"),
+            (["--dmax", "-1", "--scheme", "general-buchi"], "d_max"),
+            (["--max-k", "-1"], "max_k"),
+            (["--increment", "0"], "increment"),
+            (["--increment", "-2"], "increment"),
+        ],
+    )
+    def test_out_of_range_bounds_are_errors(self, capsys, flags, message):
+        spec = "!(F (x3 & O (x4 & O x5)))"
+        code, out, err = run(capsys, ["check", COUNTER, "--spec", spec, "--max-k", "8", *flags])
+        assert code == 3 and message in err and "VERDICT" not in out
+
     def test_dmax_zero_needs_a_longer_bound(self, capsys):
         code, out, _ = run(capsys, ["check", COUNTER, "--dmax", "0", "--max-k", "8"])
         assert code == 2
@@ -178,6 +197,32 @@ class TestEncode:
                 EXTERNAL + [out_cnf], capture_output=True, text=True
             )
             assert proc.returncode == expected
+
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
+    def test_dimacs_is_the_scheme_table_encoding(self, capsys, tmp_path, scheme):
+        spec = "!(G F x4)"
+        out_cnf = str(tmp_path / "out.cnf")
+        code, _, _ = run(
+            capsys,
+            ["encode", COUNTER, "--spec", spec, "--scheme", scheme, "-k", "3", "-o", out_cnf],
+        )
+        assert code == 0
+        m = parse_model(open(COUNTER).read())
+        psi = to_pnf(s_not(parse_formula(spec)))
+        opts = RunOptions(scheme=scheme)
+        s = Solver()
+        b = CircuitBuilder(s)
+        vm = TimedVarMap(b)
+        b.assert_(SCHEMES[scheme](scheme_model(m, psi, opts), psi, 3, b, vm, opts))
+        assert parse_dimacs(open(out_cnf).read()) == (s.nvars, s.db)
+
+    def test_negative_dmax_is_an_error(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, ["encode", COUNTER, "--dmax", "-1", "-k", "3", "-o", str(tmp_path / "o.cnf")]
+        )
+        assert code == 3 and "d_max" in err
+        code, _, err = run(capsys, ["tightba", "F (p & Y q)", "--dmax", "-1"])
+        assert code == 3 and "d_max" in err
 
 
 class TestPipelines:
