@@ -10,6 +10,8 @@ repetition can always be cut out of a witness.
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,9 +76,7 @@ class RunOptions:
     increment: int = 1
     force_stabilise: bool = False
     release_acceptance: bool = True
-    polarity_aware: bool = False
     external_solver: Optional[tuple] = None
-    dimacs_dir: Optional[str] = None
 
 
 # Scheme name -> encoder.  An entry lowers (model, psi, k) into the builder
@@ -108,8 +108,10 @@ def scheme_model(m: SymbolicModel, psi, opts: RunOptions) -> SymbolicModel:
 def encode_bound(target: SymbolicModel, psi, k, opts: RunOptions):
     """A fresh solver holding the scheme's encoding of bound k, and its
     variable map."""
+    if k < 0:
+        raise CheckError(f"k must be non-negative, got {k}")
     s = Solver()
-    b = CircuitBuilder(s, polarity_aware=opts.polarity_aware)
+    b = CircuitBuilder(s)
     vm = TimedVarMap(b, d_max=opts.d_max)
     b.assert_(SCHEMES[opts.scheme](target, psi, k, b, vm, opts))
     return s, vm
@@ -175,7 +177,6 @@ def run_bmc(m: SymbolicModel, spec, opts: RunOptions = None):
             raise CheckError("completeness needs the incremental pltl scheme")
         if opts.external_solver:
             raise CheckError("completeness cannot use an external solver")
-        return _run_complete(m, psi, opts)
     if opts.scheme == "pltl" and opts.incremental and not opts.external_solver:
         return _run_incremental(m, psi, opts)
     return _run_monolithic(m, psi, opts)
@@ -199,40 +200,19 @@ def _run_monolithic(m, psi, opts):
 
 def _solve(s, opts, k):
     if opts.external_solver:
-        import os
-        import tempfile
-
-        directory = opts.dimacs_dir or tempfile.gettempdir()
-        path = os.path.join(directory, f"bmc_k{k}.cnf")
-        export_dimacs(s, path)
-        verdict, values = run_external_solver(opts.external_solver, path)
+        # a private directory, so concurrent runs never share a CNF file
+        with tempfile.TemporaryDirectory(prefix="pltlbmc-") as directory:
+            path = os.path.join(directory, f"bmc_k{k}.cnf")
+            export_dimacs(s, path)
+            verdict, values = run_external_solver(opts.external_solver, path)
         return verdict, lambda lit: values.get(abs(lit), False) == (lit > 0)
     res = s.solve()
     return res, s.model_value
 
 
 def _run_incremental(m, psi, opts):
-    inc = IncrementalEncoder(
-        m,
-        psi,
-        d_max=opts.d_max,
-        force_stabilise=opts.force_stabilise,
-        polarity_aware=opts.polarity_aware,
-        simple_path=False,
-    )
-    query_at = set(_bounds(opts))
-    for k in range(0, opts.max_k + 1):
-        inc.step(k)
-        if k not in query_at:
-            continue
-        if inc.query_witness() == SAT:
-            w = extract_witness(inc.model_value, inc.vm, m, k)
-            return WitnessFound(witness=w, k=k)
-    return BoundExhausted(max_k=opts.max_k)
-
-
-def _run_complete(m, psi, opts):
-    """Alternate completeness and witness queries on one incremental solver.
+    """Query witnesses, and with completeness also termination, bound by
+    bound on one incremental solver.
 
     With increment 1 the witness query carries the simple path conjunct, so
     the first satisfiable bound is still the minimal witness length.  With
@@ -245,7 +225,7 @@ def _run_complete(m, psi, opts):
         psi,
         d_max=opts.d_max,
         force_stabilise=opts.force_stabilise,
-        polarity_aware=opts.polarity_aware,
+        simple_path=opts.completeness,
     )
     step_one = opts.increment == 1
     query_at = set(_bounds(opts))
@@ -253,19 +233,14 @@ def _run_complete(m, psi, opts):
         inc.step(k)
         if k not in query_at:
             continue
-        comp_unsat = inc.query_completeness() == UNSAT
-        if step_one:
-            if comp_unsat:
-                return Proved(k=k)
-            if inc.query_witness(simple_path=True) == SAT:
-                w = extract_witness(inc.model_value, inc.vm, m, k)
-                return WitnessFound(witness=w, k=k)
-        else:
-            if inc.query_witness(simple_path=False) == SAT:
-                w = extract_witness(inc.model_value, inc.vm, m, k)
-                return WitnessFound(witness=w, k=k)
-            if comp_unsat:
-                return Proved(k=k)
+        proved = opts.completeness and inc.query_completeness() == UNSAT
+        if proved and step_one:
+            return Proved(k=k)
+        if inc.query_witness(simple_path=opts.completeness and step_one) == SAT:
+            w = extract_witness(inc.model_value, inc.vm, m, k)
+            return WitnessFound(witness=w, k=k)
+        if proved:
+            return Proved(k=k)
     return BoundExhausted(max_k=opts.max_k)
 
 

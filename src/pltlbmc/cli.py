@@ -5,7 +5,8 @@ DIMACS file plus a variable map), ``l2s`` (liveness-to-safety transform),
 ``tightba`` (write a formula's automaton as a model file), and ``oracle``
 (brute-force verdict for small models).
 
-Exit codes: 0 proved, 1 witness found, 2 unknown/bound exhausted, 3 error.
+Exit codes: 0 proved, 1 witness found, 2 unknown/bound exhausted, 3 error
+(usage errors included).
 """
 
 from __future__ import annotations
@@ -28,6 +29,14 @@ EXIT_UNKNOWN = 2
 EXIT_ERROR = 3
 
 DMAX_HELP = "virtual unrolling cap: a non-negative integer or 'full'"
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, which is EXIT_UNKNOWN here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _load_model(path):
@@ -60,7 +69,7 @@ def _add_scheme(p):
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="pltlbmc")
+    ap = _Parser(prog="pltlbmc")
     sub = ap.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("check", help="run bounded model checking")
@@ -72,11 +81,6 @@ def main(argv=None) -> int:
     pc.add_argument("--increment", type=int, default=1)
     pc.add_argument("--force-stabilise", action="store_true")
     pc.add_argument("--no-release-acceptance", action="store_true")
-    pc.add_argument(
-        "--polarity-aware",
-        action="store_true",
-        help="one-sided clause lowering for monotone gate cones",
-    )
     pc.add_argument(
         "--solver",
         nargs="+",
@@ -147,7 +151,6 @@ def _cmd_check(args):
         increment=args.increment,
         force_stabilise=args.force_stabilise,
         release_acceptance=not args.no_release_acceptance,
-        polarity_aware=args.polarity_aware,
         external_solver=external,
     )
     verdict = checker.run_bmc(m, spec, opts)
@@ -237,6 +240,8 @@ def _cmd_oracle(args):
     m = _load_model(args.model)
     spec = _spec_formula(args, m)
     psi = to_pnf(s_not(spec))
+    if args.max_k < 0:
+        raise ValueError(f"max_k must be non-negative, got {args.max_k}")
     budget = Budget(max_bits=args.max_bits, max_k=args.max_k)
     em = explicit_expand(m, max_bits=args.max_bits)
     found = None

@@ -571,13 +571,12 @@ class IncrementalEncoder:
         psi: Formula,
         d_max=None,
         force_stabilise=False,
-        polarity_aware=False,
         simple_path=True,
     ):
         self.m = m
         self.psi = psi
         self.solver = Solver()
-        self.b = CircuitBuilder(self.solver, polarity_aware=polarity_aware)
+        self.b = CircuitBuilder(self.solver)
         self.vm = TimedVarMap(self.b, d_max=d_max)
         self.force_stabilise = force_stabilise
         self.simple_path = simple_path

@@ -2,9 +2,8 @@
 
 Literals are signed integers (DIMACS convention, variable indices start at 1;
 index 0 is reserved).  ``CircuitBuilder`` hands out gate literals with
-constant folding and structural hashing and lowers gate definitions to
-clauses in the attached solver, either eagerly (full Tseitin, the default)
-or lazily with polarity tracking (Plaisted-Greenbaum style).
+constant folding and structural hashing and writes each new gate's full
+Tseitin definition into the attached solver as soon as the gate is created.
 
 The solver implements conflict-driven clause learning with two watched
 literals, first-UIP learning, phase saving, restarts, and solving under
@@ -72,6 +71,7 @@ class Solver:
     def add_clause(self, lits: Iterable[int]):
         """Add a clause at decision level 0; duplicates and tautologies fold."""
         assert not self.trail_lim, "clauses must be added at decision level 0"
+        lits = list(lits)  # a tautology is read twice below
         seen = {}
         out = []
         for lit in lits:
@@ -82,7 +82,7 @@ class Solver:
                 return  # tautology
             seen[lit] = True
             out.append(lit)
-        self.db.append(list(out))
+        self.db.append(out)
         if not self.ok:
             return
         out = [l for l in out if self.value(l) >= 0 or self.level[abs(l)] > 0]
@@ -332,24 +332,15 @@ def _luby(x):
 
 
 class CircuitBuilder:
-    """Gate construction with folding, hashing, and CNF lowering.
+    """Gate construction with folding, hashing, and eager Tseitin lowering.
 
-    In the default mode every gate emits its full Tseitin definition when it
-    is created.  With ``polarity_aware`` the definitions are deferred until a
-    clause mentioning the gate is added, and only the needed direction of
-    and/or gates is emitted (the circuit side of monotone encodings stays
-    one-sided).  In that mode, clauses must go through :meth:`add_clause` /
-    :meth:`assert_`, and solver assumptions should be plain variables or
-    literals passed through :meth:`require` first, or their defining cone
-    may be missing.
+    Every new gate writes its full Tseitin definition into the solver when it
+    is created, so the clauses of a gate exist as soon as its literal does.
     """
 
-    def __init__(self, solver: Solver, polarity_aware=False):
+    def __init__(self, solver: Solver):
         self.solver = solver
-        self.polarity_aware = polarity_aware
         self.cache = {}
-        self.defs = {}  # gate var -> (kind, inputs)
-        self.emitted = set()  # (var, polarity) pairs already lowered
         t = solver.new_var()
         self.TRUE = t
         self.FALSE = -t
@@ -385,10 +376,10 @@ class CircuitBuilder:
         if g is None:
             g = self.solver.new_var()
             self.cache[key] = g
-            self.defs[g] = ("and", key[1])
-            if not self.polarity_aware:
-                self._emit(g, 1)
-                self._emit(g, -1)
+            add = self.solver.add_clause
+            for x in key[1]:
+                add([-g, x])
+            add([g] + [-x for x in key[1]])
         return g
 
     def iff(self, a, b) -> int:
@@ -413,10 +404,11 @@ class CircuitBuilder:
         if g is None:
             g = self.solver.new_var()
             self.cache[key] = g
-            self.defs[g] = ("iff", (x, y))
-            if not self.polarity_aware:
-                self._emit(g, 1)
-                self._emit(g, -1)
+            add = self.solver.add_clause
+            add([-g, -x, y])
+            add([-g, x, -y])
+            add([g, x, y])
+            add([g, -x, -y])
         return g
 
     def xor(self, a, b) -> int:
@@ -445,82 +437,22 @@ class CircuitBuilder:
         if g is None:
             g = self.solver.new_var()
             self.cache[key] = g
-            self.defs[g] = ("ite", (c, a, b))
-            if not self.polarity_aware:
-                self._emit(g, 1)
-                self._emit(g, -1)
+            add = self.solver.add_clause
+            add([-g, -c, a])
+            add([-g, c, b])
+            add([g, -c, -a])
+            add([g, c, -b])
         return g
 
     def equal_vectors(self, xs, ys) -> int:
         assert len(xs) == len(ys)
         return self.and_(*[self.iff(x, y) for x, y in zip(xs, ys)])
 
-    # -- lowering ---------------------------------------------------------------
-
-    def _emit(self, gvar, polarity):
-        """Emit the clause set defining gate ``gvar`` in one polarity."""
-        stack = [(gvar, polarity)]
-        while stack:
-            v, pol = stack.pop()
-            if (v, pol) in self.emitted:
-                continue
-            self.emitted.add((v, pol))
-            kind, ins = self.defs[v]
-            if kind == "and":
-                if pol > 0:
-                    for x in ins:
-                        self.solver.add_clause([-v, x])
-                        stack.extend(self._needs(x, 1))
-                else:
-                    self.solver.add_clause([v] + [-x for x in ins])
-                    for x in ins:
-                        stack.extend(self._needs(x, -1))
-            elif kind == "iff":
-                x, y = ins
-                self.solver.add_clause([-v, -x, y])
-                self.solver.add_clause([-v, x, -y])
-                self.solver.add_clause([v, x, y])
-                self.solver.add_clause([v, -x, -y])
-                self.emitted.add((v, -pol))
-                for z in (x, y):
-                    stack.extend(self._needs(z, 1))
-                    stack.extend(self._needs(z, -1))
-            elif kind == "ite":
-                c, a, b = ins
-                self.solver.add_clause([-v, -c, a])
-                self.solver.add_clause([-v, c, b])
-                self.solver.add_clause([v, -c, -a])
-                self.solver.add_clause([v, c, -b])
-                self.emitted.add((v, -pol))
-                for z in (c, a, b):
-                    stack.extend(self._needs(z, 1))
-                    stack.extend(self._needs(z, -1))
-            else:
-                raise AssertionError(kind)
-
-    def _needs(self, lit, polarity):
-        v = abs(lit)
-        if v not in self.defs:
-            return []
-        pol = polarity if lit > 0 else -polarity
-        if (v, pol) in self.emitted:
-            return []
-        return [(v, pol)]
-
-    def require(self, lit):
-        """Make sure the definition cone of ``lit`` is in the solver."""
-        v = abs(lit)
-        if v in self.defs:
-            self._emit(v, 1 if lit > 0 else -1)
-
     def add_clause(self, lits):
-        lits = list(lits)
-        for l in lits:
-            self.require(l)
         self.solver.add_clause(lits)
 
     def assert_(self, lit):
-        self.add_clause([lit])
+        self.solver.add_clause([lit])
 
 
 def _flat(lits):

@@ -1,15 +1,17 @@
 import json
 import os
 import sys
+import tempfile
 
 import pytest
 
+from pltlbmc import check
 from pltlbmc.check import SCHEMES, RunOptions, scheme_model
 from pltlbmc.cli import main
 from pltlbmc.encode import TimedVarMap
 from pltlbmc.model import parse_model
 from pltlbmc.pltl import parse_formula, s_not, to_pnf
-from pltlbmc.sat import CircuitBuilder, Solver, parse_dimacs
+from pltlbmc.sat import CircuitBuilder, Solver, parse_dimacs, run_external_solver
 
 COUNTER = "fixtures/counter.mod"
 COUNTER_FAIR = "fixtures/counter_fair.mod"
@@ -98,6 +100,22 @@ class TestCheck:
         )
         assert code == 1 and out.startswith("VERDICT WITNESS k=2")
 
+    def test_external_solver_files_are_removed(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        paths = []
+
+        def spy(cmd, path):
+            paths.append(path)
+            return run_external_solver(cmd, path)
+
+        monkeypatch.setattr(check, "run_external_solver", spy)
+        argv = ["check", COUNTER, "--spec", "G !x2", "--scheme", "eventuality", "--max-k", "4"]
+        code, out, _ = run(capsys, [*argv, "--solver", "external", *EXTERNAL])
+        assert code == 1 and len(paths) == 3
+        # each CNF lived in a private directory under the temp root, now gone
+        assert all(os.path.dirname(os.path.dirname(p)) == str(tmp_path) for p in paths)
+        assert not any(tmp_path.iterdir())
+
     def test_every_scheme_runs(self, capsys):
         for scheme in ("fixpoint", "eventuality", "buchi", "pltl", "general-buchi"):
             code, out, _ = run(
@@ -120,13 +138,6 @@ class TestCheck:
                 )
                 assert (ccode == 1) == (ocode == 1), (spec, scheme)
 
-    def test_polarity_aware_flag(self, capsys):
-        code, out, _ = run(
-            capsys,
-            ["check", COUNTER, "--max-k", "7", "--polarity-aware"],
-        )
-        assert code == 1 and out.startswith("VERDICT WITNESS k=6")
-
     def test_force_stabilise_flag(self, capsys):
         code, out, _ = run(
             capsys,
@@ -143,12 +154,38 @@ class TestCheck:
             (["--max-k", "-1"], "max_k"),
             (["--increment", "0"], "increment"),
             (["--increment", "-2"], "increment"),
+            pytest.param(["encode", "-k", "-1"], "k must", id="encode-k"),
+            pytest.param(["oracle", "--max-k", "-3"], "max_k", id="oracle-max_k"),
         ],
     )
-    def test_out_of_range_bounds_are_errors(self, capsys, flags, message):
+    def test_out_of_range_bounds_are_errors(self, capsys, tmp_path, flags, message):
+        # flags without a subcommand go to ``check``
+        if flags[0] not in ("encode", "oracle"):
+            flags = ["check", "--max-k", "8", *flags]
+        if flags[0] == "encode":
+            flags = [*flags, "-o", str(tmp_path / "o.cnf")]
         spec = "!(F (x3 & O (x4 & O x5)))"
-        code, out, err = run(capsys, ["check", COUNTER, "--spec", spec, "--max-k", "8", *flags])
+        code, out, err = run(capsys, [flags[0], COUNTER, "--spec", spec, *flags[1:]])
         assert code == 3 and message in err and "VERDICT" not in out
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--no-such-flag"], "unrecognized arguments"),
+            (["--max-k", "x"], "invalid int value"),
+        ],
+    )
+    def test_usage_errors_exit_3(self, capsys, flags, message):
+        # argparse's own status 2 would read as an UNKNOWN verdict
+        with pytest.raises(SystemExit) as exc:
+            main(["check", COUNTER, *flags])
+        assert exc.value.code == 3 and message in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--help"])
+        assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
 
     def test_dmax_zero_needs_a_longer_bound(self, capsys):
         code, out, _ = run(capsys, ["check", COUNTER, "--dmax", "0", "--max-k", "8"])

@@ -286,21 +286,6 @@ class TestGeneralBuchi:
                 assert (s.solve() == SAT) == expected
 
 
-class TestPolarityAware:
-    def test_scheme_verdicts_survive_one_sided_lowering(self):
-        rng = random.Random(149)
-        for _ in range(12):
-            m = random_symbolic_model(rng, bits=2)
-            psi = random_pnf_formula(rng, list(m.vars), max_cl=6, allow_past=False)
-            for k in range(0, 4):
-                default = solve_scheme("fixpoint", m, psi, k)[0]
-                s = Solver()
-                b = CircuitBuilder(s, polarity_aware=True)
-                vm = TimedVarMap(b)
-                b.assert_(encode_ltl_fixpoint(m, psi, k, b, vm))
-                assert s.solve() == default, (k, str(psi))
-
-
 class TestIncremental:
     REX = "F (x3 & O (x4 & O x5))"
 
