@@ -74,26 +74,21 @@ class RunOptions:
     completeness: bool = False
     max_k: int = 25
     increment: int = 1
-    force_stabilise: bool = False
-    release_acceptance: bool = True
     external_solver: Optional[tuple] = None
 
 
-# Scheme name -> encoder.  An entry lowers (model, psi, k) into the builder
-# ``b`` over ``vm`` and returns the literal whose assertion asks for a witness
-# of bound k.  The general-buchi entry ignores psi: its model is already the
-# product with psi's automaton (see ``scheme_model``).  The encoders are looked
-# up in this module's globals at call time.
+# Scheme name -> encoder.  Every encoder takes (model, psi, k, b, vm), lowers
+# the bound-k encoding into the builder ``b`` over ``vm`` (which carries the
+# unrolling cap d_max) and returns the literal whose assertion asks for a
+# witness of bound k.  The general-buchi encoder ignores psi: its model is
+# already the product with psi's automaton (see ``scheme_model``).  The
+# lambdas look the encoders up in this module's globals at call time.
 SCHEMES = {
-    "fixpoint": lambda m, psi, k, b, vm, opts: encode_ltl_fixpoint(m, psi, k, b, vm),
-    "eventuality": lambda m, psi, k, b, vm, opts: encode_ltl_eventuality(m, psi, k, b, vm),
-    "buchi": lambda m, psi, k, b, vm, opts: encode_ltl_buchi(
-        m, psi, k, b, vm, release_acceptance=opts.release_acceptance
-    ),
-    "pltl": lambda m, psi, k, b, vm, opts: encode_pltl(
-        m, psi, k, opts.d_max, b, vm, force_stabilise=opts.force_stabilise
-    ),
-    "general-buchi": lambda m, psi, k, b, vm, opts: encode_general_buchi(m, k, b, vm),
+    "fixpoint": lambda m, psi, k, b, vm: encode_ltl_fixpoint(m, psi, k, b, vm),
+    "eventuality": lambda m, psi, k, b, vm: encode_ltl_eventuality(m, psi, k, b, vm),
+    "buchi": lambda m, psi, k, b, vm: encode_ltl_buchi(m, psi, k, b, vm),
+    "pltl": lambda m, psi, k, b, vm: encode_pltl(m, psi, k, b, vm),
+    "general-buchi": lambda m, psi, k, b, vm: encode_general_buchi(m, k, b, vm),
 }
 
 
@@ -113,7 +108,7 @@ def encode_bound(target: SymbolicModel, psi, k, opts: RunOptions):
     s = Solver()
     b = CircuitBuilder(s)
     vm = TimedVarMap(b, d_max=opts.d_max)
-    b.assert_(SCHEMES[opts.scheme](target, psi, k, b, vm, opts))
+    s.add_clause([SCHEMES[opts.scheme](target, psi, k, b, vm)])
     return s, vm
 
 
@@ -220,13 +215,7 @@ def _run_incremental(m, psi, opts):
     additionally requires the bare witness query to fail at the same bound
     (a witness at a skipped bound would persist to the current one).
     """
-    inc = IncrementalEncoder(
-        m,
-        psi,
-        d_max=opts.d_max,
-        force_stabilise=opts.force_stabilise,
-        simple_path=opts.completeness,
-    )
+    inc = IncrementalEncoder(m, psi, d_max=opts.d_max, simple_path=opts.completeness)
     step_one = opts.increment == 1
     query_at = set(_bounds(opts))
     for k in range(0, opts.max_k + 1):
@@ -237,7 +226,7 @@ def _run_incremental(m, psi, opts):
         if proved and step_one:
             return Proved(k=k)
         if inc.query_witness(simple_path=opts.completeness and step_one) == SAT:
-            w = extract_witness(inc.model_value, inc.vm, m, k)
+            w = extract_witness(inc.solver.model_value, inc.vm, m, k)
             return WitnessFound(witness=w, k=k)
         if proved:
             return Proved(k=k)

@@ -20,7 +20,7 @@ from .model import parse_model, model_to_text, explicit_expand, ModelError
 from .sat import export_dimacs
 from .tightba import build_tight_ba
 from .l2s import l2s_transform
-from .oracle import Budget, exists_witness_bounded, BudgetExceeded
+from .oracle import Budget, BudgetExceeded, minimal_witness_k
 from . import check as checker
 
 EXIT_PROVED = 0
@@ -79,8 +79,6 @@ def main(argv=None) -> int:
     pc.add_argument("--complete", action="store_true", help="enable the termination check")
     pc.add_argument("--max-k", type=int, default=25)
     pc.add_argument("--increment", type=int, default=1)
-    pc.add_argument("--force-stabilise", action="store_true")
-    pc.add_argument("--no-release-acceptance", action="store_true")
     pc.add_argument(
         "--solver",
         nargs="+",
@@ -149,8 +147,6 @@ def _cmd_check(args):
         completeness=args.complete,
         max_k=args.max_k,
         increment=args.increment,
-        force_stabilise=args.force_stabilise,
-        release_acceptance=not args.no_release_acceptance,
         external_solver=external,
     )
     verdict = checker.run_bmc(m, spec, opts)
@@ -244,14 +240,10 @@ def _cmd_oracle(args):
         raise ValueError(f"max_k must be non-negative, got {args.max_k}")
     budget = Budget(max_bits=args.max_bits, max_k=args.max_k)
     em = explicit_expand(m, max_bits=args.max_bits)
-    found = None
-    for k in range(args.max_k + 1):
-        try:
-            if exists_witness_bounded(em, psi, k, budget):
-                found = k
-                break
-        except BudgetExceeded as exc:
-            raise ModelError(f"oracle budget exceeded: {exc}")
+    try:
+        found = minimal_witness_k(em, psi, args.max_k, budget)
+    except BudgetExceeded as exc:
+        raise ModelError(f"oracle budget exceeded: {exc}")
     if found is not None:
         print(f"VERDICT WITNESS k={found}")
         if args.emit_json:

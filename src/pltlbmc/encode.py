@@ -6,9 +6,11 @@ indexed by subformula, time and unrolling depth, and the auxiliary chains)
 to solver variables.  Requests for a formula variable above the subformula's
 unrolling cap alias down to the cap, which realises virtual unrolling.
 
-Monolithic encoders return one literal whose assertion makes the solver
-search for a witness of the given bound.  The incremental encoder keeps one
-growing solver; constraints that mention the current bound are guarded by
+Monolithic encoders take ``(m, psi, k, b, vm)``, write their gates into the
+builder's solver, and return one literal whose assertion makes the solver
+search for a witness of bound k; the unrolling cap is ``vm.d_max``.  The
+incremental encoder keeps one growing solver and adds its clauses to it
+directly; constraints that mention the current bound are guarded by
 per-bound activation literals so that moving to a larger bound never deletes
 clauses, it just stops assuming the stale activators.
 """
@@ -130,10 +132,10 @@ class TimedVarMap:
 # ---------------------------------------------------------------------------
 
 
-def _expr_lit(b, vm, m, expr, i, j=None, _memo=None):
+def _expr_lit(b, vm, m, expr, i, j=None):
     """Lower a model expression at time i; next() refers to time j."""
     define_map = m.define_map
-    memo = _memo if _memo is not None else {}
+    memo = {}
 
     def ev(e):
         k = e.kind
@@ -299,36 +301,28 @@ def encode_ltl_eventuality(m, psi, k, b, vm) -> int:
     return _encode_constraint_style(m, psi, k, b, vm, aux_style="eventuality")
 
 
-def encode_ltl_buchi(m, psi, k, b, vm, release_acceptance=True) -> int:
+def encode_ltl_buchi(m, psi, k, b, vm) -> int:
     _reject_past(psi)
-    return _encode_constraint_style(
-        m, psi, k, b, vm, aux_style="buchi", release_acceptance=release_acceptance
-    )
+    return _encode_constraint_style(m, psi, k, b, vm, aux_style="buchi")
 
 
-def encode_pltl(m, psi, k, d_max, b, vm, force_stabilise=False) -> int:
+def encode_pltl(m, psi, k, b, vm) -> int:
     """Eventuality encoding with virtually unrolled formula variables.
 
-    ``d_max`` caps the unrolling depth of every subformula (None = full);
-    capped past subformulas receive stabilisation forcing constraints at
-    their top unrolling.
+    ``vm.d_max`` caps the unrolling depth of every subformula (None = full);
+    past subformulas whose depth is capped below their past depth receive
+    stabilisation forcing constraints at their top unrolling.
     """
-    if vm.d_max != d_max:
-        raise EncodeError("TimedVarMap was built with a different d_max")
-    return _encode_constraint_style(
-        m, psi, k, b, vm, aux_style="eventuality", force_stabilise=force_stabilise
-    )
+    return _encode_constraint_style(m, psi, k, b, vm, aux_style="eventuality")
 
 
-def _encode_constraint_style(
-    m, psi, k, b, vm, aux_style, release_acceptance=True, force_stabilise=False
-):
+def _encode_constraint_style(m, psi, k, b, vm, aux_style):
     cons = [encode_model_k(m, k, b, vm), encode_loop_constraints(k, b, vm, m.vars)]
     cl = closure(psi)
     le = vm.loop_exists()
     for i in range(0, k + 1):
         for f in cl:
-            cons.extend(_step_constraints(m, b, vm, f, i, k, force_stabilise))
+            cons.extend(_step_constraints(m, b, vm, f, i, k))
     # binding of index k+1 through the loop selectors
     for f in cl:
         for d in range(0, vm.dcap(f) + 1):
@@ -336,11 +330,11 @@ def _encode_constraint_style(
             cons.append(b.implies(-le, -vk1))
             for i in range(1, k + 1):
                 cons.append(b.implies(vm.loop_sel(i), b.iff(vk1, vm.fvar(f, i, d + 1))))
-    cons.extend(_aux_constraints(b, vm, cl, k, aux_style, release_acceptance, end=k))
+    cons.extend(_aux_constraints(b, vm, cl, k, aux_style))
     return b.and_(*cons, vm.fvar(psi, 0, 0))
 
 
-def _step_constraints(m, b, vm, f, i, end, force_stabilise):
+def _step_constraints(m, b, vm, f, i, end):
     """Defining constraints of all unrollings of subformula f at time i.
 
     ``end`` is the index holding the values of the previous unrolling at the
@@ -350,7 +344,7 @@ def _step_constraints(m, b, vm, f, i, end, force_stabilise):
     out = []
     kk = f.kind
     dc = vm.dcap(f)
-    stabilise = force_stabilise or dc < past_depth(f)
+    stabilise = dc < past_depth(f)
     for d in range(0, dc + 1):
         v = vm.fvar(f, i, d)
         if kk == "true":
@@ -437,10 +431,9 @@ def _past_constraints(b, vm, f, i, d, end, stabilise_here):
     return out
 
 
-def _aux_constraints(b, vm, cl, k, aux_style, release_acceptance, end):
+def _aux_constraints(b, vm, cl, k, aux_style):
     """Eventuality or acceptance chains for until and release subformulas."""
     cons = []
-    le = vm.loop_exists()
     chains_done = set()
     for f in cl:
         if f.kind not in ("U", "R"):
@@ -451,23 +444,36 @@ def _aux_constraints(b, vm, cl, k, aux_style, release_acceptance, end):
                 chains_done.add(key)
                 cons.append(_chain_start(vm, f))
                 cons.extend(_chain_step(b, vm, f, i) for i in range(1, k + 1))
-            cons.append(_chain_end(b, vm, f, end))
+            cons.append(_chain_end(b, vm, f, k))
         else:  # buechi acceptance chains, keyed by the whole subformula
-            if f.kind == "R" and not release_acceptance:
-                continue
-            a0 = vm.aux_var("ACC", f.fid, 0)
-            cons.append(-a0)
-            for i in range(1, k + 1):
-                ai = vm.aux_var("ACC", f.fid, i)
-                prev = vm.aux_var("ACC", f.fid, i - 1)
-                sub = vm.fvar(f.right, i, vm.dcap(f.right))
-                whole = vm.fvar(f, i, vm.dcap(f))
-                if f.kind == "U":
-                    hit = b.or_(sub, -whole)
-                else:
-                    hit = b.or_(-sub, whole)
-                cons.append(b.iff(ai, b.or_(prev, b.and_(vm.in_loop(i), hit))))
-            cons.append(b.implies(le, vm.aux_var("ACC", f.fid, end)))
+            cons.extend(
+                _acceptance_chain(b, vm, "ACC", f.fid, k, lambda i: _acceptance_hit(b, vm, f, i))
+            )
+    return cons
+
+
+def _acceptance_hit(b, vm, f, i) -> int:
+    """Position i fulfils the until a U c (c | !(a U c)), respectively
+    witnesses the release a R c (!c | (a R c))."""
+    c = vm.fvar(f.right, i, vm.dcap(f.right))
+    whole = vm.fvar(f, i, vm.dcap(f))
+    return b.or_(c, -whole) if f.kind == "U" else b.or_(-c, whole)
+
+
+def _sticky_step(b, vm, role, key, i, hit) -> int:
+    """a_i <-> a_{i-1} | (InLoop_i & hit(i)): the accumulator a of ``role``
+    and ``key`` holds from the first in-loop position where ``hit`` held.
+    ``hit(i)`` is lowered after a_i exists."""
+    ai = vm.aux_var(role, key, i)
+    return b.iff(ai, b.or_(vm.aux_var(role, key, i - 1), b.and_(vm.in_loop(i), hit(i))))
+
+
+def _acceptance_chain(b, vm, role, key, k, hit) -> list:
+    """a_0 false, the sticky steps up to k, and LoopExists -> a_k: on a
+    (k,l)-loop, ``hit`` holds at some position of the loop."""
+    cons = [-vm.aux_var(role, key, 0)]
+    cons.extend(_sticky_step(b, vm, role, key, i, hit) for i in range(1, k + 1))
+    cons.append(b.implies(vm.loop_exists(), vm.aux_var(role, key, k)))
     return cons
 
 
@@ -489,12 +495,13 @@ def _chain_start(vm, f) -> int:
 
 
 def _chain_step(b, vm, f, i) -> int:
-    ai = _chain_var(vm, f, i)
-    prev = _chain_var(vm, f, i - 1)
-    sub = vm.fvar(f.right, i, vm.dcap(f.right))
+    def sub(j):
+        return vm.fvar(f.right, j, vm.dcap(f.right))
+
     if f.kind == "U":
-        return b.iff(ai, b.or_(prev, b.and_(vm.in_loop(i), sub)))
-    return b.iff(ai, b.and_(prev, b.or_(-vm.in_loop(i), sub)))
+        return _sticky_step(b, vm, "F", f.right.fid, i, sub)
+    ai = _chain_var(vm, f, i)
+    return b.iff(ai, b.and_(_chain_var(vm, f, i - 1), b.or_(-vm.in_loop(i), sub(i))))
 
 
 def _chain_end(b, vm, f, end) -> int:
@@ -538,14 +545,9 @@ def encode_general_buchi(m: SymbolicModel, k, b, vm) -> int:
     cons = [encode_model_k(m, k, b, vm), encode_loop_constraints(k, b, vm, m.vars)]
     cons.append(vm.loop_exists())
     for mi, fexpr in enumerate(m.fairness):
-        a0 = vm.aux_var("ACCSET", mi, 0)
-        cons.append(-a0)
-        for i in range(1, k + 1):
-            ai = vm.aux_var("ACCSET", mi, i)
-            prev = vm.aux_var("ACCSET", mi, i - 1)
-            inset = _expr_lit(b, vm, m, fexpr, i)
-            cons.append(b.iff(ai, b.or_(prev, b.and_(vm.in_loop(i), inset))))
-        cons.append(b.implies(vm.loop_exists(), vm.aux_var("ACCSET", mi, k)))
+        cons.extend(
+            _acceptance_chain(b, vm, "ACCSET", mi, k, lambda i: _expr_lit(b, vm, m, fexpr, i))
+        )
     return b.and_(*cons)
 
 
@@ -565,77 +567,60 @@ class IncrementalEncoder:
     keeping every learned clause sound.
     """
 
-    def __init__(
-        self,
-        m: SymbolicModel,
-        psi: Formula,
-        d_max=None,
-        force_stabilise=False,
-        simple_path=True,
-    ):
+    def __init__(self, m: SymbolicModel, psi: Formula, d_max=None, simple_path=True):
         self.m = m
         self.psi = psi
         self.solver = Solver()
         self.b = CircuitBuilder(self.solver)
         self.vm = TimedVarMap(self.b, d_max=d_max)
-        self.force_stabilise = force_stabilise
         self.simple_path = simple_path
         self.cl = closure(psi)
         self.k = -1
 
     # -- constraint emission -------------------------------------------------
 
-    def _assert(self, lit):
-        self.b.assert_(lit)
-
-    def _guard(self, act, lit):
-        self.b.add_clause([-act, lit])
-
     def step(self, k):
         if k != self.k + 1:
             raise EncodeError(f"step({k}) out of order, expected {self.k + 1}")
-        b, vm, m = self.b, self.vm, self.m
+        b, vm, m, add = self.b, self.vm, self.m, self.solver.add_clause
         if k == 0:
-            self._assert(_expr_lit(b, vm, m, m.init, 0))
+            add([_expr_lit(b, vm, m, m.init, 0)])
             self._emit_base()
         else:
-            self._assert(_expr_lit(b, vm, m, m.trans, k - 1, k))
+            add([_expr_lit(b, vm, m, m.trans, k - 1, k)])
             li = vm.loop_sel(k)
             eq = b.equal_vectors(
                 [vm.state_bit(k - 1, n) for n in m.vars],
                 [vm.state_bit(E_INDEX, n) for n in m.vars],
             )
-            self._assert(b.implies(li, eq))
-            self._assert(b.iff(vm.in_loop(k), b.or_(vm.in_loop(k - 1), li)))
-            self._assert(b.implies(vm.in_loop(k - 1), -li))
+            add([b.implies(li, eq)])
+            add([b.iff(vm.in_loop(k), b.or_(vm.in_loop(k - 1), li))])
+            add([b.implies(vm.in_loop(k - 1), -li)])
         for f in self.cl:
-            for lit in _step_constraints(m, b, vm, f, k, E_INDEX, self.force_stabilise):
-                self._assert(lit)
+            for lit in _step_constraints(m, b, vm, f, k, E_INDEX):
+                add([lit])
         # loop proxy: l_k selects index k as the loop point
         if k >= 1:
             for f in self.cl:
                 for d in range(0, vm.dcap(f) + 1):
-                    self._assert(
-                        b.implies(
-                            vm.loop_sel(k), b.iff(vm.fvar(f, L_INDEX, d), vm.fvar(f, k, d))
-                        )
-                    )
+                    proxy = b.iff(vm.fvar(f, L_INDEX, d), vm.fvar(f, k, d))
+                    add([b.implies(vm.loop_sel(k), proxy)])
         self._emit_aux_invariant(k)
         self._emit_simple_path(k)
         self._emit_k_dependent(k)
         self.k = k
 
     def _emit_base(self):
-        b, vm = self.b, self.vm
+        b, vm, add = self.b, self.vm, self.solver.add_clause
         le = vm.loop_exists()
         for f in self.cl:
             for d in range(0, vm.dcap(f) + 1):
-                self._assert(b.implies(-le, -vm.fvar(f, L_INDEX, d)))
+                add([b.implies(-le, -vm.fvar(f, L_INDEX, d))])
         for f in self.cl:
             if f.kind in ("U", "R"):
-                self._assert(_chain_start(vm, f))
-                self._assert(_chain_end(b, vm, f, E_INDEX))
-        self._assert(vm.fvar(self.psi, 0, 0))
+                add([_chain_start(vm, f)])
+                add([_chain_end(b, vm, f, E_INDEX)])
+        add([vm.fvar(self.psi, 0, 0)])
 
     def _emit_aux_invariant(self, k):
         if k == 0:
@@ -644,29 +629,28 @@ class IncrementalEncoder:
         for f in self.cl:
             if f.kind in ("U", "R") and (f.kind, f.right.fid) not in done:
                 done.add((f.kind, f.right.fid))
-                self._assert(_chain_step(self.b, self.vm, f, k))
+                self.solver.add_clause([_chain_step(self.b, self.vm, f, k)])
 
     def _emit_k_dependent(self, k):
-        b, vm, m = self.b, self.vm, self.m
+        b, vm, m, add = self.b, self.vm, self.m, self.solver.add_clause
         act = vm.activation_lit(k)
         for n in m.vars:
-            self._guard(act, b.iff(vm.state_bit(E_INDEX, n), vm.state_bit(k, n)))
-        self._guard(act, b.iff(vm.loop_exists(), vm.in_loop(k)))
+            add([-act, b.iff(vm.state_bit(E_INDEX, n), vm.state_bit(k, n))])
+        add([-act, b.iff(vm.loop_exists(), vm.in_loop(k))])
         for f in self.cl:
             for d in range(0, vm.dcap(f) + 1):
-                self._guard(act, b.iff(vm.fvar(f, E_INDEX, d), vm.fvar(f, k, d)))
-                self._guard(
-                    act, b.iff(vm.fvar(f, k + 1, d), vm.fvar(f, L_INDEX, d + 1))
-                )
+                add([-act, b.iff(vm.fvar(f, E_INDEX, d), vm.fvar(f, k, d))])
+                add([-act, b.iff(vm.fvar(f, k + 1, d), vm.fvar(f, L_INDEX, d + 1))])
             if f.kind in ("U", "R"):
-                self._guard(act, b.iff(_chain_var(vm, f, E_INDEX), _chain_var(vm, f, k)))
+                add([-act, b.iff(_chain_var(vm, f, E_INDEX), _chain_var(vm, f, k))])
 
     def _emit_simple_path(self, k):
         if not self.simple_path:
             return
         act = self.vm.sp_activation_lit(k)
         for i in range(0, k):
-            self._guard(act, simple_path_pair(self.b, self.vm, self.cl, self.m.vars, i, k))
+            pair = simple_path_pair(self.b, self.vm, self.cl, self.m.vars, i, k)
+            self.solver.add_clause([-act, pair])
 
     # -- queries ---------------------------------------------------------------
 
@@ -700,6 +684,3 @@ class IncrementalEncoder:
         return self.solver.solve(
             self._assumptions(False, True), conflict_budget=conflict_budget
         )
-
-    def model_value(self, lit) -> bool:
-        return self.solver.model_value(lit)

@@ -15,6 +15,7 @@ FAIRNESS constraints (acceptance sets).  The line-oriented text format is::
     SPEC G !x4
 
 Several TRANS and FAIRNESS lines may appear; TRANS lines are conjoined.
+A name is declared once, as a variable or as a DEFINE, in either order.
 Expressions use ``! & | -> <->``, ``true``/``false``, parentheses, names,
 and ``next(name)`` (TRANS only, state variables only).
 """
@@ -282,8 +283,8 @@ def parse_model(text) -> SymbolicModel:
             if not names:
                 raise ModelError(f"line {line_no}: VAR needs at least one name")
             for name in names:
-                if name in vars_:
-                    raise ModelError(f"line {line_no}: duplicate variable {name!r}")
+                if name in vars_ or name in define_names:
+                    raise ModelError(f"line {line_no}: duplicate name {name!r}")
                 if name in ("next", "true", "false"):
                     raise ModelError(f"line {line_no}: {name!r} is reserved")
                 vars_.append(name)
@@ -543,14 +544,8 @@ class ExplicitModel:
     labels: tuple  # per state, frozenset of true var/define names
     fair_sets: tuple  # per acceptance set, frozenset of states
 
-    def bits(self, state):
-        return tuple((state >> j) & 1 for j in range(len(self.var_names)))
-
     def assignment(self, state):
         return {v: bool((state >> j) & 1) for j, v in enumerate(self.var_names)}
-
-    def describe(self, state):
-        return " ".join(f"{v}={(state >> j) & 1}" for j, v in enumerate(self.var_names))
 
     def names(self):
         return set(self.var_names) | set(self.define_names)

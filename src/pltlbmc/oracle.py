@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .pltl import Formula, closure, past_depth
-from .model import ExplicitModel
+from .model import ExplicitModel, reachable_states
 
 
 class OracleError(Exception):
@@ -449,7 +449,7 @@ def d_unrolling_index(i, k, l) -> int:
 
 def fair_lasso_exists(em: ExplicitModel) -> bool:
     """Graph check: a reachable cycle intersecting every acceptance set."""
-    reach = _reachable(em)
+    reach = reachable_states(em)
     comp = _sccs(em, reach)
     for states in comp:
         has_edge = len(states) > 1 or any(s in em.succ[s] for s in states)
@@ -484,18 +484,6 @@ def fair_lasso_search(em: ExplicitModel, budget: Budget = None):
                 if all(loop_states & fs for fs in em.fair_sets):
                     return (k, l, path)
     raise OracleError("fair lasso exists but was not found within the length bound")
-
-
-def _reachable(em):
-    seen = set(em.initial)
-    todo = list(em.initial)
-    while todo:
-        s = todo.pop()
-        for t in em.succ[s]:
-            if t not in seen:
-                seen.add(t)
-                todo.append(t)
-    return seen
 
 
 def _sccs(em, restrict):

@@ -24,7 +24,6 @@ UNARY_OPS = {"!", "X", "F", "G", "Y", "Z", "O", "H"}
 BINARY_TEMPORAL = {"U", "R", "S", "T"}
 PAST_UNARY = {"Y", "Z"}
 PAST_BINARY = {"S", "T"}
-FUTURE_BINARY = {"U", "R"}
 
 
 class FormulaError(Exception):

@@ -448,12 +448,6 @@ class CircuitBuilder:
         assert len(xs) == len(ys)
         return self.and_(*[self.iff(x, y) for x, y in zip(xs, ys)])
 
-    def add_clause(self, lits):
-        self.solver.add_clause(lits)
-
-    def assert_(self, lit):
-        self.solver.add_clause([lit])
-
 
 def _flat(lits):
     for l in lits:

@@ -33,6 +33,7 @@ from pltlbmc.oracle import (
 )
 from pltlbmc.tightba import build_tight_ba, product
 
+from _fixtures import FIXTURES
 from _grid import (
     random_cnf,
     random_lasso_word,
@@ -42,7 +43,7 @@ from _grid import (
 )
 from test_sat import brute_force_sat
 
-COUNTER = parse_model(open("fixtures/counter.mod").read())
+COUNTER = parse_model((FIXTURES / "counter.mod").read_text())
 MAX_K = 6
 N_MODELS = 200
 N_FORMULAS = 300

@@ -26,6 +26,7 @@ from pltlbmc.oracle import (
     minimal_witness_k,
 )
 
+from _fixtures import FIXTURES
 from _grid import random_pnf_formula, random_symbolic_model
 
 
@@ -33,7 +34,7 @@ def pnf(text):
     return to_pnf(parse_formula(text))
 
 
-COUNTER = parse_model(open("fixtures/counter.mod").read())
+COUNTER = parse_model((FIXTURES / "counter.mod").read_text())
 
 
 class TestRunBmc:
@@ -152,7 +153,7 @@ class TestSimplePath:
         b = CircuitBuilder(s)
         vm = TimedVarMap(b)
         psi = pnf("F x4")
-        encode_pltl(COUNTER, psi, 0, None, b, vm)
+        encode_pltl(COUNTER, psi, 0, b, vm)
         assert build_simple_path(0, vm, b, closure(psi), COUNTER.vars) == b.TRUE
         # a position never differs from itself
         assert simple_path_pair(b, vm, closure(psi), COUNTER.vars, 0, 0) == b.FALSE
@@ -163,7 +164,7 @@ class TestSimplePath:
         b = CircuitBuilder(s)
         vm = TimedVarMap(b)
         psi = pnf("F a")
-        b.assert_(encode_pltl(m, psi, 2, None, b, vm))
+        s.add_clause([encode_pltl(m, psi, 2, b, vm)])
         sp = build_simple_path(2, vm, b, closure(psi), m.vars)
         assert s.solve() == SAT
         # two identical stem positions with equal formula bits are allowed
@@ -190,7 +191,7 @@ class TestWitnessExtraction:
         s = Solver()
         b = CircuitBuilder(s)
         vm = TimedVarMap(b)
-        b.assert_(encode_pltl(m, psi, k, None, b, vm))
+        s.add_clause([encode_pltl(m, psi, k, b, vm)])
         assert s.solve() == SAT
         return s, vm
 

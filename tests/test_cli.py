@@ -13,8 +13,10 @@ from pltlbmc.model import parse_model
 from pltlbmc.pltl import parse_formula, s_not, to_pnf
 from pltlbmc.sat import CircuitBuilder, Solver, parse_dimacs, run_external_solver
 
-COUNTER = "fixtures/counter.mod"
-COUNTER_FAIR = "fixtures/counter_fair.mod"
+from _fixtures import FIXTURES
+
+COUNTER = str(FIXTURES / "counter.mod")
+COUNTER_FAIR = str(FIXTURES / "counter_fair.mod")
 EXTERNAL = [sys.executable, os.path.join(os.path.dirname(__file__), "external_dpll.py")]
 
 
@@ -68,7 +70,7 @@ class TestCheck:
         assert code == 3 and "no specification" in err
 
     def test_bad_model_path(self, capsys):
-        code, _, err = run(capsys, ["check", "fixtures/nope.mod", "--spec", "G true"])
+        code, _, err = run(capsys, ["check", str(FIXTURES / "nope.mod"), "--spec", "G true"])
         assert code == 3
 
     def test_emit_json(self, capsys):
@@ -138,13 +140,6 @@ class TestCheck:
                 )
                 assert (ccode == 1) == (ocode == 1), (spec, scheme)
 
-    def test_force_stabilise_flag(self, capsys):
-        code, out, _ = run(
-            capsys,
-            ["check", COUNTER, "--max-k", "7", "--force-stabilise"],
-        )
-        assert code == 1 and out.startswith("VERDICT WITNESS k=6")
-
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -174,6 +169,10 @@ class TestCheck:
         [
             (["--no-such-flag"], "unrecognized arguments"),
             (["--max-k", "x"], "invalid int value"),
+            pytest.param(["--force-stabilise"], "unrecognized arguments", id="force-stabilise"),
+            pytest.param(
+                ["--no-release-acceptance"], "unrecognized arguments", id="no-release-acceptance"
+            ),
         ],
     )
     def test_usage_errors_exit_3(self, capsys, flags, message):
@@ -250,7 +249,7 @@ class TestEncode:
         s = Solver()
         b = CircuitBuilder(s)
         vm = TimedVarMap(b)
-        b.assert_(SCHEMES[scheme](scheme_model(m, psi, opts), psi, 3, b, vm, opts))
+        s.add_clause([SCHEMES[scheme](scheme_model(m, psi, opts), psi, 3, b, vm)])
         assert parse_dimacs(open(out_cnf).read()) == (s.nvars, s.db)
 
     def test_negative_dmax_is_an_error(self, capsys, tmp_path):

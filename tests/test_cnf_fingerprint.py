@@ -1,0 +1,91 @@
+"""CNF fingerprints: the exact clause database of every encoding, digested.
+
+Each tag encodes both fixtures under a handful of specs for every bound
+k <= 6 and hashes ``repr((solver.nvars, solver.db))`` of each instance in
+order.  A refactor of the encoders that changes a digest changed the CNF:
+a clause, its literal order, or the order in which variables are created.
+A deliberate change of an encoding records new golden digests.
+"""
+
+import hashlib
+
+import pytest
+
+from pltlbmc.check import SCHEMES, RunOptions, encode_bound, scheme_model
+from pltlbmc.encode import IncrementalEncoder
+from pltlbmc.model import parse_model
+from pltlbmc.pltl import parse_formula, past_depth, s_not, to_pnf
+
+from _fixtures import FIXTURES
+
+MAX_K = 6
+SPECS = {
+    "counter.mod": [
+        "!(F (x3 & O (x4 & O x5)))",
+        "G F x4",
+        "G (x4 -> Y x3)",
+        "G (x2 -> (!x5 S x0))",
+        "(x0 | x1) U (G !p7)",
+    ],
+    "counter_fair.mod": [
+        "G F x4",
+        "F G !x3",
+        "G (x5 -> (H !x3 | Z x0))",
+    ],
+}
+
+GOLDEN = {
+    "fixpoint": "28 2e9490cafa8366de",
+    "eventuality": "28 525ce35b61a308f0",
+    "buchi": "28 08e7f68d73f17fa2",
+    "pltl": "56 af950677b51dbd1b",
+    "pltl@d1": "56 6fe24b167c93087d",
+    "general-buchi": "56 e21c0dc7b5e47412",
+    "general-buchi@d1": "56 5c0aad5826c1a551",
+    "incremental-sp0": "56 6dc604fa6f01a63a",
+    "incremental-sp0@d1": "56 39986249c7dece96",
+    "incremental-sp1": "56 47158e18add8c9dd",
+    "incremental-sp1@d1": "56 3d8ee95307a5eeb5",
+}
+
+
+def instances():
+    for name, specs in SPECS.items():
+        m = parse_model((FIXTURES / name).read_text())
+        for spec in specs:
+            yield m, to_pnf(s_not(parse_formula(spec)))
+
+
+def fingerprint(tag):
+    """``"<instances> <digest>"`` of one tag: a scheme name or
+    ``incremental-sp0``/``incremental-sp1``, with ``@d1`` for d_max 1."""
+    kind, _, depth = tag.partition("@")
+    d_max = 1 if depth == "d1" else None
+    h = hashlib.sha256()
+    count = 0
+    for m, psi in instances():
+        if kind.startswith("incremental"):
+            inc = IncrementalEncoder(m, psi, d_max=d_max, simple_path=kind.endswith("sp1"))
+            for k in range(MAX_K + 1):
+                inc.step(k)
+                h.update(repr((inc.solver.nvars, inc.solver.db)).encode())
+                count += 1
+            continue
+        if kind not in ("pltl", "general-buchi") and past_depth(psi) > 0:
+            continue
+        opts = RunOptions(scheme=kind, d_max=d_max)
+        target = scheme_model(m, psi, opts)
+        for k in range(MAX_K + 1):
+            s, _ = encode_bound(target, psi, k, opts)
+            h.update(repr((s.nvars, s.db)).encode())
+            count += 1
+    return f"{count} {h.hexdigest()[:16]}"
+
+
+def test_every_scheme_is_fingerprinted():
+    assert {tag.partition("@")[0] for tag in GOLDEN} >= set(SCHEMES)
+
+
+@pytest.mark.parametrize("tag", list(GOLDEN))
+def test_cnf_is_unchanged(tag):
+    assert fingerprint(tag) == GOLDEN[tag]

@@ -5,6 +5,7 @@ import pytest
 from pltlbmc.model import parse_model, explicit_expand
 from pltlbmc.pltl import parse_formula, to_pnf, closure, past_depth
 from pltlbmc.sat import SAT, UNSAT, Solver, CircuitBuilder
+from pltlbmc.check import SCHEMES
 from pltlbmc.encode import (
     E_INDEX,
     IncrementalEncoder,
@@ -13,13 +14,12 @@ from pltlbmc.encode import (
     encode_general_buchi,
     encode_loop_constraints,
     encode_ltl_buchi,
-    encode_ltl_eventuality,
-    encode_ltl_fixpoint,
     encode_model_k,
     encode_pltl,
 )
 from pltlbmc.oracle import Budget, exists_witness_bounded, fair_lasso_search
 
+from _fixtures import FIXTURES
 from _grid import random_pnf_formula, random_symbolic_model
 
 
@@ -27,8 +27,8 @@ def pnf(text):
     return to_pnf(parse_formula(text))
 
 
-COUNTER = parse_model(open("fixtures/counter.mod").read())
-COUNTER_FAIR = parse_model(open("fixtures/counter_fair.mod").read())
+COUNTER = parse_model((FIXTURES / "counter.mod").read_text())
+COUNTER_FAIR = parse_model((FIXTURES / "counter_fair.mod").read_text())
 
 
 def fresh(d_max=None):
@@ -37,31 +37,22 @@ def fresh(d_max=None):
     return s, b, TimedVarMap(b, d_max=d_max)
 
 
-def solve_scheme(scheme, m, psi, k, d_max=None, force_stabilise=False):
+def solve_scheme(scheme, m, psi, k, d_max=None):
     s, b, vm = fresh(d_max)
-    lit = ENCODERS[scheme](m, psi, k, b, vm, d_max, force_stabilise)
-    b.assert_(lit)
+    s.add_clause([SCHEMES[scheme](m, psi, k, b, vm)])
     return s.solve(), s, vm
-
-
-ENCODERS = {
-    "fixpoint": lambda m, f, k, b, vm, d, fs: encode_ltl_fixpoint(m, f, k, b, vm),
-    "eventuality": lambda m, f, k, b, vm, d, fs: encode_ltl_eventuality(m, f, k, b, vm),
-    "buchi": lambda m, f, k, b, vm, d, fs: encode_ltl_buchi(m, f, k, b, vm),
-    "pltl": lambda m, f, k, b, vm, d, fs: encode_pltl(m, f, k, d, b, vm, force_stabilise=fs),
-}
 
 
 class TestModelUnrolling:
     def test_k0_is_init_only(self):
         s, b, vm = fresh()
-        b.assert_(encode_model_k(COUNTER, 0, b, vm))
+        s.add_clause([encode_model_k(COUNTER, 0, b, vm)])
         assert s.solve() == SAT
         assert not any(s.model_value(vm.state_bit(0, n)) for n in COUNTER.vars)
 
     def test_k6_path_is_unique(self):
         s, b, vm = fresh()
-        b.assert_(encode_model_k(COUNTER, 6, b, vm))
+        s.add_clause([encode_model_k(COUNTER, 6, b, vm)])
         assert s.solve() == SAT
         xs = []
         for i in range(7):
@@ -73,21 +64,21 @@ class TestModelUnrolling:
         m = parse_model("VAR a\nINIT false\nTRANS true\n")
         for k in range(4):
             s, b, vm = fresh()
-            b.assert_(encode_model_k(m, k, b, vm))
+            s.add_clause([encode_model_k(m, k, b, vm)])
             assert s.solve() == UNSAT
 
 
 class TestLoopConstraints:
     def test_two_selectors_unsatisfiable(self):
         s, b, vm = fresh()
-        b.assert_(encode_model_k(COUNTER, 6, b, vm))
-        b.assert_(encode_loop_constraints(6, b, vm, COUNTER.vars))
+        s.add_clause([encode_model_k(COUNTER, 6, b, vm)])
+        s.add_clause([encode_loop_constraints(6, b, vm, COUNTER.vars)])
         assert s.solve([vm.loop_sel(2), vm.loop_sel(3)]) == UNSAT
 
     def test_counter_l3_matches_the_repeated_state(self):
         s, b, vm = fresh()
-        b.assert_(encode_model_k(COUNTER, 6, b, vm))
-        b.assert_(encode_loop_constraints(6, b, vm, COUNTER.vars))
+        s.add_clause([encode_model_k(COUNTER, 6, b, vm)])
+        s.add_clause([encode_loop_constraints(6, b, vm, COUNTER.vars)])
         assert s.solve([vm.loop_sel(3)]) == SAT
         # s_2 = s_6 both carrying x=2
         for n in COUNTER.vars:
@@ -98,8 +89,8 @@ class TestLoopConstraints:
 
     def test_no_selector_forces_loopexists_false(self):
         s, b, vm = fresh()
-        b.assert_(encode_model_k(COUNTER, 3, b, vm))
-        b.assert_(encode_loop_constraints(3, b, vm, COUNTER.vars))
+        s.add_clause([encode_model_k(COUNTER, 3, b, vm)])
+        s.add_clause([encode_loop_constraints(3, b, vm, COUNTER.vars)])
         assumptions = [-vm.loop_sel(i) for i in range(1, 4)]
         assert s.solve(assumptions) == SAT
         assert s.model_value(vm.loop_exists()) is False
@@ -140,7 +131,7 @@ class TestLtlSchemes:
         m = parse_model("VAR a\nINIT a\nTRANS next(a)\n")
         psi = pnf("false R a")  # G a
         s, b, vm = fresh()
-        b.assert_(encode_ltl_buchi(m, psi, 1, b, vm, release_acceptance=True))
+        s.add_clause([encode_ltl_buchi(m, psi, 1, b, vm)])
         assert s.solve([vm.loop_sel(1)]) == SAT
         blocking = []
         for (fid, i, d), var in vm.fvars.items():
@@ -149,14 +140,6 @@ class TestLtlSchemes:
             blocking.append(-var if s.model_value(var) else var)
         s.add_clause(blocking)
         assert s.solve([vm.loop_sel(1)]) == UNSAT
-
-    def test_release_acceptance_flag_drops_the_chain(self):
-        m = parse_model("VAR a\nINIT a\nTRANS next(a)\n")
-        psi = pnf("false R a")
-        s, b, vm = fresh()
-        b.assert_(encode_ltl_buchi(m, psi, 1, b, vm, release_acceptance=False))
-        assert not any(role == "ACC" for (role, _, _) in vm.aux)
-        assert s.solve() == SAT
 
 
 class TestSchemeAgreement:
@@ -193,20 +176,10 @@ class TestPltlEncoding:
         assert SAT in results
         assert results.index(SAT) in (6, 7, 8, 9, 10, 11)
 
-    def test_force_stabilise_keeps_full_unrolling_verdicts(self):
-        rng = random.Random(59)
-        for _ in range(10):
-            m = random_symbolic_model(rng, bits=2)
-            psi = random_pnf_formula(rng, list(m.vars), max_cl=6, max_delta=2)
-            for k in range(0, 4):
-                plain = solve_scheme("pltl", m, psi, k)[0]
-                forced = solve_scheme("pltl", m, psi, k, force_stabilise=True)[0]
-                assert plain == forced
-
     def test_d_alias_returns_identical_literal(self):
         s, b, vm = fresh()
         psi = pnf(self.REX)
-        encode_pltl(COUNTER, psi, 3, None, b, vm)
+        encode_pltl(COUNTER, psi, 3, b, vm)
         for f in closure(psi):
             dc = past_depth(f)
             for i in range(0, 4):
@@ -252,7 +225,7 @@ class TestGeneralBuchi:
     def test_counter_fair_loop_bounds(self):
         for k, expected in ((5, UNSAT), (6, SAT)):
             s, b, vm = fresh()
-            b.assert_(encode_general_buchi(COUNTER_FAIR, k, b, vm))
+            s.add_clause([encode_general_buchi(COUNTER_FAIR, k, b, vm)])
             assert s.solve() == expected
 
     def test_no_fair_sets_needs_a_closed_cycle(self):
@@ -261,7 +234,7 @@ class TestGeneralBuchi:
         k_min = fair_lasso_search(em)[0]
         for k in range(0, 4):
             s, b, vm = fresh()
-            b.assert_(encode_general_buchi(m, k, b, vm))
+            s.add_clause([encode_general_buchi(m, k, b, vm)])
             assert (s.solve() == SAT) == (k >= k_min)
 
     def test_cycle_avoiding_the_fair_set(self):
@@ -270,7 +243,7 @@ class TestGeneralBuchi:
         )
         for k in range(0, 5):
             s, b, vm = fresh()
-            b.assert_(encode_general_buchi(m, k, b, vm))
+            s.add_clause([encode_general_buchi(m, k, b, vm)])
             assert s.solve() == UNSAT
 
     def test_matches_explicit_fair_search(self):
@@ -281,7 +254,7 @@ class TestGeneralBuchi:
             found = fair_lasso_search(em)
             for k in range(0, 5):
                 s, b, vm = fresh()
-                b.assert_(encode_general_buchi(m, k, b, vm))
+                s.add_clause([encode_general_buchi(m, k, b, vm)])
                 expected = found is not None and found[0] <= k
                 assert (s.solve() == SAT) == expected
 

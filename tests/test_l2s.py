@@ -12,9 +12,10 @@ from pltlbmc.l2s import (
 )
 from pltlbmc.oracle import fair_lasso_exists, fair_lasso_search
 
+from _fixtures import FIXTURES
 from _grid import random_symbolic_model
 
-COUNTER_FAIR = parse_model(open("fixtures/counter_fair.mod").read())
+COUNTER_FAIR = parse_model((FIXTURES / "counter_fair.mod").read_text())
 
 
 class TestTransform:

@@ -15,9 +15,10 @@ from pltlbmc.model import (
     reachable_states,
 )
 
+from _fixtures import FIXTURES
 from _grid import random_symbolic_model
 
-COUNTER = open("fixtures/counter.mod").read()
+COUNTER = (FIXTURES / "counter.mod").read_text()
 
 
 class TestParsing:
@@ -56,6 +57,20 @@ class TestParsing:
     def test_duplicate_init_rejected(self):
         with pytest.raises(ModelError, match="duplicate INIT"):
             parse_model("VAR a\nINIT a\nINIT !a\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "VAR a\nVAR a\n",
+            "VAR a\nDEFINE a := true\n",
+            "DEFINE a := true\nVAR a\n",
+        ],
+        ids=["var-var", "var-define", "define-var"],
+    )
+    def test_a_name_is_declared_once(self, text):
+        # a variable shadowed by a define made check and oracle disagree
+        with pytest.raises(ModelError, match="duplicate name 'a'"):
+            parse_model(text + "INIT !a\nTRANS !next(a)\n")
 
     def test_trans_lines_conjoin(self):
         m = parse_model("VAR a\nINIT !a\nTRANS next(a)\nTRANS next(a) <-> !a\n")

@@ -20,6 +20,7 @@ from pltlbmc.oracle import (
     minimal_witness_k,
 )
 
+from _fixtures import FIXTURES
 from _grid import random_lasso_word, random_pnf_formula, random_symbolic_model
 
 
@@ -27,8 +28,8 @@ def pnf(text):
     return to_pnf(parse_formula(text))
 
 
-COUNTER = parse_model(open("fixtures/counter.mod").read())
-COUNTER_FAIR = parse_model(open("fixtures/counter_fair.mod").read())
+COUNTER = parse_model((FIXTURES / "counter.mod").read_text())
+COUNTER_FAIR = parse_model((FIXTURES / "counter_fair.mod").read_text())
 
 
 @pytest.fixture(scope="module")

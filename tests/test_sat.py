@@ -281,7 +281,7 @@ class TestTseitin:
             if assumed:
                 res = s.solve([root])
             else:
-                b.assert_(root)
+                s.add_clause([root])
                 res = s.solve()
             # compare against direct evaluation over all input assignments
             expected = False

@@ -9,6 +9,7 @@ from pltlbmc.encode import TimedVarMap, encode_general_buchi, encode_pltl
 from pltlbmc.tightba import TightBAError, build_tight_ba, product
 from pltlbmc.oracle import eval_lasso, fair_lasso_exists, make_lasso
 
+from _fixtures import FIXTURES
 from _grid import random_lasso_word, random_pnf_formula, random_symbolic_model, word_model
 
 
@@ -16,7 +17,7 @@ def pnf(text):
     return to_pnf(parse_formula(text))
 
 
-COUNTER = parse_model(open("fixtures/counter.mod").read())
+COUNTER = parse_model((FIXTURES / "counter.mod").read_text())
 
 
 def own_bits(ba):
@@ -109,7 +110,7 @@ class TestConstruction:
         s = Solver()
         b = CircuitBuilder(s)
         vm = TimedVarMap(b)
-        b.assert_(encode_general_buchi(prod, k, b, vm))
+        s.add_clause([encode_general_buchi(prod, k, b, vm)])
         return s.solve()
 
     def test_atom_name_clash_rejected(self):
@@ -162,7 +163,7 @@ class TestProduct:
             s = Solver()
             b = CircuitBuilder(s)
             vm = TimedVarMap(b)
-            b.assert_(encode_general_buchi(prod, k, b, vm))
+            s.add_clause([encode_general_buchi(prod, k, b, vm)])
             assert s.solve() == expected
 
     def test_emptiness_matches_direct_encoding(self):
@@ -183,11 +184,11 @@ class TestProduct:
                 s = Solver()
                 b = CircuitBuilder(s)
                 vm = TimedVarMap(b)
-                b.assert_(encode(k, b, vm))
+                s.add_clause([encode(k, b, vm)])
                 return s.solve() == SAT
 
             buchi = [sat_at(lambda k, b, vm: encode_general_buchi(prod, k, b, vm), k) for k in range(7)]
-            pltl = [sat_at(lambda k, b, vm: encode_pltl(m, psi, k, None, b, vm), k) for k in range(7)]
+            pltl = [sat_at(lambda k, b, vm: encode_pltl(m, psi, k, b, vm), k) for k in range(7)]
             nonempty = fair_lasso_exists(explicit_expand(prod, max_bits=12, require_total=False))
             for k in range(7):
                 if buchi[k]:
