@@ -132,49 +132,41 @@ class TimedVarMap:
 # ---------------------------------------------------------------------------
 
 
-def _expr_lit(b, vm, m, expr, i, j=None):
-    """Lower a model expression at time i; next() refers to time j."""
-    define_map = m.define_map
-    memo = {}
-
-    def ev(e):
-        k = e.kind
-        if k == "var":
-            if e.name in define_map:
-                key = (e.name, i)
-                v = memo.get(key)
-                if v is None:
-                    v = ev(define_map[e.name])
-                    memo[key] = v
-                return v
-            return vm.state_bit(i, e.name)
-        if k == "next":
+def _expr_lit(b, vm, prog, i, j=None):
+    """Replay a model expression's gate program (``model.compile_expr``) at
+    time i; next() refers to time j.  Each distinct node makes one builder
+    call, so the gates and clauses are those of the expression tree."""
+    state_bit = vm.state_bit
+    vals = []
+    push = vals.append
+    for op, x, y in prog:
+        if op == "&":
+            push(b.and_(vals[x], vals[y]))
+        elif op == "!":
+            push(-vals[x])
+        elif op == "var":
+            push(state_bit(i, x))
+        elif op == "next":
             if j is None:
                 raise ModelError("next() outside a transition expression")
-            return vm.state_bit(j, e.name)
-        if k == "true":
-            return b.TRUE
-        if k == "false":
-            return b.FALSE
-        if k == "!":
-            return -ev(e.args[0])
-        if k == "&":
-            return b.and_(ev(e.args[0]), ev(e.args[1]))
-        if k == "|":
-            return b.or_(ev(e.args[0]), ev(e.args[1]))
-        if k == "->":
-            return b.or_(-ev(e.args[0]), ev(e.args[1]))
-        if k == "<->":
-            return b.iff(ev(e.args[0]), ev(e.args[1]))
-        raise ModelError(f"unknown expression kind {k!r}")
-
-    return ev(expr)
+            push(state_bit(j, x))
+        elif op == "|":
+            push(b.or_(vals[x], vals[y]))
+        elif op == "->":
+            push(b.or_(-vals[x], vals[y]))
+        elif op == "<->":
+            push(b.iff(vals[x], vals[y]))
+        elif op == "true":
+            push(b.TRUE)
+        else:
+            push(b.FALSE)
+    return vals[-1]
 
 
 def atom_lit(b, vm, m, name, i) -> int:
     """Literal for an atomic proposition at time i (variable or define)."""
     if name in m.define_map:
-        return _expr_lit(b, vm, m, m.define_map[name], i)
+        return _expr_lit(b, vm, m.define_program(name), i)
     if name in m.vars:
         return vm.state_bit(i, name)
     raise UnresolvedAtomError(f"atom {name!r} is neither a variable nor a define")
@@ -182,9 +174,9 @@ def atom_lit(b, vm, m, name, i) -> int:
 
 def encode_model_k(m: SymbolicModel, k, b, vm) -> int:
     """I(s_0) and the k-fold unrolling of the transition relation."""
-    parts = [_expr_lit(b, vm, m, m.init, 0)]
+    parts = [_expr_lit(b, vm, m.init_program, 0)]
     for i in range(1, k + 1):
-        parts.append(_expr_lit(b, vm, m, m.trans, i - 1, i))
+        parts.append(_expr_lit(b, vm, m.trans_program, i - 1, i))
     return b.and_(*parts)
 
 
@@ -544,9 +536,9 @@ def encode_general_buchi(m: SymbolicModel, k, b, vm) -> int:
     """Satisfiable iff the model has an initialised fair (k,l)-loop."""
     cons = [encode_model_k(m, k, b, vm), encode_loop_constraints(k, b, vm, m.vars)]
     cons.append(vm.loop_exists())
-    for mi, fexpr in enumerate(m.fairness):
+    for mi, prog in enumerate(m.fairness_programs):
         cons.extend(
-            _acceptance_chain(b, vm, "ACCSET", mi, k, lambda i: _expr_lit(b, vm, m, fexpr, i))
+            _acceptance_chain(b, vm, "ACCSET", mi, k, lambda i: _expr_lit(b, vm, prog, i))
         )
     return b.and_(*cons)
 
@@ -584,10 +576,10 @@ class IncrementalEncoder:
             raise EncodeError(f"step({k}) out of order, expected {self.k + 1}")
         b, vm, m, add = self.b, self.vm, self.m, self.solver.add_clause
         if k == 0:
-            add([_expr_lit(b, vm, m, m.init, 0)])
+            add([_expr_lit(b, vm, m.init_program, 0)])
             self._emit_base()
         else:
-            add([_expr_lit(b, vm, m, m.trans, k - 1, k)])
+            add([_expr_lit(b, vm, m.trans_program, k - 1, k)])
             li = vm.loop_sel(k)
             eq = b.equal_vectors(
                 [vm.state_bit(k - 1, n) for n in m.vars],

@@ -23,6 +23,7 @@ and ``next(name)`` (TRANS only, state variables only).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -104,12 +105,38 @@ class SymbolicModel:
     inputs: frozenset
     spec_text: Optional[str] = None
 
-    @property
+    @cached_property
     def define_map(self):
         return dict(self.defines)
 
     def names(self):
         return set(self.vars) | {n for n, _ in self.defines}
+
+    # Gate programs (see ``compile_expr``) of the model's expressions, each
+    # compiled at its first lowering and kept on the model with it.
+
+    @cached_property
+    def init_program(self):
+        return compile_expr(self.init, self.define_map)
+
+    @cached_property
+    def trans_program(self):
+        return compile_expr(self.trans, self.define_map)
+
+    @cached_property
+    def fairness_programs(self):
+        return tuple(compile_expr(e, self.define_map) for e in self.fairness)
+
+    @cached_property
+    def _define_programs(self):
+        return {}
+
+    def define_program(self, name):
+        prog = self._define_programs.get(name)
+        if prog is None:
+            prog = compile_expr(self.define_map[name], self.define_map)
+            self._define_programs[name] = prog
+        return prog
 
 
 # ---------------------------------------------------------------------------
@@ -440,45 +467,126 @@ def to_next(expr):
 
 
 # ---------------------------------------------------------------------------
+# Gate programs
+# ---------------------------------------------------------------------------
+
+_KINDS = frozenset(("var", "next", "true", "false", "!", "&", "|", "->", "<->"))
+
+
+def compile_expr(expr, define_map):
+    """Hash-consed post-order program of ``expr``, with defines inlined.
+
+    The program is a tuple of steps ``(kind, x, y)``; step n computes slot
+    n.  For ``var`` and ``next`` x is the variable name, for ``!`` x is the
+    operand's slot, for the binary kinds x and y are the operands' slots.
+    Structurally equal subexpressions share one slot, and the steps come in
+    the order in which a left-to-right recursive walk first completes each
+    distinct node, so replaying the program makes the walk's gate calls
+    minus its repeats.  The root is the last step.  The walk uses an
+    explicit stack, so long TRANS chains do not hit the recursion limit.
+    """
+    steps = []
+    slot_of = {}  # step -> slot
+    done = {}  # id(node) -> slot; every node stays alive in expr or define_map
+    stack = [expr]
+    while stack:
+        e = stack[-1]
+        if id(e) in done:
+            stack.pop()
+            continue
+        k = e.kind
+        if k == "var" and e.name in define_map:
+            body = define_map[e.name]
+            if id(body) in done:
+                done[id(e)] = done[id(body)]
+                stack.pop()
+            else:
+                stack.append(body)
+            continue
+        pending = [a for a in reversed(e.args) if id(a) not in done]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        if k not in _KINDS:
+            raise ModelError(f"unknown expression kind {k!r}")
+        if k in ("var", "next"):
+            step = (k, e.name, None)
+        else:
+            slots = [done[id(a)] for a in e.args] + [None, None]
+            step = (k, slots[0], slots[1])
+        slot = slot_of.get(step)
+        if slot is None:
+            slot = slot_of[step] = len(steps)
+            steps.append(step)
+        done[id(e)] = slot
+    return tuple(steps)
+
+
+# ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 
 
 def eval_expr(expr, cur, nxt=None, defines=None):
-    """Evaluate over bool mappings; ``defines`` resolves macro names."""
+    """Evaluate over bool mappings; ``defines`` resolves macro names.
+
+    ``&``, ``|`` and ``->`` short-circuit left to right.  The walk uses an
+    explicit stack of pending nodes and operator continuations, so long
+    TRANS chains do not hit the recursion limit.
+    """
     define_map = defines or {}
     if not isinstance(define_map, dict):
         define_map = dict(define_map)
-
-    def ev(e):
+    todo = [expr]  # nodes to evaluate and (operator, right operand) pairs
+    vals = []
+    while todo:
+        e = todo.pop()
+        if e.__class__ is tuple:  # the left operand's value is on vals
+            op, right = e
+            v = vals.pop()
+            if op == "!":
+                vals.append(not v)
+            elif op == "<->":
+                vals.append(vals.pop() == v)
+            elif op == "&" and not v:
+                vals.append(v)
+            elif op == "|" and v:
+                vals.append(v)
+            elif op == "->" and not v:
+                vals.append(True)
+            else:  # the right operand decides
+                todo.append(right)
+            continue
         k = e.kind
         if k == "var":
             if e.name in cur:
-                return cur[e.name]
-            if e.name in define_map:
-                return ev(define_map[e.name])
-            raise ModelError(f"unknown name {e.name!r}")
-        if k == "next":
+                vals.append(cur[e.name])
+            elif e.name in define_map:
+                todo.append(define_map[e.name])
+            else:
+                raise ModelError(f"unknown name {e.name!r}")
+        elif k == "next":
             if nxt is None:
                 raise ModelError("next() evaluated without a next state")
-            return nxt[e.name]
-        if k == "true":
-            return True
-        if k == "false":
-            return False
-        if k == "!":
-            return not ev(e.args[0])
-        if k == "&":
-            return ev(e.args[0]) and ev(e.args[1])
-        if k == "|":
-            return ev(e.args[0]) or ev(e.args[1])
-        if k == "->":
-            return (not ev(e.args[0])) or ev(e.args[1])
-        if k == "<->":
-            return ev(e.args[0]) == ev(e.args[1])
-        raise ModelError(f"unknown expression kind {k!r}")
-
-    return ev(expr)
+            vals.append(nxt[e.name])
+        elif k == "true":
+            vals.append(True)
+        elif k == "false":
+            vals.append(False)
+        elif k == "!":
+            todo.append(("!", None))
+            todo.append(e.args[0])
+        elif k == "<->":
+            todo.append(("<->", None))
+            todo.append(e.args[1])
+            todo.append(e.args[0])
+        elif k in ("&", "|", "->"):
+            todo.append((k, e.args[1]))
+            todo.append(e.args[0])
+        else:
+            raise ModelError(f"unknown expression kind {k!r}")
+    return vals[0]
 
 
 def eval_expr_np(expr, cur, nxt=None, defines=None):

@@ -69,35 +69,34 @@ class Solver:
     # -- clause management ---------------------------------------------------
 
     def add_clause(self, lits: Iterable[int]):
-        """Add a clause at decision level 0; duplicates and tautologies fold."""
+        """Add a clause at decision level 0; duplicates and tautologies fold.
+
+        The clause database keeps the distinct literals in first-occurrence
+        order.  The watched copy keeps the unassigned ones; a tautology or a
+        clause with a true literal is not watched.
+        """
         assert not self.trail_lim, "clauses must be added at decision level 0"
-        lits = list(lits)  # a tautology is read twice below
-        seen = {}
-        out = []
-        for lit in lits:
-            if lit in seen:
-                continue
-            if -lit in seen:
-                self.db.append(list(dict.fromkeys(lits)))
-                return  # tautology
-            seen[lit] = True
-            out.append(lit)
-        self.db.append(out)
+        distinct = dict.fromkeys(lits)
+        self.db.append(list(distinct))
         if not self.ok:
             return
-        out = [l for l in out if self.value(l) >= 0 or self.level[abs(l)] > 0]
-        # At level 0 every assigned literal has level 0, so the filter keeps
-        # only unassigned or true literals.
-        if any(self.value(l) > 0 and self.level[abs(l)] == 0 for l in out):
-            return  # satisfied forever
-        if not out:
+        # At level 0 every assigned literal is fixed for good.
+        assign = self.assign
+        live = []
+        for lit in distinct:
+            if -lit in distinct:
+                return  # tautology
+            v = assign[lit] if lit > 0 else -assign[-lit]
+            if v > 0:
+                return  # satisfied forever
+            if v == 0:
+                live.append(lit)
+        if not live:
             self.ok = False
-            return
-        if len(out) == 1:
-            if not self._enqueue(out[0], None):
-                self.ok = False
-            return
-        self._attach(out)
+        elif len(live) == 1:
+            self._enqueue(live[0], None)
+        else:
+            self._attach(live)
 
     def _attach(self, clause):
         self._clauses.append(clause)
@@ -352,26 +351,23 @@ class CircuitBuilder:
         return self.solver.new_var()
 
     def and_(self, *lits) -> int:
-        return self._nary("and", lits)
+        return self._nary(lits)
 
     def or_(self, *lits) -> int:
-        return -self._nary("and", [-l for l in _flat(lits)])
+        return -self._nary([-l for l in lits])
 
-    def _nary(self, kind, lits):
-        out = []
-        seen = set()
-        for l in _flat(lits):
-            if l == self.TRUE or l in seen:
+    def _nary(self, lits):
+        true = self.TRUE
+        ins = set()
+        for l in lits:
+            if l == true:
                 continue
-            if l == self.FALSE or -l in seen:
-                return self.FALSE
-            seen.add(l)
-            out.append(l)
-        if not out:
-            return self.TRUE
-        if len(out) == 1:
-            return out[0]
-        key = (kind, tuple(sorted(out)))
+            if l == -true or -l in ins:
+                return -true
+            ins.add(l)
+        if len(ins) < 2:
+            return ins.pop() if ins else true
+        key = ("and", tuple(sorted(ins)))
         g = self.cache.get(key)
         if g is None:
             g = self.solver.new_var()
@@ -447,14 +443,6 @@ class CircuitBuilder:
     def equal_vectors(self, xs, ys) -> int:
         assert len(xs) == len(ys)
         return self.and_(*[self.iff(x, y) for x, y in zip(xs, ys)])
-
-
-def _flat(lits):
-    for l in lits:
-        if isinstance(l, (list, tuple)):
-            yield from l
-        else:
-            yield l
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from pltlbmc.oracle import (
     fair_lasso_exists,
     fair_lasso_search,
     make_lasso,
-    minimal_witness_k,
 )
 from pltlbmc.tightba import build_tight_ba, product
 

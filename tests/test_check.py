@@ -3,7 +3,7 @@ import random
 import pytest
 
 from pltlbmc.model import parse_model, explicit_expand
-from pltlbmc.pltl import parse_formula, to_pnf, closure, s_not
+from pltlbmc.pltl import parse_formula, to_pnf, closure
 from pltlbmc.sat import SAT, UNSAT, Solver, CircuitBuilder
 from pltlbmc.encode import IncrementalEncoder, TimedVarMap, encode_pltl, simple_path_pair
 from pltlbmc.check import (
@@ -22,7 +22,6 @@ from pltlbmc.oracle import (
     BoundedPath,
     Budget,
     eval_bounded,
-    exists_witness_bounded,
     minimal_witness_k,
 )
 

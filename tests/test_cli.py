@@ -73,6 +73,16 @@ class TestCheck:
         code, _, err = run(capsys, ["check", str(FIXTURES / "nope.mod"), "--spec", "G true"])
         assert code == 3
 
+    def test_a_model_with_thousands_of_trans_lines(self, capsys, tmp_path):
+        """TRANS lines conjoin left-deep; lowering them and validating the
+        witness walk the chain without recursion."""
+        lines = ["VAR a b", "INIT !a & !b"]
+        lines += ["TRANS next(a) -> (a | !a)", "TRANS next(b) <-> a"] * 1500
+        path = tmp_path / "long.mod"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, ["check", str(path), "--spec", "G !b"])
+        assert code == 1 and out.splitlines()[0] == "VERDICT WITNESS k=2"
+
     def test_emit_json(self, capsys):
         code, out, _ = run(
             capsys,

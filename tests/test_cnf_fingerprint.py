@@ -5,9 +5,14 @@ k <= 6 and hashes ``repr((solver.nvars, solver.db))`` of each instance in
 order.  A refactor of the encoders that changes a digest changed the CNF:
 a clause, its literal order, or the order in which variables are created.
 A deliberate change of an encoding records new golden digests.
+
+The ``minterm:`` tags do the same for two seeded minterm models, whose
+INIT and TRANS repeat each state's minterm and share most of their
+subterms: one 4-bit model and one 3-bit model with fairness defines.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -17,6 +22,7 @@ from pltlbmc.model import parse_model
 from pltlbmc.pltl import parse_formula, past_depth, s_not, to_pnf
 
 from _fixtures import FIXTURES
+from _grid import random_symbolic_model
 
 MAX_K = 6
 SPECS = {
@@ -48,6 +54,18 @@ GOLDEN = {
     "incremental-sp1@d1": "56 3d8ee95307a5eeb5",
 }
 
+MINTERM_SPECS = {
+    (4, 0): ["G F v0", "G (v1 -> Y v2)", "(v0 | v1) U G !v3"],
+    (3, 2): ["G F fair0", "G (fair1 -> O v0)"],
+}
+
+MINTERM_GOLDEN = {
+    "minterm:fixpoint": "21 c4d5a4c5d81982ce",
+    "minterm:pltl": "35 da3ea08d7c61ce3b",
+    "minterm:general-buchi": "35 f970e9d81497dc55",
+    "minterm:incremental-sp1": "35 b66a2fb39a910069",
+}
+
 
 def instances():
     for name, specs in SPECS.items():
@@ -56,14 +74,23 @@ def instances():
             yield m, to_pnf(s_not(parse_formula(spec)))
 
 
+def minterm_instances():
+    for (bits, fair_sets), specs in MINTERM_SPECS.items():
+        m = random_symbolic_model(random.Random(bits), bits=bits, fair_sets=fair_sets)
+        for spec in specs:
+            yield m, to_pnf(s_not(parse_formula(spec)))
+
+
 def fingerprint(tag):
     """``"<instances> <digest>"`` of one tag: a scheme name or
-    ``incremental-sp0``/``incremental-sp1``, with ``@d1`` for d_max 1."""
+    ``incremental-sp0``/``incremental-sp1``, with ``@d1`` for d_max 1, over
+    the fixtures, or over the minterm models with the prefix ``minterm:``."""
+    source, _, tag = tag.rpartition(":")
     kind, _, depth = tag.partition("@")
     d_max = 1 if depth == "d1" else None
     h = hashlib.sha256()
     count = 0
-    for m, psi in instances():
+    for m, psi in minterm_instances() if source else instances():
         if kind.startswith("incremental"):
             inc = IncrementalEncoder(m, psi, d_max=d_max, simple_path=kind.endswith("sp1"))
             for k in range(MAX_K + 1):
@@ -89,3 +116,8 @@ def test_every_scheme_is_fingerprinted():
 @pytest.mark.parametrize("tag", list(GOLDEN))
 def test_cnf_is_unchanged(tag):
     assert fingerprint(tag) == GOLDEN[tag]
+
+
+@pytest.mark.parametrize("tag", list(MINTERM_GOLDEN))
+def test_minterm_cnf_is_unchanged(tag):
+    assert fingerprint(tag) == MINTERM_GOLDEN[tag]

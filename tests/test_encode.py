@@ -7,7 +7,6 @@ from pltlbmc.pltl import parse_formula, to_pnf, closure, past_depth
 from pltlbmc.sat import SAT, UNSAT, Solver, CircuitBuilder
 from pltlbmc.check import SCHEMES
 from pltlbmc.encode import (
-    E_INDEX,
     IncrementalEncoder,
     PastOperatorError,
     TimedVarMap,

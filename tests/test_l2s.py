@@ -10,7 +10,7 @@ from pltlbmc.l2s import (
     check_l2s_reachability,
     l2s_transform,
 )
-from pltlbmc.oracle import fair_lasso_exists, fair_lasso_search
+from pltlbmc.oracle import fair_lasso_search
 
 from _fixtures import FIXTURES
 from _grid import random_symbolic_model

@@ -1,11 +1,14 @@
-import itertools
 import random
 
 import pytest
 
 from pltlbmc.model import (
+    BoolExpr,
     ModelError,
     TotalityError,
+    band_all,
+    bvar,
+    compile_expr,
     eval_expr,
     explicit_expand,
     input_vars_irrelevant_for_fairness,
@@ -135,10 +138,11 @@ class TestExpansion:
             explicit_expand(m, max_bits=6)
 
     def test_against_slow_evaluator(self):
-        """Edge relation equals pointwise evaluation of TRANS on all pairs."""
+        """Edge relation equals pointwise evaluation of TRANS on all pairs,
+        initial states and fair sets that of INIT and FAIRNESS."""
         rng = random.Random(11)
         for _ in range(12):
-            m = random_symbolic_model(rng, bits=rng.randint(1, 3))
+            m = random_symbolic_model(rng, bits=rng.randint(1, 3), fair_sets=1)
             em = explicit_expand(m)
             nvars = len(m.vars)
             for s in range(em.nstates):
@@ -150,6 +154,9 @@ class TestExpansion:
                         expected.add(t)
                 assert set(em.succ[s]) == expected
                 assert (s in em.initial) == eval_expr(m.init, cur, None, m.define_map)
+                assert [s in fs for fs in em.fair_sets] == [
+                    eval_expr(e, cur, None, m.define_map) for e in m.fairness
+                ]
 
 
 class TestInputOptimisation:
@@ -196,6 +203,94 @@ class TestInputOptimisation:
             for s in range(em.nstates):
                 for t in em.succ[s]:
                     assert (t ^ (1 << j)) in em.succ[s]
+
+
+class TestEvaluation:
+    def test_connectives_short_circuit_left_to_right(self):
+        """The right operand is not evaluated when the left one decides:
+        an unknown name there raises only when it is reached."""
+        cur = {"t": True, "f": False}
+        assert eval_expr(parse_expr("f & nope"), cur) is False
+        assert eval_expr(parse_expr("t | nope"), cur) is True
+        assert eval_expr(parse_expr("f -> nope"), cur) is True
+        for text in ("t & nope", "f | nope", "t -> nope", "f <-> nope", "!nope"):
+            with pytest.raises(ModelError, match="unknown name 'nope'"):
+                eval_expr(parse_expr(text), cur)
+
+    def test_values_are_those_of_the_operands(self):
+        cur = {"a": 0, "b": 1}
+        assert eval_expr(parse_expr("a & b"), cur) == 0
+        assert eval_expr(parse_expr("b | a"), cur) == 1
+        assert eval_expr(parse_expr("!a <-> b"), cur) is True
+
+    def test_current_state_names_shadow_defines(self):
+        defines = {"d": parse_expr("!a")}
+        assert eval_expr(parse_expr("d & a"), {"a": True}, None, defines) is False
+        assert eval_expr(parse_expr("d"), {"a": True, "d": True}, None, defines) is True
+
+    def test_next_needs_a_next_state(self):
+        e = parse_expr("next(a) | a", allow_next=True)
+        assert eval_expr(e, {"a": False}, {"a": True}) is True
+        with pytest.raises(ModelError, match="without a next state"):
+            eval_expr(e, {"a": False})
+
+    def test_deep_chains_evaluate_without_recursion(self):
+        chain = band_all([bvar("a")] * 5000)
+        assert eval_expr(chain, {"a": True}) is True
+        assert eval_expr(chain, {"a": False}) is False
+
+
+class TestGatePrograms:
+    def test_equal_subexpressions_share_a_slot(self):
+        e = parse_expr("(a & !b) | (a & !b) -> next(c) <-> (a & !b)", allow_next=True)
+        assert compile_expr(e, {}) == (
+            ("var", "a", None),
+            ("var", "b", None),
+            ("!", 1, None),
+            ("&", 0, 2),
+            ("|", 3, 3),
+            ("next", "c", None),
+            ("->", 4, 5),
+            ("<->", 6, 3),
+        )
+
+    def test_defines_are_inlined_once(self):
+        defines = {"d": parse_expr("a | b"), "e": parse_expr("d & true")}
+        assert compile_expr(parse_expr("e <-> !d"), defines) == (
+            ("var", "a", None),
+            ("var", "b", None),
+            ("|", 0, 1),
+            ("true", None, None),
+            ("&", 2, 3),
+            ("!", 2, None),
+            ("<->", 4, 5),
+        )
+
+    def test_minterm_models_compile_to_fewer_steps_than_nodes(self):
+        m = random_symbolic_model(random.Random(4), bits=4)
+        nodes, stack = 0, [m.trans]
+        while stack:
+            e = stack.pop()
+            nodes += 1
+            stack.extend(e.args)
+        assert len(m.trans_program) < nodes / 4
+
+    def test_deep_chains_compile_without_recursion(self):
+        prog = compile_expr(band_all([parse_expr("a -> b")] * 3000), {})
+        assert len(prog) == 3 + 2999 and prog[-1] == ("&", 3000, 2)
+
+    def test_programs_are_compiled_at_first_use_and_kept_on_the_model(self):
+        m = parse_model("VAR a b\nDEFINE d := a & b\nINIT d\nTRANS next(a) <-> !d\nFAIRNESS !d\n")
+        assert not {"init_program", "trans_program", "fairness_programs"} & set(vars(m))
+        assert m.trans_program is m.trans_program
+        assert m.define_program("d") is m.define_program("d")
+        assert m.fairness_programs == (
+            (("var", "a", None), ("var", "b", None), ("&", 0, 1), ("!", 2, None)),
+        )
+
+    def test_unknown_kinds_are_rejected(self):
+        with pytest.raises(ModelError, match="unknown expression kind 'xor'"):
+            compile_expr(BoolExpr("xor", args=(bvar("a"), bvar("b"))), {})
 
 
 class TestSerialization:

@@ -3,10 +3,9 @@ import random
 import pytest
 
 from pltlbmc.model import parse_model, explicit_expand
-from pltlbmc.pltl import parse_formula, to_pnf, closure, past_depth
+from pltlbmc.pltl import parse_formula, to_pnf, past_depth
 from pltlbmc.oracle import (
     BoundedPath,
-    Budget,
     BudgetExceeded,
     OracleError,
     d_unrolling_index,

@@ -14,7 +14,7 @@ from pltlbmc.pltl import (
     s_not,
     to_pnf,
 )
-from pltlbmc.oracle import eval_lasso, make_lasso
+from pltlbmc.oracle import eval_lasso
 
 from _grid import random_lasso_word, random_surface_formula
 

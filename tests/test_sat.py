@@ -122,6 +122,89 @@ class TestSolverBasics:
                     assert res == UNSAT
 
 
+class TestAddClause:
+    """What ``add_clause`` records: the database entry, the watched copy,
+    and the units it enqueues at level 0."""
+
+    def setup_method(self):
+        self.s = Solver()
+        self.a, self.b, self.c, self.x = (self.s.new_var() for _ in range(4))
+
+    def test_duplicates_fold_in_first_occurrence_order(self):
+        s, a, b, c = self.s, self.a, self.b, self.c
+        s.add_clause([b, -a, b, c, -a, c])
+        assert s.db == [[b, -a, c]]
+        assert s._clauses == [[b, -a, c]]
+        assert s.watches[b] == [[b, -a, c]] and s.watches[-a] == [[b, -a, c]]
+        assert s.watches[c] == []
+
+    def test_database_entry_is_a_copy_of_the_watched_clause(self):
+        s, a, b = self.s, self.a, self.b
+        s.add_clause([a, b])
+        assert s.db[0] == s._clauses[0] and s.db[0] is not s._clauses[0]
+
+    def test_a_clause_with_a_false_literal_is_stored_whole(self):
+        s, a, b, c, x = self.s, self.a, self.b, self.c, self.x
+        s.add_clause([-x])
+        s.add_clause([a, x, b, c])
+        assert s.db == [[-x], [a, x, b, c]]
+        assert s._clauses == [[a, b, c]]
+        assert s.watches[a] == [[a, b, c]] and s.watches[b] == [[a, b, c]]
+
+    def test_a_clause_satisfied_at_level_0_is_stored_and_not_watched(self):
+        s, a, b, x = self.s, self.a, self.b, self.x
+        s.add_clause([x])
+        s.add_clause([a, b, x])
+        assert s.db == [[x], [a, b, x]]
+        assert s._clauses == []
+        assert all(ws == [] for ws in s.watches.values())
+
+    def test_a_tautology_is_stored_and_not_watched(self):
+        s, a, b = self.s, self.a, self.b
+        s.add_clause([a, b, a, -a])
+        assert s.db == [[a, b, -a]]
+        assert s._clauses == []
+
+    def test_units_enqueue_in_order(self):
+        s, a, b, x = self.s, self.a, self.b, self.x
+        s.add_clause([-x])
+        s.add_clause([x, b])  # unit once x is false
+        s.add_clause([a, a])
+        assert s.trail == [-x, b, a]
+        assert s._clauses == []
+
+    def test_a_clause_with_only_false_literals_makes_the_solver_unsat(self):
+        s, a, b = self.s, self.a, self.b
+        s.add_clause([-a])
+        s.add_clause([-b])
+        s.add_clause([a, b, a])
+        assert s.db == [[-a], [-b], [a, b]]
+        assert not s.ok and s.solve() == UNSAT
+        s.add_clause([b, -a])
+        assert s.db[-1] == [b, -a] and s._clauses == []
+
+    def test_solve_agrees_with_brute_force_over_the_database(self):
+        """Random clauses with duplicates, tautologies and units: the
+        database is the deduplicated input and solve() answers it."""
+        rng = random.Random(5)
+        for _ in range(60):
+            nv = rng.randint(2, 7)
+            s = Solver()
+            for _ in range(nv):
+                s.new_var()
+            clauses = []
+            for _ in range(rng.randint(1, 4 * nv)):
+                width = rng.choice([1, 1, 2, 3, 5])
+                clauses.append([rng.choice([1, -1]) * rng.randint(1, nv) for _ in range(width)])
+            for c in clauses:
+                s.add_clause(c)
+            assert s.db == [list(dict.fromkeys(c)) for c in clauses]
+            res = s.solve()
+            assert res == (SAT if brute_force_sat(nv, clauses) else UNSAT)
+            if res == SAT:
+                assert all(any(s.model_value(l) for l in c) for c in clauses)
+
+
 class TestSolverAgainstBruteForce:
     def test_random_cnfs(self):
         rng = random.Random(23)
