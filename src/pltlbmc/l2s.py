@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import (
     SymbolicModel,
     band,
@@ -23,12 +25,33 @@ from .model import (
     bnot,
     bor,
     bvar,
+    eval_expr_np,
     expand_defines,
     explicit_expand,
     input_vars_irrelevant_for_fairness,
+    state_count,
+    successors,
     to_next,
+    valuations,
     ModelError,
 )
+
+# The search below no longer calls ``explicit_expand``; the name stays
+# exported because perfbench's tracer patches it here.
+__all__ = [
+    "ACC_PREFIX",
+    "COPY_PREFIX",
+    "INLOOP_VAR",
+    "SAVE_VAR",
+    "TARGET",
+    "L2SError",
+    "L2SModel",
+    "Reachable",
+    "Unreachable",
+    "check_l2s_reachability",
+    "explicit_expand",
+    "l2s_transform",
+]
 
 SAVE_VAR = "l2s_save"
 INLOOP_VAR = "l2s_inloop"
@@ -124,31 +147,45 @@ def l2s_transform(m: SymbolicModel, optimise=False) -> L2SModel:
 
 
 def check_l2s_reachability(l: L2SModel, max_bits=16):
-    """Breadth-first search for the shortest reachable LoopClosed state."""
-    em = explicit_expand(l.model, max_bits=max_bits)
+    """Breadth-first search for the shortest reachable LoopClosed state.
+
+    The search runs on the fly: INIT is evaluated once over all valuations,
+    the target on each layer's states, and TRANS only for the states of
+    layers that miss the target.  States are visited in ascending order
+    within a layer and successors in ascending order, so the first state
+    that reaches another becomes its parent.  A dead end raises
+    ``TotalityError`` when the search expands it; dead ends it never
+    expands are not reported.
+    """
+    m = l.model
+    nstates = state_count(m, max_bits)
+    init = eval_expr_np(m.init, valuations(m.vars, np.arange(nstates, dtype=np.int64)), None, m.define_map)
+    frontier = np.nonzero(np.broadcast_to(init, (nstates,)))[0]
+    target = bvar(l.target)
     parent = {}
-    frontier = list(em.initial)
-    seen = set(frontier)
+    seen = set(frontier.tolist())
     depth = 0
-    while frontier:
-        hit = next((s for s in frontier if l.target in em.labels[s]), None)
-        if hit is not None:
-            trace = []
-            s = hit
-            while True:
-                trace.append(em.assignment(s))
-                if s not in parent:
-                    break
+    while len(frontier):
+        hits = eval_expr_np(target, valuations(m.vars, frontier), None, m.define_map)
+        hits = np.broadcast_to(hits, frontier.shape)
+        if hits.any():
+            s = int(frontier[np.argmax(hits)])
+            trace = [s]
+            while s in parent:
                 s = parent[s]
+                trace.append(s)
             trace.reverse()
-            return Reachable(depth=depth, trace=tuple(trace))
+            return Reachable(
+                depth=depth,
+                trace=tuple({v: bool((s >> j) & 1) for j, v in enumerate(m.vars)} for s in trace),
+            )
         nxt = []
-        for s in frontier:
-            for t in em.succ[s]:
+        for s, succ in zip(frontier.tolist(), successors(m, frontier)):
+            for t in succ:
                 if t not in seen:
                     seen.add(t)
                     parent[t] = s
                     nxt.append(t)
-        frontier = nxt
+        frontier = np.array(nxt, dtype=np.int64)
         depth += 1
     return Unreachable()

@@ -590,46 +590,64 @@ def eval_expr(expr, cur, nxt=None, defines=None):
 
 
 def eval_expr_np(expr, cur, nxt=None, defines=None):
-    """Vectorised evaluation; ``cur``/``nxt`` map names to bool ndarrays."""
+    """Vectorised evaluation; ``cur``/``nxt`` map names to bool ndarrays.
+
+    Each define is evaluated once per call.  The walk is post-order over an
+    explicit stack: operands are pushed, then the operator that consumes
+    them, so long TRANS chains do not hit the recursion limit and every
+    intermediate array is freed as soon as its operator has used it.
+    """
     define_map = defines or {}
     if not isinstance(define_map, dict):
         define_map = dict(define_map)
     cache = {}
-
-    def ev(e):
+    todo = [expr]  # nodes, operator kinds (str), and (define name,) markers
+    vals = []
+    while todo:
+        e = todo.pop()
+        if e.__class__ is str:  # the operands' values are on top of vals
+            b = vals.pop()
+            if e == "!":
+                vals.append(~b)
+                continue
+            a = vals.pop()
+            if e == "&":
+                vals.append(a & b)
+            elif e == "|":
+                vals.append(a | b)
+            elif e == "->":
+                vals.append(~a | b)
+            else:
+                vals.append(~(a ^ b))
+            continue
+        if e.__class__ is tuple:  # a define's body has just been evaluated
+            cache[e[0]] = vals[-1]
+            continue
         k = e.kind
         if k == "var":
             if e.name in cur:
-                return cur[e.name]
-            if e.name in define_map:
-                if e.name not in cache:
-                    cache[e.name] = ev(define_map[e.name])
-                return cache[e.name]
-            raise ModelError(f"unknown name {e.name!r}")
-        if k == "next":
+                vals.append(cur[e.name])
+            elif e.name in cache:
+                vals.append(cache[e.name])
+            elif e.name in define_map:
+                todo.append((e.name,))
+                todo.append(define_map[e.name])
+            else:
+                raise ModelError(f"unknown name {e.name!r}")
+        elif k == "next":
             if nxt is None:
                 raise ModelError("next() evaluated without a next state")
-            return nxt[e.name]
-        if k == "true":
-            return np.True_
-        if k == "false":
-            return np.False_
-        a = ev(e.args[0])
-        if k == "!":
-            return ~a
-        b = ev(e.args[1])
-        if k == "&":
-            return a & b
-        if k == "|":
-            return a | b
-        if k == "->":
-            return ~a | b
-        if k == "<->":
-            return ~(a ^ b)
-        raise ModelError(f"unknown expression kind {k!r}")
-
-    out = ev(expr)
-    return out
+            vals.append(nxt[e.name])
+        elif k == "true":
+            vals.append(np.True_)
+        elif k == "false":
+            vals.append(np.False_)
+        elif k in ("!", "&", "|", "->", "<->"):
+            todo.append(k)
+            todo.extend(reversed(e.args))
+        else:
+            raise ModelError(f"unknown expression kind {k!r}")
+    return vals[0]
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +677,53 @@ class ExplicitModel:
         return set(self.var_names) | set(self.define_names)
 
 
+def state_count(m: SymbolicModel, max_bits=16) -> int:
+    """Number of valuations of ``m``; raises if it has more than ``max_bits`` bits."""
+    n = len(m.vars)
+    if n > max_bits:
+        raise ModelError(f"model has {n} state bits, limit is {max_bits}")
+    return 1 << n
+
+
+def valuations(var_names, states):
+    """Per variable, its bool value in each of ``states`` (an int ndarray).
+
+    State ``s`` assigns variable ``var_names[j]`` the bit ``(s >> j) & 1``.
+    """
+    return {v: ((states >> j) & 1).astype(bool) for j, v in enumerate(var_names)}
+
+
+def successors(m: SymbolicModel, states, require_total=True) -> list:
+    """Per state of ``states``, in order, the sorted tuple of its successors.
+
+    TRANS is evaluated with the given states as current rows against all
+    2^n next valuations, in chunks so that rows x next valuations stays
+    bounded in memory.  A state without successors raises
+    ``TotalityError`` unless ``require_total`` is false.
+    """
+    nstates = 1 << len(m.vars)
+    states = np.asarray(states, dtype=np.int64)
+    everything = np.arange(nstates, dtype=np.int64)
+    nxt = {v: a.reshape(1, nstates) for v, a in valuations(m.vars, everything).items()}
+    chunk = max(1, (1 << 22) // nstates)
+    out = []
+    for lo in range(0, len(states), chunk):
+        rows = states[lo : lo + chunk]
+        cur = {v: a.reshape(-1, 1) for v, a in valuations(m.vars, rows).items()}
+        mat = np.broadcast_to(eval_expr_np(m.trans, cur, nxt, m.define_map), (len(rows), nstates))
+        row_of, cols = np.nonzero(mat)  # row-major: each row's columns ascend
+        counts = np.bincount(row_of, minlength=len(rows))
+        if require_total and not counts.all():
+            dead = int(rows[np.argmin(counts)])
+            raise TotalityError(_describe_state(m.vars, dead))
+        cols = cols.tolist()
+        pos = 0
+        for c in counts.tolist():
+            out.append(tuple(cols[pos : pos + c]))
+            pos += c
+    return out
+
+
 def explicit_expand(m: SymbolicModel, max_bits=16, require_total=True) -> ExplicitModel:
     """Enumerate all valuations of ``m`` and build the explicit structure.
 
@@ -666,19 +731,13 @@ def explicit_expand(m: SymbolicModel, max_bits=16, require_total=True) -> Explic
     ``require_total`` is false (useful for automata whose dead valuations are
     never part of a fair path).
     """
-    n = len(m.vars)
-    if n > max_bits:
-        raise ModelError(f"model has {n} state bits, limit is {max_bits}")
-    nstates = 1 << n
-    define_map = dict(m.defines)
-
+    nstates = state_count(m, max_bits)
+    define_map = m.define_map
     idx = np.arange(nstates, dtype=np.int64)
-    cur = {v: ((idx >> j) & 1).astype(bool) for j, v in enumerate(m.vars)}
+    cur = valuations(m.vars, idx)
 
     init_mask = np.broadcast_to(eval_expr_np(m.init, cur, None, define_map), (nstates,))
-    label_masks = {}
-    for v in m.vars:
-        label_masks[v] = cur[v]
+    label_masks = dict(cur)
     for name, expr in m.defines:
         label_masks[name] = np.broadcast_to(eval_expr_np(expr, cur, None, define_map), (nstates,))
 
@@ -687,20 +746,7 @@ def explicit_expand(m: SymbolicModel, max_bits=16, require_total=True) -> Explic
         mask = np.broadcast_to(eval_expr_np(expr, cur, None, define_map), (nstates,))
         fair_sets.append(frozenset(int(s) for s in np.nonzero(mask)[0]))
 
-    # Successors, chunked so cur_chunk x all-next stays bounded in memory.
-    succ = []
-    chunk = max(1, (1 << 22) // nstates)
-    nxt_row = {v: arr.reshape(1, nstates) for v, arr in cur.items()}
-    for lo in range(0, nstates, chunk):
-        hi = min(nstates, lo + chunk)
-        cur_col = {v: cur[v][lo:hi].reshape(hi - lo, 1) for v in m.vars}
-        mat = eval_expr_np(m.trans, cur_col, nxt_row, define_map)
-        mat = np.broadcast_to(mat, (hi - lo, nstates))
-        for r in range(hi - lo):
-            row = np.nonzero(mat[r])[0]
-            if require_total and row.size == 0:
-                raise TotalityError(_describe_state(m.vars, lo + r))
-            succ.append(tuple(int(s) for s in row))
+    succ = successors(m, idx, require_total)
 
     labels = []
     for s in range(nstates):
@@ -763,26 +809,37 @@ _EXPR_PREC = {"<->": 0, "->": 1, "|": 2, "&": 3}
 
 
 def expr_to_text(e, parent_prec=-1):
-    k = e.kind
-    if k == "var":
-        return e.name
-    if k == "next":
-        return f"next({e.name})"
-    if k in ("true", "false"):
-        return k
-    if k == "!":
-        return "!" + expr_to_text(e.args[0], 5)
-    prec = _EXPR_PREC[k]
-    if k in ("&", "|"):
-        left = expr_to_text(e.args[0], prec)
-        right = expr_to_text(e.args[1], prec + 1)
-    else:
-        left = expr_to_text(e.args[0], prec + 1)
-        right = expr_to_text(e.args[1], prec)
-    text = f"{left} {k} {right}"
-    if prec < parent_prec:
-        return f"({text})"
-    return text
+    """Text of ``e`` with the parentheses its precedence needs.
+
+    Pieces are emitted left to right from an explicit stack, so long TRANS
+    chains do not hit the recursion limit.
+    """
+    out = []
+    todo = [(e, parent_prec)]  # (node, parent precedence) pairs and literal pieces
+    while todo:
+        item = todo.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        e, parent_prec = item
+        k = e.kind
+        if k == "var":
+            out.append(e.name)
+        elif k == "next":
+            out.append(f"next({e.name})")
+        elif k in ("true", "false"):
+            out.append(k)
+        elif k == "!":
+            out.append("!")
+            todo.append((e.args[0], 5))
+        else:
+            prec = _EXPR_PREC[k]
+            left, right = (prec, prec + 1) if k in ("&", "|") else (prec + 1, prec)
+            pieces = [(e.args[0], left), f" {k} ", (e.args[1], right)]
+            if prec < parent_prec:
+                pieces = ["(", *pieces, ")"]
+            todo.extend(reversed(pieces))
+    return "".join(out)
 
 
 def model_to_text(m: SymbolicModel) -> str:

@@ -9,7 +9,7 @@ from pltlbmc import check
 from pltlbmc.check import SCHEMES, RunOptions, scheme_model
 from pltlbmc.cli import main
 from pltlbmc.encode import TimedVarMap
-from pltlbmc.model import parse_model
+from pltlbmc.model import model_to_text, parse_model
 from pltlbmc.pltl import parse_formula, s_not, to_pnf
 from pltlbmc.sat import CircuitBuilder, Solver, parse_dimacs, run_external_solver
 
@@ -17,6 +17,12 @@ from _fixtures import FIXTURES
 
 COUNTER = str(FIXTURES / "counter.mod")
 COUNTER_FAIR = str(FIXTURES / "counter_fair.mod")
+
+# TRANS lines conjoin left-deep, so this model's TRANS is a chain 3000 deep.
+LONG_MODEL = "\n".join(
+    ["VAR a b", "INIT !a & !b"] + ["TRANS next(a) -> (a | !a)", "TRANS next(b) <-> a"] * 1500
+) + "\n"
+
 EXTERNAL = [sys.executable, os.path.join(os.path.dirname(__file__), "external_dpll.py")]
 
 
@@ -76,10 +82,8 @@ class TestCheck:
     def test_a_model_with_thousands_of_trans_lines(self, capsys, tmp_path):
         """TRANS lines conjoin left-deep; lowering them and validating the
         witness walk the chain without recursion."""
-        lines = ["VAR a b", "INIT !a & !b"]
-        lines += ["TRANS next(a) -> (a | !a)", "TRANS next(b) <-> a"] * 1500
         path = tmp_path / "long.mod"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(LONG_MODEL)
         code, out, _ = run(capsys, ["check", str(path), "--spec", "G !b"])
         assert code == 1 and out.splitlines()[0] == "VERDICT WITNESS k=2"
 
@@ -212,6 +216,14 @@ class TestOracle:
         code, out, _ = run(capsys, ["oracle", COUNTER, "--spec", "G !p7", "--max-k", "5"])
         assert code == 2 and out.startswith("VERDICT UNKNOWN max_k=5")
 
+    def test_a_model_with_thousands_of_trans_lines(self, capsys, tmp_path):
+        """The oracle's expansion evaluates the chain without recursion and
+        agrees with ``check``."""
+        path = tmp_path / "long.mod"
+        path.write_text(LONG_MODEL)
+        code, out, _ = run(capsys, ["oracle", str(path), "--spec", "G !b"])
+        assert code == 1 and out.splitlines()[0] == "VERDICT WITNESS k=2"
+
 
 class TestEncode:
     def test_writes_dimacs_and_map(self, capsys, tmp_path):
@@ -294,3 +306,12 @@ class TestPipelines:
     def test_l2s_to_stdout(self, capsys):
         code, out, _ = run(capsys, ["l2s", COUNTER_FAIR])
         assert code == 0 and "VAR" in out and "LoopClosed" in out
+
+    def test_l2s_prints_a_model_with_thousands_of_trans_lines(self, capsys, tmp_path):
+        path = tmp_path / "long.mod"
+        path.write_text(LONG_MODEL)
+        code, out, _ = run(capsys, ["l2s", str(path)])
+        assert code == 0
+        m = parse_model(out)
+        assert m.spec_text == "G !LoopClosed" and len(m.vars) == 6
+        assert model_to_text(m) == out

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from pltlbmc.model import (
@@ -10,12 +11,15 @@ from pltlbmc.model import (
     bvar,
     compile_expr,
     eval_expr,
+    eval_expr_np,
     explicit_expand,
+    expr_to_text,
     input_vars_irrelevant_for_fairness,
     model_to_text,
     parse_expr,
     parse_model,
     reachable_states,
+    successors,
 )
 
 from _fixtures import FIXTURES
@@ -137,6 +141,25 @@ class TestExpansion:
         with pytest.raises(ModelError, match="state bits"):
             explicit_expand(m, max_bits=6)
 
+    def test_successors_of_any_states_in_any_order(self):
+        """Twelve bits make four chunks of 1024 rows; each state's successor
+        is the state with its bits shifted up by one."""
+        names = [f"v{j}" for j in range(12)]
+        trans = " & ".join(["!next(v0)"] + [f"(next(v{j + 1}) <-> v{j})" for j in range(11)])
+        m = parse_model(f"VAR {' '.join(names)}\nINIT true\nTRANS {trans}\n")
+        states = list(range(4096))
+        random.Random(5).shuffle(states)
+        states += states[:10]
+        assert successors(m, states) == [((s << 1) & 4095,) for s in states]
+        assert successors(m, []) == []
+
+    def test_successors_report_the_first_dead_end_they_are_given(self):
+        m = parse_model("VAR a b\nINIT true\nTRANS !a & !b\n")
+        assert successors(m, [0]) == [(0, 1, 2, 3)]
+        with pytest.raises(TotalityError, match="state a=0 b=1 has"):
+            successors(m, [0, 2, 1])
+        assert successors(m, [2, 0], require_total=False) == [(), (0, 1, 2, 3)]
+
     def test_against_slow_evaluator(self):
         """Edge relation equals pointwise evaluation of TRANS on all pairs,
         initial states and fair sets that of INIT and FAIRNESS."""
@@ -239,6 +262,25 @@ class TestEvaluation:
         assert eval_expr(chain, {"a": True}) is True
         assert eval_expr(chain, {"a": False}) is False
 
+    def test_vectorised_evaluation_of_deep_chains(self):
+        chain = band_all([parse_expr("a | !next(b)", allow_next=True)] * 5000)
+        a = np.array([False, False, True, True])
+        b = np.array([False, True, False, True])
+        assert eval_expr_np(chain, {"a": a}, {"b": b}).tolist() == [True, False, True, True]
+
+    def test_vectorised_evaluation_matches_pointwise_evaluation(self):
+        defines = {"d": parse_expr("a <-> !b"), "e": parse_expr("d -> c | false")}
+        text = "(e & !d | next(a) <-> true) -> d & (next(c) | e)"
+        expr = parse_expr(text, allow_next=True)
+        idx = np.arange(64)
+        cur = {v: ((idx >> j) & 1).astype(bool) for j, v in enumerate("abc")}
+        nxt = {v: ((idx >> (j + 3)) & 1).astype(bool) for j, v in enumerate("abc")}
+        got = eval_expr_np(expr, cur, nxt, defines).tolist()
+        for s in range(64):
+            c = {v: bool(cur[v][s]) for v in "abc"}
+            n = {v: bool(nxt[v][s]) for v in "abc"}
+            assert got[s] == eval_expr(expr, c, n, defines)
+
 
 class TestGatePrograms:
     def test_equal_subexpressions_share_a_slot(self):
@@ -303,6 +345,26 @@ class TestSerialization:
             e2 = explicit_expand(m2)
             assert e1.succ == e2.succ and e1.initial == e2.initial
             assert e1.fair_sets == e2.fair_sets
+
+    def test_deep_chains_print_without_recursion(self):
+        chain = band_all([parse_expr("a -> b | c")] * 3000)
+        text = expr_to_text(chain)
+        assert text == " & ".join(["(a -> b | c)"] * 3000)
+        assert expr_to_text(parse_expr(text)) == text
+
+    def test_parentheses_follow_precedence_and_associativity(self):
+        texts = (
+            "a & (b | c) -> !(d <-> e)",
+            "(a -> b) -> c",
+            "a -> b -> c",
+            "a & b & c",
+            "a & (b & c)",
+            "(a <-> b) <-> c",
+            "!!a | (a | b)",
+            "next(a) | true & !false",
+        )
+        for text in texts:
+            assert expr_to_text(parse_expr(text, allow_next=True)) == text
 
     def test_parse_expr_precedence(self):
         e = parse_expr("a & b | c")
