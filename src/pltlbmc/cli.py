@@ -23,7 +23,6 @@ from .l2s import l2s_transform
 from .oracle import Budget, BudgetExceeded, minimal_witness_k
 from . import check as checker
 
-EXIT_PROVED = 0
 EXIT_WITNESS = 1
 EXIT_UNKNOWN = 2
 EXIT_ERROR = 3

@@ -69,9 +69,6 @@ class TimedVarMap:
             self.state[key] = v
         return v
 
-    def state_vec(self, i, names):
-        return [self.state_bit(i, n) for n in names]
-
     def loop_sel(self, i) -> int:
         if i == 0:
             return self.b.FALSE

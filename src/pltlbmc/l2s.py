@@ -26,12 +26,11 @@ from .model import (
     bor,
     bvar,
     eval_expr_np,
-    expand_defines,
     explicit_expand,
     input_vars_irrelevant_for_fairness,
     state_count,
+    shift,
     successors,
-    to_next,
     valuations,
     ModelError,
 )
@@ -117,7 +116,7 @@ def l2s_transform(m: SymbolicModel, optimise=False) -> L2SModel:
     trans_parts.append(biff(bnext(INLOOP_VAR), bor(bvar(INLOOP_VAR), bnext(SAVE_VAR))))
     trans_parts.append(bimp(bvar(INLOOP_VAR), bnot(bnext(SAVE_VAR))))
     for i, fexpr in enumerate(m.fairness):
-        fnext = to_next(expand_defines(fexpr, define_map))
+        fnext = shift(fexpr, define_map)
         trans_parts.append(
             biff(bnext(acc_vars[i]), bor(bvar(acc_vars[i]), band(bnext(INLOOP_VAR), fnext)))
         )

@@ -367,24 +367,29 @@ def _validate(m):
         if name not in m.vars:
             raise ModelError(f"INPUT {name!r} is not a declared state variable")
 
-    # Defines must be acyclic and reference earlier names only.
-    state = {}
-
-    def visit(name):
-        if state.get(name) == 2:
-            return
-        if state.get(name) == 1:
-            raise ModelError(f"cyclic DEFINE involving {name!r}")
-        state[name] = 1
-        for ref in _referenced_names(define_map[name]):
-            if ref in define_map:
-                visit(ref)
-            elif ref not in known:
-                raise ModelError(f"DEFINE {name!r} references undefined name {ref!r}")
-        state[name] = 2
-
-    for name in define_map:
-        visit(name)
+    # Defines must be acyclic and reference declared names only: a
+    # depth-first search over an explicit stack of (define, pending refs).
+    state = {}  # define -> 1 while on the search path, 2 when finished
+    for root in define_map:
+        if root in state:
+            continue
+        state[root] = 1
+        stack = [(root, iter(_names(define_map[root])[0]))]
+        while stack:
+            name, refs = stack[-1]
+            for ref in refs:
+                if ref in define_map:
+                    if state.get(ref) == 1:
+                        raise ModelError(f"cyclic DEFINE involving {ref!r}")
+                    if ref not in state:
+                        state[ref] = 1
+                        stack.append((ref, iter(_names(define_map[ref])[0])))
+                        break
+                elif ref not in known:
+                    raise ModelError(f"DEFINE {name!r} references undefined name {ref!r}")
+            else:
+                state[name] = 2
+                stack.pop()
 
     all_names = known | set(define_map)
     for label, expr in (
@@ -392,78 +397,28 @@ def _validate(m):
         ("TRANS", m.trans),
         *((f"FAIRNESS", e) for e in m.fairness),
     ):
-        for ref in _referenced_names(expr):
+        names, nexts = _names(expr)
+        for ref in names:
             if ref not in all_names:
                 raise ModelError(f"{label} references undefined name {ref!r}")
-        for nxt in _next_names(expr):
+        for nxt in nexts:
             if nxt not in m.vars:
                 raise ModelError(f"{label}: next({nxt}) must name a state variable")
 
 
-def _referenced_names(expr):
-    out = set()
+def _names(expr):
+    """The names ``expr`` reads in the current state and under next(), as
+    two sets; defines are not expanded."""
+    names, nexts = set(), set()
     stack = [expr]
     while stack:
         e = stack.pop()
         if e.kind == "var":
-            out.add(e.name)
+            names.add(e.name)
+        elif e.kind == "next":
+            nexts.add(e.name)
         stack.extend(e.args)
-    return out
-
-
-def _next_names(expr):
-    out = set()
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if e.kind == "next":
-            out.add(e.name)
-        stack.extend(e.args)
-    return out
-
-
-def referenced_names_expanded(expr, defines) -> set:
-    """Names of state variables occurring in ``expr`` after define expansion."""
-    define_map = dict(defines) if not isinstance(defines, dict) else defines
-    out = set()
-    seen = set()
-
-    def walk(e):
-        if e.kind in ("var", "next"):
-            if e.name in define_map:
-                if e.name not in seen:
-                    seen.add(e.name)
-                    walk(define_map[e.name])
-            else:
-                out.add(e.name)
-            return
-        for a in e.args:
-            walk(a)
-
-    walk(expr)
-    return out
-
-
-def expand_defines(expr, define_map):
-    """Substitute define bodies for define names, recursively."""
-    k = expr.kind
-    if k == "var" and expr.name in define_map:
-        return expand_defines(define_map[expr.name], define_map)
-    if expr.args:
-        return BoolExpr(k, name=expr.name, args=tuple(expand_defines(a, define_map) for a in expr.args))
-    return expr
-
-
-def to_next(expr):
-    """Substitute every variable of a state expression by its next-state copy."""
-    k = expr.kind
-    if k == "var":
-        return bnext(expr.name)
-    if k == "next":
-        raise ModelError("next() inside a state expression")
-    if k in ("true", "false"):
-        return expr
-    return BoolExpr(k, args=tuple(to_next(a) for a in expr.args))
+    return names, nexts
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +476,34 @@ def compile_expr(expr, define_map):
             steps.append(step)
         done[id(e)] = slot
     return tuple(steps)
+
+
+def substitute(expr, leaf, define_map=None):
+    """Rebuild ``expr`` by replaying its gate program (see ``compile_expr``).
+
+    ``leaf(kind, name)`` supplies the node of each ``var`` and ``next``
+    step; defines in ``define_map`` are inlined first.  Structurally equal
+    subexpressions come out as one shared node.
+    """
+    nodes = []
+    for k, x, y in compile_expr(expr, define_map or {}):
+        if k in ("var", "next"):
+            nodes.append(leaf(k, x))
+        else:
+            nodes.append(BoolExpr(k, args=tuple(nodes[s] for s in (x, y) if s is not None)))
+    return nodes[-1]
+
+
+def _next_leaf(kind, name):
+    if kind == "next":
+        raise ModelError("next() inside a state expression")
+    return bnext(name)
+
+
+def shift(expr, define_map):
+    """The state expression ``expr`` with defines inlined and every variable
+    replaced by its next-state copy."""
+    return substitute(expr, _next_leaf, define_map)
 
 
 # ---------------------------------------------------------------------------
@@ -791,14 +774,9 @@ def input_vars_irrelevant_for_fairness(m: SymbolicModel) -> frozenset:
     fairness expression after define expansion and must never appear under
     next() in TRANS.
     """
-    define_map = dict(m.defines)
-    constrained = _next_names(m.trans)
-    fair_names = set()
-    for expr in m.fairness:
-        fair_names |= referenced_names_expanded(expr, define_map)
-    return frozenset(
-        v for v in m.inputs if v not in constrained and v not in fair_names
-    )
+    seen = _names(m.trans)[1]
+    seen |= {x for program in m.fairness_programs for k, x, _ in program if k == "var"}
+    return frozenset(v for v in m.inputs if v not in seen)
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ from .model import (
     bnot,
     bor,
     bvar,
-    expand_defines,
-    to_next,
+    shift,
+    substitute,
     BTRUE,
     BFALSE,
     ModelError,
@@ -50,11 +50,7 @@ class TightBAError(ModelError):
 @dataclass(frozen=True)
 class TightBA:
     model: SymbolicModel  # vars: atoms + unrolled temporal vars + oracles
-    formula: Formula
     atom_names: tuple
-    inloop_var: str
-    le_var: str
-    temporal_vars: tuple  # ((fid, d, varname), ...)
 
 
 def build_tight_ba(psi: Formula, d_max=None) -> TightBA:
@@ -107,7 +103,7 @@ def build_tight_ba(psi: Formula, d_max=None) -> TightBA:
 
     def nref(f, d) -> BoolExpr:
         # macros expand before shifting; next() may only hit state variables
-        return to_next(expand_defines(ref(f, d), define_map))
+        return shift(ref(f, d), define_map)
 
     inloop = bvar(INLOOP_VAR)
     le = bvar(LE_VAR)
@@ -123,65 +119,34 @@ def build_tight_ba(psi: Formula, d_max=None) -> TightBA:
 
     for f in temporal:
         k = f.kind
+        # U and S are R and T with the roles of & and | swapped
+        outer, inner = (bor, band) if k in ("U", "S") else (band, bor)
         for d in range(dcap(f) + 1):
             stay = bnot(le)
             if d > 0:
                 stay = band(stay, bnot(band(bnot(inloop), inloop_n)))
-            if k == "X":
-                trans.append(bimp(stay, biff(ref(f, d), nref(f.left, d))))
-                trans.append(bimp(le, biff(ref(f, d), nref(f.left, d + 1))))
-            elif k == "U":
-                trans.append(
-                    bimp(stay, biff(ref(f, d), bor(ref(f.right, d), band(ref(f.left, d), nref(f, d)))))
-                )
-                trans.append(
-                    bimp(le, biff(ref(f, d), bor(ref(f.right, d), band(ref(f.left, d), nref(f, d + 1)))))
-                )
-            elif k == "R":
-                trans.append(
-                    bimp(stay, biff(ref(f, d), band(ref(f.right, d), bor(ref(f.left, d), nref(f, d)))))
-                )
-                trans.append(
-                    bimp(le, biff(ref(f, d), band(ref(f.right, d), bor(ref(f.left, d), nref(f, d + 1)))))
-                )
-            elif k in ("Y", "Z"):
-                trans.append(bimp(stay, biff(nref(f, d), ref(f.left, d))))
-                trans.append(bimp(le, biff(nref(f, d + 1), ref(f.left, d))))
-            elif k == "S":
-                trans.append(
-                    bimp(stay, biff(nref(f, d), bor(nref(f.right, d), band(nref(f.left, d), ref(f, d)))))
-                )
-                trans.append(
-                    bimp(
-                        le,
-                        biff(
-                            nref(f, d + 1),
-                            bor(nref(f.right, d + 1), band(nref(f.left, d + 1), ref(f, d))),
-                        ),
+            # within an iteration the successor reads unrolling d, at its
+            # last state the next unrolling d + 1
+            for guard, e in ((stay, d), (le, d + 1)):
+                if k == "X":
+                    trans.append(bimp(guard, biff(ref(f, d), nref(f.left, e))))
+                elif k in ("U", "R"):
+                    trans.append(
+                        bimp(guard, biff(ref(f, d), outer(ref(f.right, d), inner(ref(f.left, d), nref(f, e)))))
                     )
-                )
-            elif k == "T":
-                trans.append(
-                    bimp(stay, biff(nref(f, d), band(nref(f.right, d), bor(nref(f.left, d), ref(f, d)))))
-                )
-                trans.append(
-                    bimp(
-                        le,
-                        biff(
-                            nref(f, d + 1),
-                            band(nref(f.right, d + 1), bor(nref(f.left, d + 1), ref(f, d))),
-                        ),
+                elif k in ("Y", "Z"):
+                    trans.append(bimp(guard, biff(nref(f, e), ref(f.left, d))))
+                else:
+                    trans.append(
+                        bimp(guard, biff(nref(f, e), outer(nref(f.right, e), inner(nref(f.left, e), ref(f, d)))))
                     )
-                )
 
     for f in temporal:
         if f.kind == "Y":
             init.append(bnot(ref(f, 0)))
         elif f.kind == "Z":
             init.append(ref(f, 0))
-        elif f.kind == "S":
-            init.append(biff(ref(f, 0), ref(f.right, 0)))
-        elif f.kind == "T":
+        elif f.kind in ("S", "T"):
             init.append(biff(ref(f, 0), ref(f.right, 0)))
 
     init.append(ref(psi, 0))
@@ -195,11 +160,9 @@ def build_tight_ba(psi: Formula, d_max=None) -> TightBA:
     fairness.append(le)
 
     var_list = list(atoms)
-    tvars = []
     for f in temporal:
         for d in range(dcap(f) + 1):
             var_list.append(names[(f.fid, d)])
-            tvars.append((f.fid, d, names[(f.fid, d)]))
     var_list.extend([INLOOP_VAR, LE_VAR])
 
     # order defines children-first so references resolve
@@ -212,14 +175,7 @@ def build_tight_ba(psi: Formula, d_max=None) -> TightBA:
         inputs=frozenset(),
         spec_text=None,
     )
-    return TightBA(
-        model=model,
-        formula=psi,
-        atom_names=atoms,
-        inloop_var=INLOOP_VAR,
-        le_var=LE_VAR,
-        temporal_vars=tuple(tvars),
-    )
+    return TightBA(model=model, atom_names=atoms)
 
 
 def product(m: SymbolicModel, b: TightBA) -> SymbolicModel:
@@ -242,21 +198,22 @@ def product(m: SymbolicModel, b: TightBA) -> SymbolicModel:
         raise TightBAError(f"define name clash: {sorted(clash)}")
 
     define_map = m.define_map
+
     # next(atom) where the atom is a model define: substitute the shifted body
-    def fix_next(expr):
-        k = expr.kind
-        if k == "next" and expr.name in define_map:
-            return to_next(expand_defines(define_map[expr.name], define_map))
-        if expr.args:
-            return BoolExpr(k, name=expr.name, args=tuple(fix_next(a) for a in expr.args))
-        return expr
+    def leaf(kind, name):
+        if kind == "next" and name in define_map:
+            return shift(define_map[name], define_map)
+        return BoolExpr(kind, name=name)
+
+    def read(e):
+        return substitute(e, leaf)
 
     return SymbolicModel(
         vars=tuple(m.vars) + tuple(ba_own),
-        init=band(m.init, fix_next(b.model.init)),
-        trans=band(m.trans, fix_next(b.model.trans)),
-        defines=tuple(m.defines) + tuple((n, fix_next(e)) for n, e in b.model.defines),
-        fairness=tuple(m.fairness) + tuple(fix_next(e) for e in b.model.fairness),
+        init=band(m.init, read(b.model.init)),
+        trans=band(m.trans, read(b.model.trans)),
+        defines=tuple(m.defines) + tuple((n, read(e)) for n, e in b.model.defines),
+        fairness=tuple(m.fairness) + tuple(read(e) for e in b.model.fairness),
         inputs=m.inputs,
         spec_text=None,
     )

@@ -23,6 +23,22 @@ LONG_MODEL = "\n".join(
     ["VAR a b", "INIT !a & !b"] + ["TRANS next(a) -> (a | !a)", "TRANS next(b) <-> a"] * 1500
 ) + "\n"
 
+# The FAIRNESS line is one conjunction 3000 deep.
+WIDE_FAIRNESS_MODEL = (
+    "VAR a b\nINIT !a & !b\nTRANS next(a) <-> b\nTRANS next(b) <-> !a\nFAIRNESS "
+    + " & ".join(["(a | b)"] * 3000)
+    + "\n"
+)
+
+# d1499 unfolds to a disjunction 1500 deep.
+CHAIN_DEFINES = ["DEFINE d0 := a"] + [f"DEFINE d{i} := d{i - 1} | b" for i in range(1, 1500)]
+
+
+def chain_model(defines):
+    head = ["VAR a b", "INIT !a & !b", "TRANS next(a) <-> b", "TRANS next(b) <-> !a"]
+    return "\n".join(head + defines + ["FAIRNESS d1499"]) + "\n"
+
+
 EXTERNAL = [sys.executable, os.path.join(os.path.dirname(__file__), "external_dpll.py")]
 
 
@@ -281,6 +297,42 @@ class TestEncode:
         assert code == 3 and "d_max" in err
         code, _, err = run(capsys, ["tightba", "F (p & Y q)", "--dmax", "-1"])
         assert code == 3 and "d_max" in err
+
+
+class TestDeepExpressions:
+    """Fairness lines and define chains far deeper than the recursion limit."""
+
+    def l2s_output(self, capsys, tmp_path, text):
+        path = tmp_path / "deep.mod"
+        path.write_text(text)
+        code, out, err = run(capsys, ["l2s", str(path)])
+        assert code == 0, err
+        m = parse_model(out)
+        assert m.spec_text == "G !LoopClosed" and model_to_text(m) == out
+        return m
+
+    def test_l2s_on_a_fairness_line_with_thousands_of_terms(self, capsys, tmp_path):
+        m = self.l2s_output(capsys, tmp_path, WIDE_FAIRNESS_MODEL)
+        assert m.vars == ("a", "b", "l2s_copy_a", "l2s_copy_b", "l2s_save", "l2s_inloop", "l2s_acc0")
+
+    def test_l2s_on_a_deep_define_chain(self, capsys, tmp_path):
+        m = self.l2s_output(capsys, tmp_path, chain_model(CHAIN_DEFINES))
+        assert len(m.defines) == 1501
+
+    def test_general_buchi_on_a_deep_define_chain(self, capsys, tmp_path):
+        # the chain's last define means a | b, as the one define of the short model
+        outs = []
+        for defines in (CHAIN_DEFINES, ["DEFINE d1499 := a | b"]):
+            path = tmp_path / "chain.mod"
+            path.write_text(chain_model(defines))
+            code, out, err = run(capsys, ["check", str(path), "--scheme", "general-buchi", "--spec", "G X !d1499"])
+            assert code == 1, err
+            outs.append(out)
+        assert outs[0] == outs[1] and outs[0].startswith("VERDICT WITNESS k=4")
+
+    def test_a_define_chain_written_in_reverse_order(self, capsys, tmp_path):
+        m = self.l2s_output(capsys, tmp_path, chain_model(CHAIN_DEFINES[::-1]))
+        assert [n for n, _ in m.defines[:2]] == ["d1499", "d1498"]
 
 
 class TestPipelines:
