@@ -5,7 +5,10 @@ A property holds when the completeness formula (the encoding with every
 bound-dependent constraint retired) conjoined with the simple path
 constraint becomes unsatisfiable: any longer witness would have to repeat
 an equivalence class of (state, in-loop flag, formula values), and such a
-repetition can always be cut out of a witness.
+repetition can always be cut out of a witness.  The simple path constraint
+is refined lazily: the solver first runs without it, and only the pairs of
+positions its models repeat are constrained apart before it runs again
+(see ``IncrementalEncoder``).
 """
 
 from __future__ import annotations
@@ -144,9 +147,12 @@ def extract_witness(value_of, vm: TimedVarMap, m: SymbolicModel, k) -> Witness:
         raise WitnessValidationError("loop selector does not match the state bits")
     labels = []
     for st in states:
-        true_names = {n for n, v in st.items() if v}
-        true_names |= {n for n, e in m.defines if eval_expr(e, st, None, define_map)}
-        labels.append(frozenset(true_names))
+        # each define once, after the defines it names, which it then reads
+        # from ``values`` instead of evaluating them again
+        values = dict(st)
+        for n in m.define_order:
+            values[n] = eval_expr(define_map[n], values)
+        labels.append(frozenset(n for n, v in values.items() if v))
     return Witness(states=states, loop_start=loop, labels=labels, display_vars=m.vars)
 
 
@@ -215,7 +221,7 @@ def _run_incremental(m, psi, opts):
     additionally requires the bare witness query to fail at the same bound
     (a witness at a skipped bound would persist to the current one).
     """
-    inc = IncrementalEncoder(m, psi, d_max=opts.d_max, simple_path=opts.completeness)
+    inc = IncrementalEncoder(m, psi, d_max=opts.d_max)
     step_one = opts.increment == 1
     query_at = set(_bounds(opts))
     for k in range(0, opts.max_k + 1):

@@ -12,14 +12,16 @@ search for a witness of bound k; the unrolling cap is ``vm.d_max``.  The
 incremental encoder keeps one growing solver and adds its clauses to it
 directly; constraints that mention the current bound are guarded by
 per-bound activation literals so that moving to a larger bound never deletes
-clauses, it just stops assuming the stale activators.
+clauses, it just stops assuming the stale activators.  Its simple path
+constraint is added lazily, one pair of positions at a time, behind one
+guard literal.
 """
 
 from __future__ import annotations
 
 from .pltl import Formula, closure, past_depth
 from .model import SymbolicModel, ModelError
-from .sat import CircuitBuilder, Solver
+from .sat import SAT, CircuitBuilder, Solver
 
 E_INDEX = "E"
 L_INDEX = "L"
@@ -54,7 +56,6 @@ class TimedVarMap:
         self.fvars = {}  # (fid, i, d) -> lit
         self.aux = {}  # (role, key, i) -> lit
         self.activation = {}  # k -> lit
-        self.sp_activation = {}  # k -> lit
 
     def dcap(self, f: Formula) -> int:
         if self.d_max is None:
@@ -114,13 +115,6 @@ class TimedVarMap:
         if v is None:
             v = self.b.var()
             self.activation[k] = v
-        return v
-
-    def sp_activation_lit(self, k) -> int:
-        v = self.sp_activation.get(k)
-        if v is None:
-            v = self.b.var()
-            self.sp_activation[k] = v
         return v
 
 
@@ -503,6 +497,19 @@ def _chain_end(b, vm, f, end) -> int:
     return b.implies(vm.loop_exists(), b.implies(a_end, top))
 
 
+def _class_lits(vm, cl, model_vars, i):
+    """The literals of position i that make up its simple path class: those
+    every position compares (the model state, the in-loop flag and the
+    depth-0 formula values), and those compared only when both positions
+    are inside the loop (every formula unrolling and eventuality chain)."""
+    shared = [vm.state_bit(i, n) for n in model_vars]
+    shared.append(vm.in_loop(i))
+    shared.extend(vm.fvar(f, i, 0) for f in cl)
+    in_loop = [vm.fvar(f, i, d) for f in cl for d in range(0, vm.dcap(f) + 1)]
+    in_loop.extend(_chain_var(vm, f, i) for f in cl if f.kind in ("U", "R"))
+    return shared, in_loop
+
+
 def simple_path_pair(b, vm, cl, model_vars, i, j) -> int:
     """Literal that holds when positions i and j of the path differ.
 
@@ -510,18 +517,18 @@ def simple_path_pair(b, vm, cl, model_vars, i, j) -> int:
     flag, the depth-0 formula values, and, when both are inside the loop,
     on every formula unrolling and eventuality chain.
     """
-    diff_state = b.or_(*[b.xor(vm.state_bit(i, n), vm.state_bit(j, n)) for n in model_vars])
-    diff_inloop = b.xor(vm.in_loop(i), vm.in_loop(j))
-    diff_f0 = b.or_(*[b.xor(vm.fvar(f, i, 0), vm.fvar(f, j, 0)) for f in cl])
-    deep = []
-    for f in cl:
-        for d in range(0, vm.dcap(f) + 1):
-            deep.append(b.xor(vm.fvar(f, i, d), vm.fvar(f, j, d)))
-    for f in cl:
-        if f.kind in ("U", "R"):
-            deep.append(b.xor(_chain_var(vm, f, i), _chain_var(vm, f, j)))
-    diff_loop_part = b.and_(vm.in_loop(i), vm.in_loop(j), b.or_(*deep))
-    return b.or_(diff_state, diff_inloop, diff_f0, diff_loop_part)
+    shared_i, loop_i = _class_lits(vm, cl, model_vars, i)
+    shared_j, loop_j = _class_lits(vm, cl, model_vars, j)
+    diff_loop = b.and_(vm.in_loop(i), vm.in_loop(j), b.or_(*map(b.xor, loop_i, loop_j)))
+    return b.or_(*map(b.xor, shared_i, shared_j), diff_loop)
+
+
+def simple_path_class(value_of, vm, cl, model_vars, i) -> tuple:
+    """The values of position i's class in the model ``value_of`` reads:
+    ``simple_path_pair(i, j)`` is false exactly when the classes of i and j
+    are equal."""
+    shared, in_loop = _class_lits(vm, cl, model_vars, i)
+    return tuple(map(value_of, shared + in_loop if value_of(vm.in_loop(i)) else shared))
 
 
 # ---------------------------------------------------------------------------
@@ -554,17 +561,30 @@ class IncrementalEncoder:
     ``query_witness`` solves under the current bound's activator; earlier
     activators are assumed negatively, which retires their constraints while
     keeping every learned clause sound.
+
+    The simple path constraint is added lazily (Een and Soerensson,
+    *Temporal induction by incremental SAT solving*, BMC 2003).  A query
+    that asks for it solves under one guard literal; while the model
+    repeats a position class (``simple_path_class``), the pairs of positions
+    it repeats get their ``simple_path_pair`` constraint behind the guard,
+    and the query solves again.  An UNSAT round is UNSAT for the full
+    constraint too, since it is a subset of it; a SAT answer is a model
+    without a repeated class, that is a simple path.  A pair of positions up
+    to k stays part of the constraint at every bound from k on, so the
+    pairs, once added, serve every later query.
     """
 
-    def __init__(self, m: SymbolicModel, psi: Formula, d_max=None, simple_path=True):
+    def __init__(self, m: SymbolicModel, psi: Formula, d_max=None):
         self.m = m
         self.psi = psi
         self.solver = Solver()
         self.b = CircuitBuilder(self.solver)
         self.vm = TimedVarMap(self.b, d_max=d_max)
-        self.simple_path = simple_path
         self.cl = closure(psi)
         self.k = -1
+        # made by the first simple path query, so that step() numbers its
+        # variables the same whether or not simple paths are ever asked for
+        self.sp_guard = None
 
     # -- constraint emission -------------------------------------------------
 
@@ -595,7 +615,6 @@ class IncrementalEncoder:
                     proxy = b.iff(vm.fvar(f, L_INDEX, d), vm.fvar(f, k, d))
                     add([b.implies(vm.loop_sel(k), proxy)])
         self._emit_aux_invariant(k)
-        self._emit_simple_path(k)
         self._emit_k_dependent(k)
         self.k = k
 
@@ -633,43 +652,51 @@ class IncrementalEncoder:
             if f.kind in ("U", "R"):
                 add([-act, b.iff(_chain_var(vm, f, E_INDEX), _chain_var(vm, f, k))])
 
-    def _emit_simple_path(self, k):
-        if not self.simple_path:
-            return
-        act = self.vm.sp_activation_lit(k)
-        for i in range(0, k):
-            pair = simple_path_pair(self.b, self.vm, self.cl, self.m.vars, i, k)
-            self.solver.add_clause([-act, pair])
-
     # -- queries ---------------------------------------------------------------
 
-    def _assumptions(self, witness, simple_path):
-        vm = self.vm
-        out = []
-        for j in range(0, self.k + 1):
-            if witness and j == self.k:
-                out.append(vm.activation_lit(j))
-            else:
-                out.append(-vm.activation_lit(j))
-        if simple_path:
-            if not self.simple_path:
-                raise EncodeError("session was built without simple path constraints")
-            out.extend(vm.sp_activation_lit(j) for j in range(0, self.k + 1))
-        return out
+    def _assumptions(self, witness):
+        act = self.vm.activation_lit
+        return [act(j) if witness and j == self.k else -act(j) for j in range(0, self.k + 1)]
 
-    def query_witness(self, simple_path=False, conflict_budget=None) -> str:
-        """Solve the full encoding at the current bound."""
+    def _solve(self, assumptions, simple_path, conflict_budget):
+        """Solve under the assumptions; with ``simple_path``, run the lazy
+        refinement, all of whose rounds share ``conflict_budget``."""
         if self.k < 0:
             raise EncodeError("step(0) must run before queries")
-        return self.solver.solve(
-            self._assumptions(True, simple_path), conflict_budget=conflict_budget
-        )
+        solver = self.solver
+        if not simple_path:
+            return solver.solve(assumptions, conflict_budget=conflict_budget)
+        if self.sp_guard is None:
+            self.sp_guard = self.b.var()
+        assumptions.append(self.sp_guard)
+        start = solver.conflicts
+        while True:
+            left = None if conflict_budget is None else conflict_budget - (solver.conflicts - start)
+            res = solver.solve(assumptions, conflict_budget=left)
+            if res != SAT:
+                return res
+            pairs = self._clashing_pairs()
+            if not pairs:
+                return SAT
+            for i, j in pairs:
+                pair = simple_path_pair(self.b, self.vm, self.cl, self.m.vars, i, j)
+                solver.add_clause([-self.sp_guard, pair])
+
+    def _clashing_pairs(self):
+        """The pairs i < j of positions whose classes are equal in the
+        solver's model, grouped by class in order of first position."""
+        groups = {}
+        for i in range(0, self.k + 1):
+            key = simple_path_class(self.solver.model_value, self.vm, self.cl, self.m.vars, i)
+            groups.setdefault(key, []).append(i)
+        return [(i, j) for g in groups.values() for n, j in enumerate(g) for i in g[:n]]
+
+    def query_witness(self, simple_path=False, conflict_budget=None) -> str:
+        """Solve the full encoding at the current bound, with
+        ``simple_path`` conjoined with the simple path constraint."""
+        return self._solve(self._assumptions(True), simple_path, conflict_budget)
 
     def query_completeness(self, conflict_budget=None) -> str:
         """Solve with every bound-dependent constraint retired, plus the
         simple path constraint; UNSAT proves no witness at any larger bound."""
-        if self.k < 0:
-            raise EncodeError("step(0) must run before queries")
-        return self.solver.solve(
-            self._assumptions(False, True), conflict_budget=conflict_budget
-        )
+        return self._solve(self._assumptions(False), True, conflict_budget)

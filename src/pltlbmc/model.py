@@ -112,6 +112,40 @@ class SymbolicModel:
     def names(self):
         return set(self.vars) | {n for n, _ in self.defines}
 
+    @cached_property
+    def define_order(self):
+        """Define names, each after every define its body names.
+
+        A depth-first search over an explicit stack of (define, pending
+        refs); a cycle or a name that is neither a variable nor a define
+        raises ``ModelError``.
+        """
+        define_map, known = self.define_map, set(self.vars)
+        state = {}  # define -> 1 while on the search path, 2 when finished
+        order = []
+        for root in define_map:
+            if root in state:
+                continue
+            state[root] = 1
+            stack = [(root, iter(_names(define_map[root])[0]))]
+            while stack:
+                name, refs = stack[-1]
+                for ref in refs:
+                    if ref in define_map:
+                        if state.get(ref) == 1:
+                            raise ModelError(f"cyclic DEFINE involving {ref!r}")
+                        if ref not in state:
+                            state[ref] = 1
+                            stack.append((ref, iter(_names(define_map[ref])[0])))
+                            break
+                    elif ref not in known:
+                        raise ModelError(f"DEFINE {name!r} references undefined name {ref!r}")
+                else:
+                    state[name] = 2
+                    order.append(name)
+                    stack.pop()
+        return tuple(order)
+
     # Gate programs (see ``compile_expr``) of the model's expressions, each
     # compiled at its first lowering and kept on the model with it.
 
@@ -367,29 +401,7 @@ def _validate(m):
         if name not in m.vars:
             raise ModelError(f"INPUT {name!r} is not a declared state variable")
 
-    # Defines must be acyclic and reference declared names only: a
-    # depth-first search over an explicit stack of (define, pending refs).
-    state = {}  # define -> 1 while on the search path, 2 when finished
-    for root in define_map:
-        if root in state:
-            continue
-        state[root] = 1
-        stack = [(root, iter(_names(define_map[root])[0]))]
-        while stack:
-            name, refs = stack[-1]
-            for ref in refs:
-                if ref in define_map:
-                    if state.get(ref) == 1:
-                        raise ModelError(f"cyclic DEFINE involving {ref!r}")
-                    if ref not in state:
-                        state[ref] = 1
-                        stack.append((ref, iter(_names(define_map[ref])[0])))
-                        break
-                elif ref not in known:
-                    raise ModelError(f"DEFINE {name!r} references undefined name {ref!r}")
-            else:
-                state[name] = 2
-                stack.pop()
+    m.define_order  # defines are acyclic and name declared names only
 
     all_names = known | set(define_map)
     for label, expr in (

@@ -43,6 +43,11 @@ class Solver:
         self.var_inc = 1.0
         self._heap = []
         self.model = []
+        # search counters, summed over every solve() call
+        self.conflicts = 0
+        self.decisions = 0
+        self.propagations = 0
+        self.restarts = 0
 
     # -- variables ----------------------------------------------------------
 
@@ -122,13 +127,14 @@ class Solver:
         """Unit propagation; returns a conflicting clause or None."""
         watches = self.watches
         assign = self.assign
-        while self.qhead < len(self.trail):
+        start = self.qhead
+        conflict = None
+        while conflict is None and self.qhead < len(self.trail):
             lit = self.trail[self.qhead]
             self.qhead += 1
             neg = -lit
             watchers = watches[neg]
             kept = []
-            conflict = None
             i = 0
             n = len(watchers)
             while i < n:
@@ -159,9 +165,8 @@ class Solver:
                     break
                 self._enqueue(first, clause)
             watches[neg] = kept
-            if conflict is not None:
-                return conflict
-        return None
+        self.propagations += self.qhead - start
+        return conflict
 
     # -- conflict analysis ----------------------------------------------------
 
@@ -246,7 +251,7 @@ class Solver:
         self._backtrack(0)
         if not self.ok:
             return UNSAT
-        conflicts = 0
+        conflicts = decisions = restarts = 0
         restart_unit = 100
         luby_idx = 1
         limit = restart_unit * _luby(luby_idx)
@@ -280,6 +285,7 @@ class Solver:
                 if conflicts >= limit:
                     luby_idx += 1
                     limit = conflicts + restart_unit * _luby(luby_idx)
+                    restarts += 1
                     self._backtrack(0)
                 continue
             # no conflict: place assumptions, then decide
@@ -299,9 +305,13 @@ class Solver:
                 self.model = [False] + [self.assign[v] > 0 for v in range(1, self.nvars + 1)]
                 result = SAT
                 break
+            decisions += 1
             self.trail_lim.append(len(self.trail))
             self._enqueue(var if self.saved[var] else -var, None)
         self._backtrack(0)
+        self.conflicts += conflicts
+        self.decisions += decisions
+        self.restarts += restarts
         return result
 
     def stats(self):
@@ -309,6 +319,10 @@ class Solver:
             "vars": self.nvars,
             "clauses": len(self.db),
             "learned": self._nlearned,
+            "conflicts": self.conflicts,
+            "decisions": self.decisions,
+            "propagations": self.propagations,
+            "restarts": self.restarts,
         }
 
 

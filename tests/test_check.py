@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from pltlbmc.model import parse_model, explicit_expand
-from pltlbmc.pltl import parse_formula, to_pnf, closure
-from pltlbmc.sat import SAT, UNSAT, Solver, CircuitBuilder
+from pltlbmc.model import parse_model, eval_expr, explicit_expand
+from pltlbmc.pltl import parse_formula, past_depth, s_not, to_pnf, closure
+from pltlbmc.sat import INTERRUPTED, SAT, UNSAT, Solver, CircuitBuilder
 from pltlbmc.encode import IncrementalEncoder, TimedVarMap, encode_pltl, simple_path_pair
 from pltlbmc.check import (
     BoundExhausted,
@@ -146,6 +146,80 @@ def build_simple_path(k, vm, b, cl, model_vars):
     )
 
 
+def pinned_to_model(src, dst):
+    """Literals of session ``dst`` that give every timed variable the value
+    its namesake has in the last model of session ``src``; both sessions
+    ran the same steps."""
+    value = src.solver.model_value
+    out = []
+    for role in ("state", "loopsel", "inloop", "fvars", "aux"):
+        theirs = getattr(src.vm, role)
+        out += [lit if value(theirs[key]) else -lit for key, lit in getattr(dst.vm, role).items()]
+    return out
+
+
+# A two-bit counter that holds its value while the input ``stall`` is set:
+# its completeness queries at k=15 take several refinement rounds that each
+# need conflicts.
+STALL = parse_model(
+    """VAR lo hi stall
+INPUT stall
+INIT !lo & !hi
+TRANS stall -> ((next(lo) <-> lo) & (next(hi) <-> hi))
+TRANS !stall -> ((next(lo) <-> !lo) & (next(hi) <-> (hi <-> !lo)))
+DEFINE top := lo & hi
+DEFINE zero := !lo & !hi
+"""
+)
+
+
+def stall_session(k=15):
+    """A session stepped to bound k whose solver records, per solve call,
+    (conflict budget, conflicts used, result, clauses after the call)."""
+    inc = IncrementalEncoder(STALL, to_pnf(s_not(parse_formula("G !(top & zero)"))))
+    for j in range(k + 1):
+        inc.step(j)
+    inc.rounds = []
+    solve = inc.solver.solve
+
+    def recording_solve(assumptions=(), conflict_budget=None):
+        before = inc.solver.conflicts
+        res = solve(assumptions, conflict_budget)
+        used = inc.solver.conflicts - before
+        inc.rounds.append((conflict_budget, used, res, len(inc.solver.db)))
+        return res
+
+    inc.solver.solve = recording_solve
+    return inc
+
+
+class TestConflictBudget:
+    def test_the_rounds_of_one_query_share_its_budget(self):
+        free = stall_session()
+        assert free.query_completeness() == SAT
+        total = sum(used for _, used, _, _ in free.rounds)
+        assert len(free.rounds) > 2 and total > 0
+        capped = stall_session()
+        assert capped.query_completeness(conflict_budget=total) == SAT
+        assert [r[1:] for r in capped.rounds] == [r[1:] for r in free.rounds]
+        spent = 0
+        for budget, used, _, _ in capped.rounds:
+            assert budget == total - spent  # what the earlier rounds left
+            spent += used
+
+    def test_an_interrupted_round_adds_no_pairs(self):
+        free = stall_session()
+        free.query_completeness()
+        total = sum(used for _, used, _, _ in free.rounds)
+        capped = stall_session()
+        assert capped.query_completeness(conflict_budget=total - 1) == INTERRUPTED
+        assert capped.rounds[-1][2] == INTERRUPTED
+        assert len(capped.solver.db) == capped.rounds[-1][3]
+        assert len(capped.rounds) <= len(free.rounds)
+        # the session stays usable: an unbounded query answers as before
+        assert capped.query_completeness() == SAT
+
+
 class TestSimplePath:
     def test_k0_is_vacuous(self):
         s = Solver()
@@ -173,6 +247,37 @@ class TestSimplePath:
         eq_inloop = b.iff(vm.in_loop(0), vm.in_loop(1))
         assert s.solve([eq_state, eq_inloop] + pins) == SAT
         assert s.solve([sp, eq_state, eq_inloop] + pins) == UNSAT
+
+    def test_lazy_pairs_agree_with_every_pair_up_front(self):
+        """At every bound, both simple path queries answer as a reference
+        session that asks for all pairs at once, and each SAT model of the
+        lazy refinement is a simple path of the reference constraint."""
+        rng = random.Random(149)
+        for n in range(32):
+            past, d_max = [(False, None), (True, None), (False, 1), (True, 1)][n % 4]
+            m = random_symbolic_model(rng, bits=rng.choice([2, 3]))
+            while True:
+                psi = random_pnf_formula(rng, list(m.vars), max_cl=6, max_delta=2, allow_past=past)
+                if (past_depth(psi) > 0) == past:
+                    break
+            lazy = IncrementalEncoder(m, psi, d_max=d_max)
+            ref = IncrementalEncoder(m, psi, d_max=d_max)
+            for k in range(7):
+                lazy.step(k)
+                ref.step(k)
+                sp = build_simple_path(k, ref.vm, ref.b, ref.cl, m.vars)
+                for witness in (False, True):
+                    act = ref.vm.activation_lit
+                    assumptions = [act(j) if witness and j == k else -act(j) for j in range(k + 1)]
+                    want = ref.solver.solve(assumptions + [sp])
+                    if witness:
+                        got = lazy.query_witness(simple_path=True)
+                    else:
+                        got = lazy.query_completeness()
+                    assert got == want, (n, k, witness)
+                    if got == SAT:
+                        pins = pinned_to_model(lazy, ref)
+                        assert ref.solver.solve(assumptions + [sp] + pins) == SAT, (n, k, witness)
 
     def test_counter_completeness_depth_is_stable(self):
         """CTrans and the simple path formula go unsatisfiable at the golden
@@ -236,6 +341,25 @@ class TestWitnessExtraction:
             bp = BoundedPath(em, idx, v.witness.loop_start)
             bp.check()
             assert eval_bounded(bp, psi, 0)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_define_labels_match_evaluating_each_define(self, reverse):
+        bodies = ["!{} | b", "{} & a", "{} <-> b"]
+        defines = ["DEFINE d0 := a"] + [
+            f"DEFINE d{i} := " + bodies[i % 3].format(f"d{i - 1}") for i in range(1, 40)
+        ]
+        if reverse:
+            defines.reverse()
+        m = parse_model(
+            "\n".join(["VAR a b", "INIT !a & !b", "TRANS next(a) <-> !a", "TRANS next(b) <-> (a | b)"] + defines)
+        )
+        v = run_bmc(m, "F G !a", RunOptions(max_k=8))
+        assert isinstance(v, WitnessFound) and v.k == 4
+        for st, labels in zip(v.witness.states, v.witness.labels):
+            want = {n for n, x in st.items() if x}
+            want |= {n for n, e in m.defines if eval_expr(e, st, None, m.define_map)}
+            assert labels == want
+        assert len({labels for labels in v.witness.labels}) > 2
 
     def test_trace_lines_mark_the_loop(self):
         s, vm = self._solve_pltl(COUNTER, pnf("G F x4"), 6)

@@ -50,8 +50,8 @@ GOLDEN = {
     "general-buchi@d1": "56 5c0aad5826c1a551",
     "incremental-sp0": "56 6dc604fa6f01a63a",
     "incremental-sp0@d1": "56 39986249c7dece96",
-    "incremental-sp1": "56 47158e18add8c9dd",
-    "incremental-sp1@d1": "56 3d8ee95307a5eeb5",
+    "incremental-sp1": "56 a55a5526092142e3",
+    "incremental-sp1@d1": "56 7e39b59e7b64a210",
 }
 
 MINTERM_SPECS = {
@@ -63,7 +63,7 @@ MINTERM_GOLDEN = {
     "minterm:fixpoint": "21 c4d5a4c5d81982ce",
     "minterm:pltl": "35 da3ea08d7c61ce3b",
     "minterm:general-buchi": "35 f970e9d81497dc55",
-    "minterm:incremental-sp1": "35 b66a2fb39a910069",
+    "minterm:incremental-sp1": "35 487c99d86413d020",
 }
 
 
@@ -84,7 +84,11 @@ def minterm_instances():
 def fingerprint(tag):
     """``"<instances> <digest>"`` of one tag: a scheme name or
     ``incremental-sp0``/``incremental-sp1``, with ``@d1`` for d_max 1, over
-    the fixtures, or over the minterm models with the prefix ``minterm:``."""
+    the fixtures, or over the minterm models with the prefix ``minterm:``.
+
+    ``incremental-sp0`` hashes the session after each ``step(k)``;
+    ``incremental-sp1`` hashes it after ``step(k)`` and a completeness query,
+    so it pins the simple path pairs the lazy refinement adds."""
     source, _, tag = tag.rpartition(":")
     kind, _, depth = tag.partition("@")
     d_max = 1 if depth == "d1" else None
@@ -92,9 +96,11 @@ def fingerprint(tag):
     count = 0
     for m, psi in minterm_instances() if source else instances():
         if kind.startswith("incremental"):
-            inc = IncrementalEncoder(m, psi, d_max=d_max, simple_path=kind.endswith("sp1"))
+            inc = IncrementalEncoder(m, psi, d_max=d_max)
             for k in range(MAX_K + 1):
                 inc.step(k)
+                if kind.endswith("sp1"):
+                    inc.query_completeness()
                 h.update(repr((inc.solver.nvars, inc.solver.db)).encode())
                 count += 1
             continue

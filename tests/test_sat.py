@@ -44,6 +44,19 @@ def check_model(solver, clauses):
         assert any(solver.model_value(l) for l in clause)
 
 
+def pigeonhole(pigeons, holes):
+    """A solver holding the unsatisfiable pigeonhole clauses."""
+    s = Solver()
+    p = {(i, j): s.new_var() for i in range(pigeons) for j in range(holes)}
+    for i in range(pigeons):
+        s.add_clause([p[i, j] for j in range(holes)])
+    for j in range(holes):
+        for i1 in range(pigeons):
+            for i2 in range(i1 + 1, pigeons):
+                s.add_clause([-p[i1, j], -p[i2, j]])
+    return s
+
+
 class TestSolverBasics:
     def test_empty_db_is_sat(self):
         assert Solver().solve() == SAT
@@ -89,16 +102,22 @@ class TestSolverBasics:
         assert s.solve() == UNSAT
 
     def test_conflict_budget_interrupts(self):
-        s = Solver()
-        p = {(i, j): s.new_var() for i in range(7) for j in range(6)}
-        for i in range(7):
-            s.add_clause([p[i, j] for j in range(6)])
-        for j in range(6):
-            for i1 in range(7):
-                for i2 in range(i1 + 1, 7):
-                    s.add_clause([-p[i1, j], -p[i2, j]])
+        s = pigeonhole(7, 6)
         assert s.solve(conflict_budget=3) == INTERRUPTED
         assert s.solve() == UNSAT  # a later unbounded call still finishes
+
+    def test_stats_count_the_search_over_every_call(self):
+        s = pigeonhole(7, 6)
+        assert s.solve(conflict_budget=3) == INTERRUPTED
+        first = s.stats()
+        assert first["conflicts"] == 4  # the budget's three, then the one past it
+        assert first["decisions"] >= 3 and first["propagations"] > 0
+        assert first["restarts"] == 0  # the first restart comes at 100 conflicts
+        assert s.solve() == UNSAT
+        total = s.stats()
+        assert total["conflicts"] > 100 and total["restarts"] >= 1
+        assert all(total[key] >= first[key] for key in first)
+        assert (total["vars"], total["clauses"]) == (42, 133)
 
     def test_adding_clauses_never_unsats_a_sat_answer_backwards(self):
         """Once UNSAT under fixed assumptions, adding clauses keeps it UNSAT."""
