@@ -220,12 +220,18 @@ def _run_incremental(m, psi, opts):
     larger increments the witness query runs bare, and a termination verdict
     additionally requires the bare witness query to fail at the same bound
     (a witness at a skipped bound would persist to the current one).
+
+    Every query after bound j assumes bound j's activator false, so once the
+    session moves past j that literal becomes a level-0 unit; ``step()``
+    itself adds no such unit, so its clauses do not depend on the driver.
     """
     inc = IncrementalEncoder(m, psi, d_max=opts.d_max)
     step_one = opts.increment == 1
     query_at = set(_bounds(opts))
     for k in range(0, opts.max_k + 1):
         inc.step(k)
+        if k > 0:
+            inc.solver.add_clause([-inc.vm.activation_lit(k - 1)])
         if k not in query_at:
             continue
         proved = opts.completeness and inc.query_completeness() == UNSAT

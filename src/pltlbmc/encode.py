@@ -560,7 +560,9 @@ class IncrementalEncoder:
     index k+1 hook into the loop proxy) guarded by an activation literal.
     ``query_witness`` solves under the current bound's activator; earlier
     activators are assumed negatively, which retires their constraints while
-    keeping every learned clause sound.
+    keeping every learned clause sound.  The driver (``check.run_bmc``) also
+    adds each past activator as a negative unit, outside ``step()``; an
+    assumption true at level 0 then opens no decision level in the solver.
 
     The simple path constraint is added lazily (Een and Soerensson,
     *Temporal induction by incremental SAT solving*, BMC 2003).  A query

@@ -359,80 +359,80 @@ def to_pnf(f):
     return _pnf(f, False)
 
 
-def _pnf(f, neg):
+# Surface kind -> (builder without negation, builder under negation) for
+# the operators whose operands keep the polarity of the node.
+_PNF_DUALS = {
+    "&": (mk_and, mk_or),
+    "|": (mk_or, mk_and),
+    "U": (mk_until, mk_release),
+    "R": (mk_release, mk_until),
+    "S": (mk_since, mk_trigger),
+    "T": (mk_trigger, mk_since),
+    "X": (mk_next, mk_next),
+    "Y": (mk_prev, mk_prevz),
+    "Z": (mk_prevz, mk_prev),
+}
+# Derived unary operators -> (builder, constant first operand) without and
+# under negation: F a = true U a, G a = false R a, O a = true S a,
+# H a = false T a.
+_PNF_DERIVED = {
+    "F": ((mk_until, TRUE), (mk_release, FALSE)),
+    "G": ((mk_release, FALSE), (mk_until, TRUE)),
+    "O": ((mk_since, TRUE), (mk_trigger, FALSE)),
+    "H": ((mk_trigger, FALSE), (mk_since, TRUE)),
+}
+
+
+def _pnf_rule(f, neg):
+    """One rewrite step of ``f`` under ``neg``: the operands to rewrite, as
+    (surface node, negated) pairs in order, and the function that builds
+    the PNF node from their results.  A leaf has no operands."""
     k = f.kind
-    if k == "atom":
-        return mk_natom(f.name) if neg else mk_atom(f.name)
-    if k == "true":
-        return FALSE if neg else TRUE
-    if k == "false":
-        return TRUE if neg else FALSE
+    if k in _PNF_DUALS:
+        operands = [(f.left, neg)] if f.right is None else [(f.left, neg), (f.right, neg)]
+        return operands, _PNF_DUALS[k][neg]
+    if k in _PNF_DERIVED:
+        build, const = _PNF_DERIVED[k][neg]
+        return [(f.left, neg)], lambda a: build(const, a)
     if k == "!":
-        return _pnf(f.left, not neg)
-    if k == "&":
-        if neg:
-            return mk_or(_pnf(f.left, True), _pnf(f.right, True))
-        return mk_and(_pnf(f.left, False), _pnf(f.right, False))
-    if k == "|":
-        if neg:
-            return mk_and(_pnf(f.left, True), _pnf(f.right, True))
-        return mk_or(_pnf(f.left, False), _pnf(f.right, False))
+        return [(f.left, not neg)], lambda a: a
     if k == "->":
-        if neg:
-            return mk_and(_pnf(f.left, False), _pnf(f.right, True))
-        return mk_or(_pnf(f.left, True), _pnf(f.right, False))
+        return [(f.left, not neg), (f.right, neg)], mk_and if neg else mk_or
     if k == "<->":
-        a0, a1 = _pnf(f.left, False), _pnf(f.left, True)
-        b0, b1 = _pnf(f.right, False), _pnf(f.right, True)
+        operands = [(f.left, False), (f.left, True), (f.right, False), (f.right, True)]
         if neg:
-            return mk_or(mk_and(a0, b1), mk_and(b0, a1))
-        return mk_and(mk_or(a1, b0), mk_or(b1, a0))
-    if k == "X":
-        return mk_next(_pnf(f.left, neg))
-    if k == "F":
-        if neg:
-            return mk_release(FALSE, _pnf(f.left, True))
-        return mk_until(TRUE, _pnf(f.left, False))
-    if k == "G":
-        if neg:
-            return mk_until(TRUE, _pnf(f.left, True))
-        return mk_release(FALSE, _pnf(f.left, False))
-    if k == "U":
-        if neg:
-            return mk_release(_pnf(f.left, True), _pnf(f.right, True))
-        return mk_until(_pnf(f.left, False), _pnf(f.right, False))
-    if k == "R":
-        if neg:
-            return mk_until(_pnf(f.left, True), _pnf(f.right, True))
-        return mk_release(_pnf(f.left, False), _pnf(f.right, False))
-    if k == "Y":
-        if neg:
-            return mk_prevz(_pnf(f.left, True))
-        return mk_prev(_pnf(f.left, False))
-    if k == "Z":
-        if neg:
-            return mk_prev(_pnf(f.left, True))
-        return mk_prevz(_pnf(f.left, False))
-    if k == "O":
-        if neg:
-            return mk_trigger(FALSE, _pnf(f.left, True))
-        return mk_since(TRUE, _pnf(f.left, False))
-    if k == "H":
-        if neg:
-            return mk_since(TRUE, _pnf(f.left, True))
-        return mk_trigger(FALSE, _pnf(f.left, False))
-    if k == "S":
-        if neg:
-            return mk_trigger(_pnf(f.left, True), _pnf(f.right, True))
-        return mk_since(_pnf(f.left, False), _pnf(f.right, False))
-    if k == "T":
-        if neg:
-            return mk_since(_pnf(f.left, True), _pnf(f.right, True))
-        return mk_trigger(_pnf(f.left, False), _pnf(f.right, False))
+            return operands, lambda a0, a1, b0, b1: mk_or(mk_and(a0, b1), mk_and(b0, a1))
+        return operands, lambda a0, a1, b0, b1: mk_and(mk_or(a1, b0), mk_or(b1, a0))
+    if k == "atom":
+        return [], lambda: mk_natom(f.name) if neg else mk_atom(f.name)
     if k == "natom":
         # PNF node fed back in via embed(); keep the polarity arithmetic.
-        return mk_atom(f.name) if neg else mk_natom(f.name)
+        return [], lambda: mk_atom(f.name) if neg else mk_natom(f.name)
+    if k == "true":
+        return [], lambda: FALSE if neg else TRUE
+    if k == "false":
+        return [], lambda: TRUE if neg else FALSE
     raise FormulaError(f"unknown formula kind {k!r}")
+
+
+def _pnf(f, neg):
+    """Post-order walk with an explicit stack, so formulas of any depth
+    rewrite; operands are rewritten left to right before their node is
+    built, so nodes are interned in the order of the recursive definition."""
+    results = []
+    stack = [(f, neg)]  # (node, negated) to rewrite, or (build, arity) to run
+    while stack:
+        item = stack.pop()
+        if isinstance(item[0], SurfaceFormula):
+            operands, build = _pnf_rule(*item)
+            stack.append((build, len(operands)))
+            stack.extend(reversed(operands))
+            continue
+        build, arity = item
+        args = results[len(results) - arity :]
+        del results[len(results) - arity :]
+        results.append(build(*args))
+    return results[0]
 
 
 def embed(f: Formula) -> SurfaceFormula:
@@ -460,18 +460,20 @@ def closure(f: Formula) -> list:
     """Distinct subformulas of ``f`` in a children-before-parents order."""
     seen = set()
     out = []
-
-    def walk(g):
+    stack = [(f, False)]  # (node, operands already pushed)
+    while stack:
+        g, expanded = stack.pop()
         if g.fid in seen:
-            return
-        if g.left is not None:
-            walk(g.left)
+            continue
+        if expanded:
+            seen.add(g.fid)
+            out.append(g)
+            continue
+        stack.append((g, True))
         if g.right is not None:
-            walk(g.right)
-        seen.add(g.fid)
-        out.append(g)
-
-    walk(f)
+            stack.append((g.right, False))
+        if g.left is not None:
+            stack.append((g.left, False))
     return out
 
 

@@ -5,16 +5,33 @@ index 0 is reserved).  ``CircuitBuilder`` hands out gate literals with
 constant folding and structural hashing and writes each new gate's full
 Tseitin definition into the attached solver as soon as the gate is created.
 
-The solver implements conflict-driven clause learning with two watched
-literals, first-UIP learning, phase saving, restarts, and solving under
-assumptions.  Clauses are never deleted; constraint retraction is modelled
-by guarding clauses with activation literals that are simply not assumed.
+The solver implements conflict-driven clause learning, first-UIP learning,
+phase saving, restarts, and solving under assumptions (after MiniSat: Een
+and Soerensson, *An extensible SAT-solver*, SAT 2003).  It is built for many
+short, propagation-bound queries over one growing database:
+
+- Two-literal clauses, added or learned, live in binary implication lists
+  (``bins``), scanned before the two-watched-literal lists of the longer
+  clauses; propagation assigns and extends the trail inline.
+- The decision heap holds one live entry per unassigned variable: a
+  variable is pushed again only when it is not in the heap, and entries
+  whose key is not the variable's current activity are skipped.
+- ``CircuitBuilder`` writes each gate's Tseitin clauses through the trusted
+  ``add_definition``, which skips the duplicate and tautology checks that
+  ``add_clause`` runs; both record the same database.
+- An assumption already true at level 0 opens no decision level, so a
+  retired activation literal, added as a negative unit once its bound is
+  past (see ``check``), costs nothing at later queries.
+
+Clauses are never deleted; constraint retraction is modelled by guarding
+clauses with activation literals that are simply not assumed.
 """
 
 from __future__ import annotations
 
 import heapq
 import subprocess
+from itertools import islice
 from typing import Iterable
 
 SAT = "sat"
@@ -28,20 +45,28 @@ class Solver:
     def __init__(self):
         self.nvars = 0
         self.db = []  # original clauses, for export
-        self._clauses = []  # watched clause objects (lists), incl. learned
+        self._clauses = []  # attached clause objects (lists), incl. learned
         self._nlearned = 0
-        self.watches = {}
-        self.assign = [0]  # var -> 0 unassigned, 1 true, -1 false
+        self.watches = {}  # lit -> clauses of three or more literals watching it
+        self.bins = {}  # lit -> (other, clause) for each two-literal clause of lit
+        # lit -> 0 unassigned, 1 true, -1 false; a negative literal indexes
+        # from the end, and new_var keeps the list longer than 2 * nvars so
+        # the two halves never meet
+        self.vals = [0, 0]
         self.level = [0]
         self.reason = [None]
-        self.saved = [False]
+        self.saved = [0]  # var -> its literal of the last assignment
         self.activity = [0.0]
+        self._seen = [False]  # _analyze's marks, all False between calls
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
         self.ok = True
         self.var_inc = 1.0
+        # (-activity, var) entries; the live one of a variable carries its
+        # current activity, older ones are stale and skipped by _decide
         self._heap = []
+        self._in_heap = [False]  # var -> has a live heap entry
         self.model = []
         # search counters, summed over every solve() call
         self.conflicts = 0
@@ -53,19 +78,27 @@ class Solver:
 
     def new_var(self) -> int:
         self.nvars += 1
-        self.assign.append(0)
+        v = self.nvars
+        vals = self.vals
+        half = len(vals) // 2
+        if v >= half:
+            # double the list: the negative half moves to the new end
+            self.vals = vals[:half] + [0] * len(vals) + vals[half:]
         self.level.append(0)
         self.reason.append(None)
-        self.saved.append(False)
+        self.saved.append(-v)
         self.activity.append(0.0)
-        self.watches[self.nvars] = []
-        self.watches[-self.nvars] = []
-        heapq.heappush(self._heap, (0.0, self.nvars))
-        return self.nvars
+        self._seen.append(False)
+        self._in_heap.append(True)
+        self.watches[v] = []
+        self.watches[-v] = []
+        self.bins[v] = []
+        self.bins[-v] = []
+        heapq.heappush(self._heap, (-0.0, v))
+        return v
 
     def value(self, lit) -> int:
-        v = self.assign[abs(lit)]
-        return v if lit > 0 else -v
+        return self.vals[lit]
 
     def model_value(self, lit) -> bool:
         v = self.model[abs(lit)]
@@ -77,21 +110,42 @@ class Solver:
         """Add a clause at decision level 0; duplicates and tautologies fold.
 
         The clause database keeps the distinct literals in first-occurrence
-        order.  The watched copy keeps the unassigned ones; a tautology or a
-        clause with a true literal is not watched.
+        order.  The attached copy keeps the unassigned ones; a tautology or a
+        clause with a true literal is not attached.
         """
         assert not self.trail_lim, "clauses must be added at decision level 0"
         distinct = dict.fromkeys(lits)
-        self.db.append(list(distinct))
-        if not self.ok:
-            return
+        clause = list(distinct)
+        for lit in clause:
+            if not 0 < abs(lit) <= self.nvars:
+                raise ValueError(f"literal {lit} names no variable")
+        self.db.append(clause)
+        if self.ok and not any(-lit in distinct for lit in clause):  # tautology
+            self._insert(clause)
+
+    def add_definition(self, clauses):
+        """Add the Tseitin clauses of a fresh gate at decision level 0.
+
+        Trusted: the literals of each clause are distinct and none is the
+        complement of another, so the database takes the clauses as given,
+        just as ``add_clause`` would record them.  Literals fixed at level 0
+        are still filtered, since a fixed literal must never be watched.
+        """
+        assert not self.trail_lim, "clauses must be added at decision level 0"
+        self.db.extend(clauses)
+        for clause in clauses:
+            if not self.ok:
+                return
+            self._insert(clause)
+
+    def _insert(self, clause):
+        """Attach the unassigned literals of a level-0 clause, or enqueue
+        the only one, unless a literal is true."""
         # At level 0 every assigned literal is fixed for good.
-        assign = self.assign
+        vals = self.vals
         live = []
-        for lit in distinct:
-            if -lit in distinct:
-                return  # tautology
-            v = assign[lit] if lit > 0 else -assign[-lit]
+        for lit in clause:
+            v = vals[lit]
             if v > 0:
                 return  # satisfied forever
             if v == 0:
@@ -105,94 +159,135 @@ class Solver:
 
     def _attach(self, clause):
         self._clauses.append(clause)
-        self.watches[clause[0]].append(clause)
-        self.watches[clause[1]].append(clause)
+        a, b = clause[0], clause[1]
+        if len(clause) == 2:
+            self.bins[a].append((b, clause))
+            self.bins[b].append((a, clause))
+        else:
+            self.watches[a].append(clause)
+            self.watches[b].append(clause)
 
     # -- trail ----------------------------------------------------------------
 
     def _enqueue(self, lit, reason) -> bool:
-        v = self.value(lit)
+        vals = self.vals
+        v = vals[lit]
         if v > 0:
             return True
         if v < 0:
             return False
+        vals[lit] = 1
+        vals[-lit] = -1
         var = abs(lit)
-        self.assign[var] = 1 if lit > 0 else -1
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
         self.trail.append(lit)
         return True
 
     def _propagate(self):
-        """Unit propagation; returns a conflicting clause or None."""
+        """Unit propagation; returns a conflicting clause or None.
+
+        For each literal taken off the trail, the two-literal clauses of its
+        complement are scanned first, then the longer clauses watching it.
+        Implied literals are assigned and put on the trail inline.  A long
+        clause is touched only when its other watch is not true; the clauses
+        that found a new watch leave the list in one pass at the end.
+        """
         watches = self.watches
-        assign = self.assign
-        start = self.qhead
+        bins = self.bins
+        vals = self.vals
+        level = self.level
+        reason = self.reason
+        trail = self.trail
+        lvl = len(self.trail_lim)
+        qhead = start = self.qhead
         conflict = None
-        while conflict is None and self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
+        # the slice iterator also yields the literals appended on the way
+        for qhead, lit in enumerate(islice(trail, start, None), start + 1):
             neg = -lit
-            watchers = watches[neg]
-            kept = []
-            i = 0
-            n = len(watchers)
-            while i < n:
-                clause = watchers[i]
-                i += 1
-                if clause[0] == neg:
-                    clause[0], clause[1] = clause[1], clause[0]
-                first = clause[0]
-                fv = assign[first] if first > 0 else -assign[-first]
-                if fv > 0:
-                    kept.append(clause)
+            for other, clause in bins[neg]:
+                ov = vals[other]
+                if ov > 0:
                     continue
-                moved = False
+                if ov < 0:
+                    conflict = clause
+                    break
+                vals[other] = 1
+                vals[-other] = -1
+                var = other if other > 0 else -other
+                level[var] = lvl
+                reason[var] = clause
+                trail.append(other)
+            if conflict is not None:
+                break
+            watchers = watches[neg]
+            moved = False
+            for clause in watchers:
+                first = clause[0]
+                if first == neg:
+                    first = clause[1]
+                fv = vals[first]
+                if fv > 0:
+                    continue
+                clause[0] = first
+                clause[1] = neg
                 for k in range(2, len(clause)):
                     cand = clause[k]
-                    cv = assign[cand] if cand > 0 else -assign[-cand]
-                    if cv >= 0:
-                        clause[1], clause[k] = clause[k], clause[1]
+                    if vals[cand] >= 0:
+                        clause[1] = cand
+                        clause[k] = neg
                         watches[cand].append(clause)
                         moved = True
                         break
-                if moved:
-                    continue
-                kept.append(clause)
-                if fv < 0:
-                    kept.extend(watchers[i:])
-                    conflict = clause
-                    break
-                self._enqueue(first, clause)
-            watches[neg] = kept
-        self.propagations += self.qhead - start
+                else:
+                    if fv < 0:
+                        conflict = clause
+                        break
+                    vals[first] = 1
+                    vals[-first] = -1
+                    var = first if first > 0 else -first
+                    level[var] = lvl
+                    reason[var] = clause
+                    trail.append(first)
+            if moved:
+                kept = []
+                for clause in watchers:
+                    if clause[1] == neg or clause[0] == neg:
+                        kept.append(clause)
+                watches[neg] = kept
+            if conflict is not None:
+                break
+        self.qhead = qhead
+        self.propagations += qhead - start
         return conflict
 
     # -- conflict analysis ----------------------------------------------------
 
     def _analyze(self, conflict):
         learnt = []
-        seen = [False] * (self.nvars + 1)
+        seen = self._seen
+        level = self.level
+        trail = self.trail
         counter = 0
         lit = None
         reason = conflict
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         cur_level = len(self.trail_lim)
         while True:
             for q in reason:
                 if q == lit:
                     continue
                 var = abs(q)
-                if not seen[var] and self.level[var] > 0:
+                if not seen[var] and level[var] > 0:
                     seen[var] = True
                     self._bump(var)
-                    if self.level[var] >= cur_level:
+                    if level[var] >= cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[abs(self.trail[idx])]:
+            while not seen[abs(trail[idx])]:
                 idx -= 1
-            lit = self.trail[idx]
+            lit = trail[idx]
             var = abs(lit)
             seen[var] = False
             idx -= 1
@@ -200,57 +295,97 @@ class Solver:
             if counter == 0:
                 break
             reason = self.reason[var]
+        # the current level's marks are cleared above; clear the rest
+        for q in learnt:
+            seen[abs(q)] = False
         learnt.insert(0, -lit)
         if len(learnt) == 1:
             return learnt, 0
-        bt = max(self.level[abs(q)] for q in learnt[1:])
+        bt = max(level[abs(q)] for q in learnt[1:])
         # watch the asserting literal and one literal from the backtrack level
         for k in range(1, len(learnt)):
-            if self.level[abs(learnt[k])] == bt:
+            if level[abs(learnt[k])] == bt:
                 learnt[1], learnt[k] = learnt[k], learnt[1]
                 break
         return learnt, bt
 
     def _bump(self, var):
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
+        activity = self.activity
+        act = activity[var] + self.var_inc
+        activity[var] = act
+        if act > 1e100:
             for v in range(1, self.nvars + 1):
-                self.activity[v] *= 1e-100
+                activity[v] *= 1e-100
             self.var_inc *= 1e-100
-        heapq.heappush(self._heap, (-self.activity[var], var))
+            # every key changed: keep only the live entries, rekeyed
+            in_heap = self._in_heap
+            self._heap = [(-activity[v], v) for v in range(1, self.nvars + 1) if in_heap[v]]
+            heapq.heapify(self._heap)
+        elif self._in_heap[var]:
+            heapq.heappush(self._heap, (-act, var))
 
     def _backtrack(self, level):
-        while self.trail_lim and len(self.trail_lim) > level:
-            lim = self.trail_lim.pop()
-            for lit in reversed(self.trail[lim:]):
-                var = abs(lit)
-                self.saved[var] = lit > 0
-                self.assign[var] = 0
-                self.reason[var] = None
-                heapq.heappush(self._heap, (-self.activity[var], var))
-            del self.trail[lim:]
+        trail_lim = self.trail_lim
+        if len(trail_lim) > level:
+            trail = self.trail
+            lim = trail_lim[level]
+            del trail_lim[level:]
+            vals = self.vals
+            saved = self.saved
+            activity = self.activity
+            in_heap = self._in_heap
+            heap = self._heap
+            push = heapq.heappush
+            # reasons of unassigned variables are never read: not reset
+            for lit in trail[lim:]:
+                vals[lit] = 0
+                vals[-lit] = 0
+                var = lit if lit > 0 else -lit
+                saved[var] = lit
+                if not in_heap[var]:
+                    in_heap[var] = True
+                    push(heap, (-activity[var], var))
+            del trail[lim:]
         # units added via add_clause since the last solve still need their
         # propagation pass, so never advance qhead past them
         self.qhead = min(self.qhead, len(self.trail))
 
     def _decide(self):
-        while self._heap:
-            _, var = heapq.heappop(self._heap)
-            if self.assign[var] == 0:
-                return var
-        for var in range(1, self.nvars + 1):
-            if self.assign[var] == 0:
+        """The unassigned variable of highest activity, or 0 if none is left.
+
+        Stale entries are dropped; a live entry leaves the heap with its
+        variable, and ``_backtrack`` puts the variable back once unassigned.
+        """
+        heap = self._heap
+        activity = self.activity
+        vals = self.vals
+        in_heap = self._in_heap
+        pop = heapq.heappop
+        while heap:
+            key, var = pop(heap)
+            if -key != activity[var] or not in_heap[var]:
+                continue  # stale
+            in_heap[var] = False
+            if vals[var] == 0:
                 return var
         return 0
 
     # -- main search -----------------------------------------------------------
 
     def solve(self, assumptions=(), conflict_budget=None) -> str:
-        """Solve the clause database under the given assumption literals."""
+        """Solve the clause database under the given assumption literals.
+
+        An assumption already true at level 0 opens no decision level.
+        """
         assumptions = list(assumptions)
+        for a in assumptions:
+            if not 0 < abs(a) <= self.nvars:
+                raise ValueError(f"assumption {a} names no variable")
         self._backtrack(0)
         if not self.ok:
             return UNSAT
+        vals = self.vals
+        assumptions = [a for a in assumptions if vals[a] <= 0]
         conflicts = decisions = restarts = 0
         restart_unit = 100
         luby_idx = 1
@@ -302,12 +437,12 @@ class Solver:
                 continue
             var = self._decide()
             if var == 0:
-                self.model = [False] + [self.assign[v] > 0 for v in range(1, self.nvars + 1)]
+                self.model = [v > 0 for v in vals[: self.nvars + 1]]
                 result = SAT
                 break
             decisions += 1
             self.trail_lim.append(len(self.trail))
-            self._enqueue(var if self.saved[var] else -var, None)
+            self._enqueue(self.saved[var], None)
         self._backtrack(0)
         self.conflicts += conflicts
         self.decisions += decisions
@@ -386,10 +521,8 @@ class CircuitBuilder:
         if g is None:
             g = self.solver.new_var()
             self.cache[key] = g
-            add = self.solver.add_clause
-            for x in key[1]:
-                add([-g, x])
-            add([g] + [-x for x in key[1]])
+            ins = key[1]
+            self.solver.add_definition([[-g, x] for x in ins] + [[g] + [-x for x in ins]])
         return g
 
     def iff(self, a, b) -> int:
@@ -414,11 +547,7 @@ class CircuitBuilder:
         if g is None:
             g = self.solver.new_var()
             self.cache[key] = g
-            add = self.solver.add_clause
-            add([-g, -x, y])
-            add([-g, x, -y])
-            add([g, x, y])
-            add([g, -x, -y])
+            self.solver.add_definition([[-g, -x, y], [-g, x, -y], [g, x, y], [g, -x, -y]])
         return g
 
     def xor(self, a, b) -> int:
@@ -447,11 +576,14 @@ class CircuitBuilder:
         if g is None:
             g = self.solver.new_var()
             self.cache[key] = g
-            add = self.solver.add_clause
-            add([-g, -c, a])
-            add([-g, c, b])
-            add([g, -c, -a])
-            add([g, c, -b])
+            clauses = [[-g, -c, a], [-g, c, b], [g, -c, -a], [g, c, -b]]
+            if abs(c) in (abs(a), abs(b)):
+                # the condition shares a variable with a branch, so a clause
+                # can repeat a literal or be a tautology: fold it as usual
+                for clause in clauses:
+                    self.solver.add_clause(clause)
+            else:
+                self.solver.add_definition(clauses)
         return g
 
     def equal_vectors(self, xs, ys) -> int:

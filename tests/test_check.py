@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pltlbmc import check
 from pltlbmc.model import parse_model, eval_expr, explicit_expand
 from pltlbmc.pltl import parse_formula, past_depth, s_not, to_pnf, closure
 from pltlbmc.sat import INTERRUPTED, SAT, UNSAT, Solver, CircuitBuilder
@@ -367,6 +368,60 @@ class TestWitnessExtraction:
         lines = trace_lines(w)
         assert lines[3] == "-- loop starts here --"
         assert lines[0].startswith("state 0: b0=0 b1=0 b2=0")
+
+
+# Properties over the v0.. variables of random_symbolic_model whose
+# counterexamples on the small random models are a few steps long.
+RETIRED_SPECS = [
+    "G !(v0 & v1)",
+    "G F v0",
+    "F G !v1",
+    "G (v0 -> O v1)",
+    "G !(v0 & Y (v1 & Y !v0))",
+    "F v1",
+    "G (v1 -> X !v1)",
+]
+
+
+class TestRetiredActivators:
+    """Once bound j is past, the driver fixes activation_lit(j) false at
+    level 0; the verdicts stay those of the monolithic encoding."""
+
+    @pytest.mark.parametrize("increment", [1, 2])
+    @pytest.mark.parametrize("completeness", [False, True])
+    def test_past_activators_are_false_at_level_0(self, monkeypatch, completeness, increment):
+        sessions = []
+
+        class Recorded(IncrementalEncoder):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sessions.append(self)
+
+        monkeypatch.setattr(check, "IncrementalEncoder", Recorded)
+        rng = random.Random(151 + 2 * increment + completeness)
+        max_k = 12 if completeness else 6
+        retired = 0
+        for _ in range(14):
+            m = random_symbolic_model(rng, bits=rng.choice([2, 3]))
+            spec = rng.choice(RETIRED_SPECS)
+            v = run_bmc(m, spec, RunOptions(completeness=completeness, increment=increment, max_k=max_k))
+            (inc,) = sessions
+            sessions.clear()
+            solver = inc.solver
+            assert inc.k >= 0 and not solver.trail_lim
+            # a solver found unsatisfiable at level 0 takes no more units
+            for j in range(inc.k if solver.ok else 0):
+                act = inc.vm.activation_lit(j)
+                assert solver.value(act) == -1 and solver.level[abs(act)] == 0
+                retired += 1
+            ref = run_bmc(m, spec, RunOptions(incremental=False, increment=increment, max_k=max_k))
+            if isinstance(v, Proved):
+                assert isinstance(ref, BoundExhausted)
+            else:
+                assert type(v) == type(ref)
+                if isinstance(v, WitnessFound):
+                    assert v.k == ref.k
+        assert retired > 20
 
 
 class TestAgainstOracle:

@@ -334,6 +334,16 @@ class TestDeepExpressions:
         m = self.l2s_output(capsys, tmp_path, chain_model(CHAIN_DEFINES[::-1]))
         assert [n for n, _ in m.defines[:2]] == ["d1499", "d1498"]
 
+    def test_check_on_a_spec_with_thousands_of_terms(self, capsys, tmp_path):
+        # the spec is one conjunction 1500 deep; a | b is false in the initial state
+        path = tmp_path / "two.mod"
+        path.write_text(chain_model([]).replace("FAIRNESS d1499\n", ""))
+        spec = " & ".join(["(a | b)"] * 1500)
+        for flags in ([], ["--complete"]):
+            code, out, err = run(capsys, ["check", str(path), "--spec", spec] + flags)
+            assert code == 1, err
+            assert out.startswith("VERDICT WITNESS k=0")
+
 
 class TestPipelines:
     def test_l2s_output_checks_with_bmc(self, capsys, tmp_path):

@@ -158,9 +158,18 @@ class TestAddClause:
         assert s.watches[c] == []
 
     def test_database_entry_is_a_copy_of_the_watched_clause(self):
-        s, a, b = self.s, self.a, self.b
-        s.add_clause([a, b])
+        s, a, b, c = self.s, self.a, self.b, self.c
+        s.add_clause([a, b, c])
         assert s.db[0] == s._clauses[0] and s.db[0] is not s._clauses[0]
+
+    def test_a_two_literal_clause_goes_to_the_binary_lists(self):
+        s, a, b = self.s, self.a, self.b
+        s.add_clause([a, -b])
+        clause = s._clauses[0]
+        assert s.db == [[a, -b]] and clause == [a, -b] and s.db[0] is not clause
+        assert s.bins[a] == [(-b, clause)] and s.bins[-b] == [(a, clause)]
+        assert all(ws == [] for ws in s.watches.values())
+        assert all(bs == [] for lit, bs in s.bins.items() if lit not in (a, -b))
 
     def test_a_clause_with_a_false_literal_is_stored_whole(self):
         s, a, b, c, x = self.s, self.a, self.b, self.c, self.x
@@ -169,6 +178,9 @@ class TestAddClause:
         assert s.db == [[-x], [a, x, b, c]]
         assert s._clauses == [[a, b, c]]
         assert s.watches[a] == [[a, b, c]] and s.watches[b] == [[a, b, c]]
+        # without its false literal a three-literal clause is binary
+        s.add_clause([a, x, b])
+        assert s._clauses[1] == [a, b] and s.bins[a] == [(b, s._clauses[1])]
 
     def test_a_clause_satisfied_at_level_0_is_stored_and_not_watched(self):
         s, a, b, x = self.s, self.a, self.b, self.x
@@ -177,12 +189,14 @@ class TestAddClause:
         assert s.db == [[x], [a, b, x]]
         assert s._clauses == []
         assert all(ws == [] for ws in s.watches.values())
+        assert all(bs == [] for bs in s.bins.values())
 
     def test_a_tautology_is_stored_and_not_watched(self):
         s, a, b = self.s, self.a, self.b
         s.add_clause([a, b, a, -a])
         assert s.db == [[a, b, -a]]
         assert s._clauses == []
+        assert all(bs == [] for bs in s.bins.values())
 
     def test_units_enqueue_in_order(self):
         s, a, b, x = self.s, self.a, self.b, self.x
@@ -440,3 +454,189 @@ class TestDimacs:
             if theirs == SAT:
                 for clause in clauses:
                     assert any(values.get(abs(l), False) == (l > 0) for l in clause)
+
+
+def random_clause(rng, nvars):
+    """A clause of up to four literals, mostly two; it may repeat a literal
+    or hold one with its complement."""
+    width = rng.choice([1, 2, 2, 2, 3, 4])
+    return [rng.choice([1, -1]) * rng.randint(1, nvars) for _ in range(width)]
+
+
+def definition_clauses(rng, g, nvars):
+    """Clauses around the fresh variable g as a gate's Tseitin definition
+    has them: each holds g or -g and distinct inputs, none complemented."""
+    inputs = rng.sample(range(1, g), min(g - 1, rng.randint(1, 3)))
+    clauses = []
+    for _ in range(rng.randint(2, 4)):
+        picked = rng.sample(inputs, rng.randint(1, len(inputs)))
+        clauses.append([rng.choice([g, -g])] + [rng.choice([x, -x]) for x in picked])
+    return clauses
+
+
+def check_heap(s):
+    """Every variable has one live heap entry (its current activity as the
+    key) exactly when it is marked in the heap, and every unassigned
+    variable is marked."""
+    live = {}
+    for key, var in s._heap:
+        if -key == s.activity[var]:
+            live[var] = live.get(var, 0) + 1
+    for var in range(1, s.nvars + 1):
+        assert live.get(var, 0) == (1 if s._in_heap[var] else 0), var
+        if s.value(var) == 0:
+            assert s._in_heap[var], var
+
+
+def checked_backtracks(s):
+    """Check the heap after every backtrack of s; returns the levels."""
+    levels = []
+    backtrack = s._backtrack
+
+    def checked(level):
+        backtrack(level)
+        check_heap(s)
+        levels.append(level)
+
+    s._backtrack = checked
+    return levels
+
+
+class TestIncrementalSessions:
+    """Seeded random sessions that interleave new variables, clauses,
+    trusted gate definitions and solves under assumptions and small
+    conflict budgets; every answer is checked against brute force over the
+    database."""
+
+    def test_random_sessions_against_brute_force(self):
+        rng = random.Random(43)
+        answers = {SAT: 0, UNSAT: 0, INTERRUPTED: 0}
+        for _ in range(60):
+            s, ref = Solver(), Solver()  # ref gets every clause by add_clause
+            for _ in range(rng.randint(2, 5)):
+                s.new_var()
+                ref.new_var()
+            for _ in range(rng.randint(10, 40)):
+                op = rng.random()
+                if op < 0.1 and s.nvars < 12:
+                    s.new_var()
+                    ref.new_var()
+                elif op < 0.5:
+                    clause = random_clause(rng, s.nvars)
+                    s.add_clause(clause)
+                    ref.add_clause(clause)
+                elif op < 0.65 and s.nvars < 12:
+                    g = s.new_var()
+                    ref.new_var()
+                    clauses = definition_clauses(rng, g, s.nvars)
+                    s.add_definition([list(c) for c in clauses])
+                    for c in clauses:
+                        ref.add_clause(c)
+                else:
+                    assumptions = [
+                        rng.choice([1, -1]) * rng.randint(1, s.nvars)
+                        for _ in range(rng.randint(0, 3))
+                    ]
+                    budget = rng.choice([None, None, 0, 1, 3])
+                    res = s.solve(assumptions, conflict_budget=budget)
+                    answers[res] += 1
+                    if res == INTERRUPTED:
+                        assert budget is not None
+                        continue
+                    units = [[a] for a in assumptions]
+                    assert (res == SAT) == brute_force_sat(s.nvars, s.db + units)
+                    if res == SAT:
+                        check_model(s, s.db + units)
+                    assert ref.solve(assumptions) == res
+            # the trusted insert records exactly what add_clause records
+            assert s.db == ref.db
+        assert min(answers.values()) > 0, answers
+
+    def test_trusted_insert_filters_level_0_literals(self):
+        s = Solver()
+        a, b, x, g = (s.new_var() for _ in range(4))
+        s.add_clause([-x])  # x is false at level 0 from here on
+        s.add_definition([[-g, a, x], [g, -a], [g, x, b]])
+        assert s.db == [[-x], [-g, a, x], [g, -a], [g, x, b]]
+        assert s._clauses == [[-g, a], [g, -a], [g, b]]
+        assert s.bins[-g] == [(a, s._clauses[0])] and s.watches == {lit: [] for lit in s.watches}
+        h = s.new_var()
+        s.add_clause([a])
+        s.add_definition([[-h, x], [h, -a, b]])  # -h is a unit, and then so is b
+        assert s.db[-2:] == [[-h, x], [h, -a, b]]
+        assert s.trail == [-x, a, -h, b] and len(s._clauses) == 3
+        assert s.solve() == SAT and s.model_value(b) and s.model_value(g)
+
+    def test_literals_outside_the_variables_are_rejected(self):
+        s = Solver()
+        a = s.new_var()
+        for clause in ([a, 2], [0], [-2]):
+            with pytest.raises(ValueError, match="names no variable"):
+                s.add_clause(clause)
+        with pytest.raises(ValueError, match="names no variable"):
+            s.solve([a, -3])
+        assert s.db == [] and s.solve([a]) == SAT
+
+
+class TestRetiredAssumptions:
+    def test_an_assumption_true_at_level_0_opens_no_level(self):
+        s = Solver()
+        a, b, c = (s.new_var() for _ in range(3))
+        s.add_clause([-a])
+        s.add_clause([-b, c])
+        levels = []
+        decide = s._decide
+
+        def recording_decide():
+            levels.append(len(s.trail_lim))
+            return decide()
+
+        s._decide = recording_decide
+        assert s.solve([-a, b]) == SAT and s.model_value(c)
+        # -a is fixed at level 0, so only b opens a level before deciding
+        assert levels[0] == 1
+        assert s.solve([a]) == UNSAT
+
+
+class TestHeap:
+    def test_one_live_entry_per_unassigned_variable(self):
+        rng = random.Random(47)
+        for _ in range(30):
+            nv = rng.randint(4, 12)
+            clauses = random_cnf(rng, nv, rng.randint(nv, nv * 5))
+            s = Solver()
+            for _ in range(nv):
+                s.new_var()
+            for c in clauses:
+                s.add_clause(c)
+            levels = checked_backtracks(s)
+            for _ in range(3):
+                assumptions = [rng.choice([1, -1]) * rng.randint(1, nv) for _ in range(2)]
+                res = s.solve(assumptions)
+                units = [[a] for a in assumptions]
+                assert (res == SAT) == brute_force_sat(nv, clauses + units)
+            assert levels  # every solve backtracks at least once
+            check_heap(s)
+
+    def test_activity_rescale_keeps_the_heap_and_the_answers(self):
+        s = pigeonhole(6, 5)
+        s.var_inc = 1e99  # a few bumps past the 1e100 rescale point
+        checked_backtracks(s)
+        assert s.solve() == UNSAT
+        assert s.var_inc < 1e99  # only a rescale shrinks it
+        assert max(s.activity) <= 1e100
+        rng = random.Random(53)
+        for _ in range(30):
+            nv = rng.randint(4, 10)
+            clauses = random_cnf(rng, nv, rng.randint(nv * 3, nv * 5))
+            s = Solver()
+            for _ in range(nv):
+                s.new_var()
+            for c in clauses:
+                s.add_clause(c)
+            s.var_inc = 1e100
+            checked_backtracks(s)
+            res = s.solve()
+            assert (res == SAT) == brute_force_sat(nv, clauses)
+            if res == SAT:
+                check_model(s, clauses)
