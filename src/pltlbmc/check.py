@@ -94,6 +94,11 @@ SCHEMES = {
     "general-buchi": lambda m, psi, k, b, vm: encode_general_buchi(m, k, b, vm),
 }
 
+# The schemes that also run as one incremental session, an
+# ``IncrementalEncoder`` whose chains its scheme name picks: all but
+# fixpoint, whose loop dispatch depends on k.
+INCREMENTAL_SCHEMES = frozenset(SCHEMES) - {"fixpoint"}
+
 
 def scheme_model(m: SymbolicModel, psi, opts: RunOptions) -> SymbolicModel:
     """The model the scheme unrolls: for general-buchi the product of m with
@@ -162,7 +167,11 @@ def extract_witness(value_of, vm: TimedVarMap, m: SymbolicModel, k) -> Witness:
 
 
 def run_bmc(m: SymbolicModel, spec, opts: RunOptions = None):
-    """Check M |= spec by searching for bounded witnesses of its negation."""
+    """Check M |= spec by searching for bounded witnesses of its negation.
+
+    Every scheme in ``INCREMENTAL_SCHEMES`` runs as one incremental session
+    (``_run_incremental``); fixpoint, ``incremental=False`` and an external
+    solver encode each bound afresh (``_run_monolithic``)."""
     opts = opts or RunOptions()
     if isinstance(spec, str):
         spec = parse_formula(spec)
@@ -178,7 +187,7 @@ def run_bmc(m: SymbolicModel, spec, opts: RunOptions = None):
             raise CheckError("completeness needs the incremental pltl scheme")
         if opts.external_solver:
             raise CheckError("completeness cannot use an external solver")
-    if opts.scheme == "pltl" and opts.incremental and not opts.external_solver:
+    if opts.scheme in INCREMENTAL_SCHEMES and opts.incremental and not opts.external_solver:
         return _run_incremental(m, psi, opts)
     return _run_monolithic(m, psi, opts)
 
@@ -212,8 +221,8 @@ def _solve(s, opts, k):
 
 
 def _run_incremental(m, psi, opts):
-    """Query witnesses, and with completeness also termination, bound by
-    bound on one incremental solver.
+    """Query witnesses, and with completeness (pltl only) also termination,
+    bound by bound on one incremental session of the scheme's model.
 
     With increment 1 the witness query carries the simple path conjunct, so
     the first satisfiable bound is still the minimal witness length.  With
@@ -225,7 +234,8 @@ def _run_incremental(m, psi, opts):
     session moves past j that literal becomes a level-0 unit; ``step()``
     itself adds no such unit, so its clauses do not depend on the driver.
     """
-    inc = IncrementalEncoder(m, psi, d_max=opts.d_max)
+    target = scheme_model(m, psi, opts)
+    inc = IncrementalEncoder(target, psi, d_max=opts.d_max, scheme=opts.scheme)
     step_one = opts.increment == 1
     query_at = set(_bounds(opts))
     for k in range(0, opts.max_k + 1):
@@ -238,7 +248,8 @@ def _run_incremental(m, psi, opts):
         if proved and step_one:
             return Proved(k=k)
         if inc.query_witness(simple_path=opts.completeness and step_one) == SAT:
-            w = extract_witness(inc.solver.model_value, inc.vm, m, k)
+            w = extract_witness(inc.solver.model_value, inc.vm, target, k)
+            w.display_vars = m.vars
             return WitnessFound(witness=w, k=k)
         if proved:
             return Proved(k=k)

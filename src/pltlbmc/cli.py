@@ -74,7 +74,11 @@ def main(argv=None) -> int:
     pc = sub.add_parser("check", help="run bounded model checking")
     _add_common(pc)
     _add_scheme(pc)
-    pc.add_argument("--no-incremental", action="store_true")
+    pc.add_argument(
+        "--no-incremental",
+        action="store_true",
+        help="encode every bound afresh instead of growing one incremental solver",
+    )
     pc.add_argument("--complete", action="store_true", help="enable the termination check")
     pc.add_argument("--max-k", type=int, default=25)
     pc.add_argument("--increment", type=int, default=1)

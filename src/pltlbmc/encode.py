@@ -9,12 +9,15 @@ unrolling cap alias down to the cap, which realises virtual unrolling.
 Monolithic encoders take ``(m, psi, k, b, vm)``, write their gates into the
 builder's solver, and return one literal whose assertion makes the solver
 search for a witness of bound k; the unrolling cap is ``vm.d_max``.  The
-incremental encoder keeps one growing solver and adds its clauses to it
-directly; constraints that mention the current bound are guarded by
-per-bound activation literals so that moving to a larger bound never deletes
-clauses, it just stops assuming the stale activators.  Its simple path
-constraint is added lazily, one pair of positions at a time, behind one
-guard literal.
+incremental encoder serves every constraint-style scheme (pltl,
+eventuality, buchi, general-buchi), which differ only in their chains.  It
+keeps one growing solver and adds its clauses to it directly; constraints
+that mention the current bound are guarded by per-bound activation literals
+so that moving to a larger bound never deletes clauses, it just stops
+assuming the stale activators.  The loop selector step (``_loop_step``) is
+the same for both kinds of encoder.  The simple path constraint of the
+termination check is added lazily, one pair of positions at a time, behind
+one guard literal.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ class TimedVarMap:
         self.fvars = {}  # (fid, i, d) -> lit
         self.aux = {}  # (role, key, i) -> lit
         self.activation = {}  # k -> lit
+        self.classes = {}  # i -> simple path class literals of position i
 
     def dcap(self, f: Formula) -> int:
         if self.d_max is None:
@@ -171,23 +175,35 @@ def encode_model_k(m: SymbolicModel, k, b, vm) -> int:
     return b.and_(*parts)
 
 
-def encode_loop_constraints(k, b, vm, model_vars) -> int:
-    """Loop selector machinery for bound k.
+def _loop_step(b, vm, model_vars, i, end):
+    """The loop selector constraints of position i >= 1, each yielded once
+    its gates exist: a true l_i commits the path to a loop back to i by
+    forcing s_{i-1} = s_end bitwise, InLoop_i is InLoop_{i-1} | l_i, and no
+    selector holds after the first one.  ``end`` is the bound itself for
+    monolithic encodings and the end proxy for the incremental one."""
+    li = vm.loop_sel(i)
+    eq = b.equal_vectors(
+        [vm.state_bit(i - 1, n) for n in model_vars],
+        [vm.state_bit(end, n) for n in model_vars],
+    )
+    yield b.implies(li, eq)
+    yield b.iff(vm.in_loop(i), b.or_(vm.in_loop(i - 1), li))
+    yield b.implies(vm.in_loop(i - 1), -li)
 
-    l_0 and InLoop_0 are false; a true l_i commits the path to a (k,i)-loop
-    by forcing s_{i-1} = s_k bitwise, at most one selector may hold, and
-    LoopExists mirrors InLoop_k.
-    """
+
+def encode_loop_constraints(k, b, vm, model_vars) -> int:
+    """Loop selector machinery for bound k: the ``_loop_step`` of every
+    position 1..k, l_0 and InLoop_0 false, and LoopExists mirroring
+    InLoop_k."""
+    # s_k, and then l_i and InLoop_i, get their variables before the gates
+    # of each _loop_step: the monolithic CNF keeps its variable order
     parts = []
-    sk = [vm.state_bit(k, n) for n in model_vars]
+    for n in model_vars:
+        vm.state_bit(k, n)
     for i in range(1, k + 1):
-        li = vm.loop_sel(i)
-        prev_il = vm.in_loop(i - 1)
-        il = vm.in_loop(i)
-        eq = b.equal_vectors([vm.state_bit(i - 1, n) for n in model_vars], sk)
-        parts.append(b.implies(li, eq))
-        parts.append(b.iff(il, b.or_(prev_il, li)))
-        parts.append(b.implies(prev_il, -li))
+        vm.loop_sel(i)
+        vm.in_loop(i)
+        parts.extend(_loop_step(b, vm, model_vars, i, k))
     parts.append(b.iff(vm.loop_exists(), vm.in_loop(k)))
     return b.and_(*parts)
 
@@ -416,23 +432,39 @@ def _past_constraints(b, vm, f, i, d, end, stabilise_here):
 
 def _aux_constraints(b, vm, cl, k, aux_style):
     """Eventuality or acceptance chains for until and release subformulas."""
+    if aux_style == "buchi":
+        chains = _buchi_chains(b, vm, cl)
+        return [c for chain in chains for c in _acceptance_chain(b, vm, k, *chain)]
     cons = []
     chains_done = set()
     for f in cl:
         if f.kind not in ("U", "R"):
             continue
-        if aux_style == "eventuality":
-            key = (f.kind, f.right.fid)
-            if key not in chains_done:
-                chains_done.add(key)
-                cons.append(_chain_start(vm, f))
-                cons.extend(_chain_step(b, vm, f, i) for i in range(1, k + 1))
-            cons.append(_chain_end(b, vm, f, k))
-        else:  # buechi acceptance chains, keyed by the whole subformula
-            cons.extend(
-                _acceptance_chain(b, vm, "ACC", f.fid, k, lambda i: _acceptance_hit(b, vm, f, i))
-            )
+        key = (f.kind, f.right.fid)
+        if key not in chains_done:
+            chains_done.add(key)
+            cons.append(_chain_start(vm, f))
+            cons.extend(_chain_step(b, vm, f, i) for i in range(1, k + 1))
+        cons.append(_chain_end(b, vm, f, k))
     return cons
+
+
+def _buchi_chains(b, vm, cl) -> list:
+    """(role, key, hit) of the Buechi acceptance chain of each until and
+    release, keyed by the whole subformula."""
+    return [
+        ("ACC", f.fid, lambda i, f=f: _acceptance_hit(b, vm, f, i))
+        for f in cl
+        if f.kind in ("U", "R")
+    ]
+
+
+def _fairness_chains(b, vm, m) -> list:
+    """(role, key, hit) of the acceptance chain of each fairness program."""
+    return [
+        ("ACCSET", mi, lambda i, prog=prog: _expr_lit(b, vm, prog, i))
+        for mi, prog in enumerate(m.fairness_programs)
+    ]
 
 
 def _acceptance_hit(b, vm, f, i) -> int:
@@ -451,9 +483,11 @@ def _sticky_step(b, vm, role, key, i, hit) -> int:
     return b.iff(ai, b.or_(vm.aux_var(role, key, i - 1), b.and_(vm.in_loop(i), hit(i))))
 
 
-def _acceptance_chain(b, vm, role, key, k, hit) -> list:
+def _acceptance_chain(b, vm, k, role, key, hit) -> list:
     """a_0 false, the sticky steps up to k, and LoopExists -> a_k: on a
-    (k,l)-loop, ``hit`` holds at some position of the loop."""
+    (k,l)-loop, ``hit`` holds at some position of the loop.  The incremental
+    session emits the same pieces bound by bound, LoopExists -> a_k behind
+    the bound's activator."""
     cons = [-vm.aux_var(role, key, 0)]
     cons.extend(_sticky_step(b, vm, role, key, i, hit) for i in range(1, k + 1))
     cons.append(b.implies(vm.loop_exists(), vm.aux_var(role, key, k)))
@@ -501,13 +535,20 @@ def _class_lits(vm, cl, model_vars, i):
     """The literals of position i that make up its simple path class: those
     every position compares (the model state, the in-loop flag and the
     depth-0 formula values), and those compared only when both positions
-    are inside the loop (every formula unrolling and eventuality chain)."""
-    shared = [vm.state_bit(i, n) for n in model_vars]
-    shared.append(vm.in_loop(i))
-    shared.extend(vm.fvar(f, i, 0) for f in cl)
-    in_loop = [vm.fvar(f, i, d) for f in cl for d in range(0, vm.dcap(f) + 1)]
-    in_loop.extend(_chain_var(vm, f, i) for f in cl if f.kind in ("U", "R"))
-    return shared, in_loop
+    are inside the loop (every formula unrolling and eventuality chain).
+
+    A variable map serves one model and one closure, and a position's
+    literals never change once it is encoded, so they are built once and
+    kept in ``vm.classes``."""
+    lits = vm.classes.get(i)
+    if lits is None:
+        shared = [vm.state_bit(i, n) for n in model_vars]
+        shared.append(vm.in_loop(i))
+        shared.extend(vm.fvar(f, i, 0) for f in cl)
+        in_loop = [vm.fvar(f, i, d) for f in cl for d in range(0, vm.dcap(f) + 1)]
+        in_loop.extend(_chain_var(vm, f, i) for f in cl if f.kind in ("U", "R"))
+        lits = vm.classes[i] = (shared, shared + in_loop, in_loop)
+    return lits
 
 
 def simple_path_pair(b, vm, cl, model_vars, i, j) -> int:
@@ -517,8 +558,8 @@ def simple_path_pair(b, vm, cl, model_vars, i, j) -> int:
     flag, the depth-0 formula values, and, when both are inside the loop,
     on every formula unrolling and eventuality chain.
     """
-    shared_i, loop_i = _class_lits(vm, cl, model_vars, i)
-    shared_j, loop_j = _class_lits(vm, cl, model_vars, j)
+    shared_i, _, loop_i = _class_lits(vm, cl, model_vars, i)
+    shared_j, _, loop_j = _class_lits(vm, cl, model_vars, j)
     diff_loop = b.and_(vm.in_loop(i), vm.in_loop(j), b.or_(*map(b.xor, loop_i, loop_j)))
     return b.or_(*map(b.xor, shared_i, shared_j), diff_loop)
 
@@ -527,8 +568,8 @@ def simple_path_class(value_of, vm, cl, model_vars, i) -> tuple:
     """The values of position i's class in the model ``value_of`` reads:
     ``simple_path_pair(i, j)`` is false exactly when the classes of i and j
     are equal."""
-    shared, in_loop = _class_lits(vm, cl, model_vars, i)
-    return tuple(map(value_of, shared + in_loop if value_of(vm.in_loop(i)) else shared))
+    shared, whole, _ = _class_lits(vm, cl, model_vars, i)
+    return tuple(map(value_of, whole if value_of(vm.in_loop(i)) else shared))
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +581,8 @@ def encode_general_buchi(m: SymbolicModel, k, b, vm) -> int:
     """Satisfiable iff the model has an initialised fair (k,l)-loop."""
     cons = [encode_model_k(m, k, b, vm), encode_loop_constraints(k, b, vm, m.vars)]
     cons.append(vm.loop_exists())
-    for mi, prog in enumerate(m.fairness_programs):
-        cons.extend(
-            _acceptance_chain(b, vm, "ACCSET", mi, k, lambda i: _expr_lit(b, vm, prog, i))
-        )
+    for chain in _fairness_chains(b, vm, m):
+        cons.extend(_acceptance_chain(b, vm, k, *chain))
     return b.and_(*cons)
 
 
@@ -553,36 +592,59 @@ def encode_general_buchi(m: SymbolicModel, k, b, vm) -> int:
 
 
 class IncrementalEncoder:
-    """Bound-by-bound PLTL eventuality encoding over one growing solver.
+    """Bound-by-bound encoding of one constraint-style scheme over one
+    growing solver.
+
+    ``scheme`` picks the chains; everything else is shared.  ``pltl`` and
+    ``eventuality`` (future formulas only) keep the eventuality chains of
+    their monolithic encoding, ``buchi`` one acceptance chain per until and
+    release, and ``general-buchi`` one acceptance chain per fairness program
+    of ``m``.  For ``general-buchi``, ``m`` is the product with the
+    automaton of ``psi`` (``check.scheme_model``), so the session has no
+    formula variables and asserts LoopExists instead.
 
     ``step(k)`` adds the constraints for bound k: the stable part directly,
-    the bound-dependent equivalences (end proxy binding, LoopExists, the
-    index k+1 hook into the loop proxy) guarded by an activation literal.
-    ``query_witness`` solves under the current bound's activator; earlier
-    activators are assumed negatively, which retires their constraints while
-    keeping every learned clause sound.  The driver (``check.run_bmc``) also
-    adds each past activator as a negative unit, outside ``step()``; an
-    assumption true at level 0 then opens no decision level in the solver.
+    the bound-dependent ones (end proxy binding, LoopExists, the index k+1
+    hook into the loop proxy, ``LoopExists -> a_k`` of each acceptance
+    chain) guarded by an activation literal.  ``query_witness`` solves
+    under the current bound's activator; earlier activators are assumed
+    negatively, which retires their constraints while keeping every learned
+    clause sound.  The driver (``check.run_bmc``) also adds each past
+    activator as a negative unit, outside ``step()``; an assumption true at
+    level 0 then opens no decision level in the solver.
 
-    The simple path constraint is added lazily (Een and Soerensson,
-    *Temporal induction by incremental SAT solving*, BMC 2003).  A query
-    that asks for it solves under one guard literal; while the model
-    repeats a position class (``simple_path_class``), the pairs of positions
-    it repeats get their ``simple_path_pair`` constraint behind the guard,
-    and the query solves again.  An UNSAT round is UNSAT for the full
-    constraint too, since it is a subset of it; a SAT answer is a model
-    without a repeated class, that is a simple path.  A pair of positions up
-    to k stays part of the constraint at every bound from k on, so the
-    pairs, once added, serve every later query.
+    The simple path constraint of the termination check (eventuality chains
+    only) is added lazily (Een and Soerensson, *Temporal induction by
+    incremental SAT solving*, BMC 2003).  A query that asks for it solves
+    under one guard literal; while the model repeats a position class
+    (``simple_path_class``), the pairs of positions it repeats get their
+    ``simple_path_pair`` constraint behind the guard, and the query solves
+    again.  An UNSAT round is UNSAT for the full constraint too, since it is
+    a subset of it; a SAT answer is a model without a repeated class, that
+    is a simple path.  A pair of positions up to k stays part of the
+    constraint at every bound from k on, so the pairs, once added, serve
+    every later query.
     """
 
-    def __init__(self, m: SymbolicModel, psi: Formula, d_max=None):
+    def __init__(self, m: SymbolicModel, psi: Formula, d_max=None, scheme="pltl"):
+        if scheme not in ("pltl", "eventuality", "buchi", "general-buchi"):
+            raise EncodeError(f"scheme {scheme!r} has no incremental session")
+        if scheme in ("eventuality", "buchi"):
+            _reject_past(psi)
         self.m = m
         self.psi = psi
+        self.scheme = scheme
         self.solver = Solver()
         self.b = CircuitBuilder(self.solver)
         self.vm = TimedVarMap(self.b, d_max=d_max)
-        self.cl = closure(psi)
+        self.cl = [] if scheme == "general-buchi" else closure(psi)
+        self.eventuality_chains = scheme in ("pltl", "eventuality")
+        if scheme == "buchi":
+            self.acceptance = _buchi_chains(self.b, self.vm, self.cl)
+        elif scheme == "general-buchi":
+            self.acceptance = _fairness_chains(self.b, self.vm, m)
+        else:
+            self.acceptance = []
         self.k = -1
         # made by the first simple path query, so that step() numbers its
         # variables the same whether or not simple paths are ever asked for
@@ -599,14 +661,8 @@ class IncrementalEncoder:
             self._emit_base()
         else:
             add([_expr_lit(b, vm, m.trans_program, k - 1, k)])
-            li = vm.loop_sel(k)
-            eq = b.equal_vectors(
-                [vm.state_bit(k - 1, n) for n in m.vars],
-                [vm.state_bit(E_INDEX, n) for n in m.vars],
-            )
-            add([b.implies(li, eq)])
-            add([b.iff(vm.in_loop(k), b.or_(vm.in_loop(k - 1), li))])
-            add([b.implies(vm.in_loop(k - 1), -li)])
+            for lit in _loop_step(b, vm, m.vars, k, E_INDEX):
+                add([lit])
         for f in self.cl:
             for lit in _step_constraints(m, b, vm, f, k, E_INDEX):
                 add([lit])
@@ -616,7 +672,7 @@ class IncrementalEncoder:
                 for d in range(0, vm.dcap(f) + 1):
                     proxy = b.iff(vm.fvar(f, L_INDEX, d), vm.fvar(f, k, d))
                     add([b.implies(vm.loop_sel(k), proxy)])
-        self._emit_aux_invariant(k)
+            self._emit_chain_steps(k)
         self._emit_k_dependent(k)
         self.k = k
 
@@ -626,33 +682,41 @@ class IncrementalEncoder:
         for f in self.cl:
             for d in range(0, vm.dcap(f) + 1):
                 add([b.implies(-le, -vm.fvar(f, L_INDEX, d))])
-        for f in self.cl:
-            if f.kind in ("U", "R"):
-                add([_chain_start(vm, f)])
-                add([_chain_end(b, vm, f, E_INDEX)])
-        add([vm.fvar(self.psi, 0, 0)])
+        if self.eventuality_chains:
+            for f in self.cl:
+                if f.kind in ("U", "R"):
+                    add([_chain_start(vm, f)])
+                    add([_chain_end(b, vm, f, E_INDEX)])
+        for role, key, _ in self.acceptance:
+            add([-vm.aux_var(role, key, 0)])
+        add([le] if self.scheme == "general-buchi" else [vm.fvar(self.psi, 0, 0)])
 
-    def _emit_aux_invariant(self, k):
-        if k == 0:
-            return
-        done = set()
-        for f in self.cl:
-            if f.kind in ("U", "R") and (f.kind, f.right.fid) not in done:
-                done.add((f.kind, f.right.fid))
-                self.solver.add_clause([_chain_step(self.b, self.vm, f, k)])
+    def _emit_chain_steps(self, k):
+        b, vm, add = self.b, self.vm, self.solver.add_clause
+        if self.eventuality_chains:
+            done = set()
+            for f in self.cl:
+                if f.kind in ("U", "R") and (f.kind, f.right.fid) not in done:
+                    done.add((f.kind, f.right.fid))
+                    add([_chain_step(b, vm, f, k)])
+        for role, key, hit in self.acceptance:
+            add([_sticky_step(b, vm, role, key, k, hit)])
 
     def _emit_k_dependent(self, k):
         b, vm, m, add = self.b, self.vm, self.m, self.solver.add_clause
         act = vm.activation_lit(k)
         for n in m.vars:
             add([-act, b.iff(vm.state_bit(E_INDEX, n), vm.state_bit(k, n))])
-        add([-act, b.iff(vm.loop_exists(), vm.in_loop(k))])
+        le = vm.loop_exists()
+        add([-act, b.iff(le, vm.in_loop(k))])
         for f in self.cl:
             for d in range(0, vm.dcap(f) + 1):
                 add([-act, b.iff(vm.fvar(f, E_INDEX, d), vm.fvar(f, k, d))])
                 add([-act, b.iff(vm.fvar(f, k + 1, d), vm.fvar(f, L_INDEX, d + 1))])
-            if f.kind in ("U", "R"):
+            if self.eventuality_chains and f.kind in ("U", "R"):
                 add([-act, b.iff(_chain_var(vm, f, E_INDEX), _chain_var(vm, f, k))])
+        for role, key, _ in self.acceptance:
+            add([-act, -le, vm.aux_var(role, key, k)])
 
     # -- queries ---------------------------------------------------------------
 
@@ -668,6 +732,8 @@ class IncrementalEncoder:
         solver = self.solver
         if not simple_path:
             return solver.solve(assumptions, conflict_budget=conflict_budget)
+        if not self.eventuality_chains:
+            raise EncodeError("the simple path constraint needs the eventuality chains")
         if self.sp_guard is None:
             self.sp_guard = self.b.var()
         assumptions.append(self.sp_guard)

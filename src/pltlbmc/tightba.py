@@ -80,7 +80,9 @@ def build_tight_ba(psi: Formula, d_max=None) -> TightBA:
     defines = []
     define_map = {}
 
-    def ref(f, d) -> BoolExpr:
+    def expr(f, d) -> BoolExpr:
+        """f at unrolling d (capped at f's depth); an and/or node is named
+        by its define."""
         d = min(d, dcap(f))
         k = f.kind
         if k == "true":
@@ -92,14 +94,30 @@ def build_tight_ba(psi: Formula, d_max=None) -> TightBA:
         if k == "natom":
             return bnot(bvar(f.name))
         if k in ("&", "|"):
-            dn = f"{VAR_PREFIX}{index[f.fid]}d{d}"
-            if dn not in define_map:
-                sub = band if k == "&" else bor
-                body = sub(ref(f.left, d), ref(f.right, d))
+            return bvar(f"{VAR_PREFIX}{index[f.fid]}d{d}")
+        return bvar(names[(f.fid, d)])
+
+    def ref(f, d) -> BoolExpr:
+        """``expr(f, d)``, once every and/or node it reaches below the
+        temporal nodes has its define, operands first.  An explicit stack
+        walks the nodes, so formulas of any depth are fine."""
+        stack = [(f, d, False)]
+        while stack:
+            g, e, ready = stack.pop()
+            if g.kind not in ("&", "|"):
+                continue
+            e = min(e, dcap(g))
+            dn = f"{VAR_PREFIX}{index[g.fid]}d{e}"
+            if dn in define_map:
+                continue
+            if ready:
+                sub = band if g.kind == "&" else bor
+                body = sub(expr(g.left, e), expr(g.right, e))
                 defines.append((dn, body))
                 define_map[dn] = body
-            return bvar(dn)
-        return bvar(names[(f.fid, d)])
+            else:
+                stack += [(g, e, True), (g.right, e, False), (g.left, e, False)]
+        return expr(f, d)
 
     def nref(f, d) -> BoolExpr:
         # macros expand before shifting; next() may only hit state variables

@@ -1,4 +1,7 @@
+import dataclasses
+import os
 import random
+import sys
 
 import pytest
 
@@ -14,8 +17,10 @@ from pltlbmc.check import (
     RunOptions,
     WitnessFound,
     WitnessValidationError,
+    encode_bound,
     extract_witness,
     run_bmc,
+    scheme_model,
     trace_lines,
     verdict_line,
 )
@@ -76,8 +81,11 @@ class TestRunBmc:
             assert isinstance(v, WitnessFound) and v.k == 6
 
     def test_ltl_scheme_rejects_past(self):
-        with pytest.raises(Exception, match="future"):
-            run_bmc(COUNTER, "!(F (x3 & O x4))", RunOptions(scheme="fixpoint"))
+        for scheme in ("fixpoint", "eventuality", "buchi"):
+            for incremental in (True, False):
+                opts = RunOptions(scheme=scheme, incremental=incremental)
+                with pytest.raises(Exception, match="future"):
+                    run_bmc(COUNTER, "!(F (x3 & O x4))", opts)
 
     def test_general_buchi_scheme(self):
         v = run_bmc(COUNTER, "!(G F x4)", RunOptions(scheme="general-buchi", max_k=8))
@@ -390,14 +398,7 @@ class TestRetiredActivators:
     @pytest.mark.parametrize("increment", [1, 2])
     @pytest.mark.parametrize("completeness", [False, True])
     def test_past_activators_are_false_at_level_0(self, monkeypatch, completeness, increment):
-        sessions = []
-
-        class Recorded(IncrementalEncoder):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                sessions.append(self)
-
-        monkeypatch.setattr(check, "IncrementalEncoder", Recorded)
+        sessions = record_sessions(monkeypatch)
         rng = random.Random(151 + 2 * increment + completeness)
         max_k = 12 if completeness else 6
         retired = 0
@@ -422,6 +423,106 @@ class TestRetiredActivators:
                 if isinstance(v, WitnessFound):
                     assert v.k == ref.k
         assert retired > 20
+
+    def test_every_scheme_but_fixpoint_runs_one_session(self, monkeypatch):
+        sessions = record_sessions(monkeypatch)
+        m = random_symbolic_model(random.Random(5), bits=2)
+        external = (sys.executable, os.path.join(os.path.dirname(__file__), "external_dpll.py"))
+        for scheme in check.SCHEMES:
+            opts = RunOptions(scheme=scheme, max_k=3)
+            run_bmc(m, "G F v0", opts)
+            assert [inc.scheme for inc in sessions] == ([] if scheme == "fixpoint" else [scheme])
+            sessions.clear()
+            for monolithic in (
+                dataclasses.replace(opts, incremental=False),
+                dataclasses.replace(opts, external_solver=external),
+            ):
+                run_bmc(m, "G F v0", monolithic)
+                assert sessions == []
+
+
+def record_sessions(monkeypatch):
+    """The list of every ``IncrementalEncoder`` that ``run_bmc`` builds from
+    now on, in order."""
+    sessions = []
+
+    class Recorded(IncrementalEncoder):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sessions.append(self)
+
+    monkeypatch.setattr(check, "IncrementalEncoder", Recorded)
+    return sessions
+
+
+def assert_valid_witness(m, psi, v):
+    """The witness is a path of m (with its loop, a fair one) on which the
+    bounded semantics makes psi true at position 0."""
+    w = v.witness
+    idx = [sum(bool(st[n]) << j for j, n in enumerate(m.vars)) for st in w.states]
+    bp = BoundedPath(explicit_expand(m), idx, w.loop_start)
+    bp.check()
+    assert eval_bounded(bp, psi, 0)
+    if w.loop_start is not None:
+        loop = w.states[w.loop_start :]
+        for e in m.fairness:
+            assert any(eval_expr(e, st, None, m.define_map) for st in loop)
+
+
+class TestIncrementalSessions:
+    """The eventuality, buchi and general-buchi sessions against their
+    monolithic partners, on seeded random models and formulas: future
+    formulas for the LTL schemes, PLTL formulas and fair models for
+    general-buchi."""
+
+    CASES = [("eventuality", None), ("buchi", None), ("general-buchi", None), ("general-buchi", 1)]
+
+    @staticmethod
+    def instances(seed, scheme, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            fair_sets = rng.choice([0, 1, 2]) if scheme == "general-buchi" else 0
+            m = random_symbolic_model(rng, bits=rng.choice([2, 3]), fair_sets=fair_sets)
+            past = scheme == "general-buchi"
+            psi = random_pnf_formula(rng, list(m.vars), max_cl=6, max_delta=2, allow_past=past)
+            yield m, psi
+
+    @pytest.mark.parametrize("increment", [1, 2])
+    @pytest.mark.parametrize("scheme,d_max", CASES)
+    def test_verdicts_match_the_monolithic_driver(self, monkeypatch, scheme, d_max, increment):
+        sessions = record_sessions(monkeypatch)
+        witnesses = 0
+        seed = 163 + 7 * increment + 3 * self.CASES.index((scheme, d_max))
+        for m, psi in self.instances(seed, scheme, 24):
+            opts = RunOptions(scheme=scheme, d_max=d_max, increment=increment, max_k=6)
+            v = run_bmc(m, psi, opts)
+            assert len(sessions) == 1
+            sessions.clear()
+            ref = run_bmc(m, psi, dataclasses.replace(opts, incremental=False))
+            assert sessions == []
+            assert type(v) == type(ref)
+            if isinstance(v, WitnessFound):
+                assert v.k == ref.k
+                assert v.witness.display_vars == m.vars
+                for found in (v, ref):
+                    assert_valid_witness(m, psi, found)
+                witnesses += 1
+        assert witnesses >= 5
+
+    @pytest.mark.parametrize("scheme,d_max", CASES)
+    def test_each_bound_answers_as_encode_bound(self, scheme, d_max):
+        sat = 0
+        for m, psi in self.instances(173 + self.CASES.index((scheme, d_max)), scheme, 6):
+            opts = RunOptions(scheme=scheme, d_max=d_max)
+            target = scheme_model(m, psi, opts)
+            inc = IncrementalEncoder(target, psi, d_max=d_max, scheme=scheme)
+            for k in range(7):
+                inc.step(k)
+                s, _ = encode_bound(target, psi, k, opts)
+                want = s.solve()
+                assert inc.query_witness() == want, (scheme, k, str(psi))
+                sat += want == SAT
+        assert sat > 0
 
 
 class TestAgainstOracle:

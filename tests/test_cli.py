@@ -344,6 +344,17 @@ class TestDeepExpressions:
             assert code == 1, err
             assert out.startswith("VERDICT WITNESS k=0")
 
+    def test_general_buchi_on_a_spec_with_thousands_of_terms(self, capsys, tmp_path):
+        # the tight automaton defines each of the 1500 nested disjunctions;
+        # the model's shortest loop has four states
+        path = tmp_path / "two.mod"
+        path.write_text(chain_model([]).replace("FAIRNESS d1499\n", ""))
+        spec = " & ".join(["(a | b)"] * 1500)
+        for flags in ([], ["--no-incremental"], ["--dmax", "1"]):
+            code, out, err = run(capsys, ["check", str(path), "--scheme", "general-buchi", "--spec", spec] + flags)
+            assert code == 1, err
+            assert out.startswith("VERDICT WITNESS k=4")
+
 
 class TestPipelines:
     def test_l2s_output_checks_with_bmc(self, capsys, tmp_path):

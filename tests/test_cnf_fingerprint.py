@@ -6,6 +6,10 @@ order.  A refactor of the encoders that changes a digest changed the CNF:
 a clause, its literal order, or the order in which variables are created.
 A deliberate change of an encoding records new golden digests.
 
+The ``incremental-`` tags hash the session of one scheme after each
+``step(k)`` instead: ``incremental-sp0``/``incremental-sp1`` the pltl
+session, the others the session named after them.
+
 The ``minterm:`` tags do the same for two seeded minterm models, whose
 INIT and TRANS repeat each state's minterm and share most of their
 subterms: one 4-bit model and one 3-bit model with fairness defines.
@@ -16,7 +20,7 @@ import random
 
 import pytest
 
-from pltlbmc.check import SCHEMES, RunOptions, encode_bound, scheme_model
+from pltlbmc.check import INCREMENTAL_SCHEMES, SCHEMES, RunOptions, encode_bound, scheme_model
 from pltlbmc.encode import IncrementalEncoder
 from pltlbmc.model import parse_model
 from pltlbmc.pltl import parse_formula, past_depth, s_not, to_pnf
@@ -52,6 +56,10 @@ GOLDEN = {
     "incremental-sp0@d1": "56 39986249c7dece96",
     "incremental-sp1": "56 a55a5526092142e3",
     "incremental-sp1@d1": "56 7e39b59e7b64a210",
+    "incremental-eventuality": "28 022d6b8334dc279e",
+    "incremental-buchi": "28 0d66771a87d4e93c",
+    "incremental-general-buchi": "56 399b60a320bab3f7",
+    "incremental-general-buchi@d1": "56 31412b87566149d6",
 }
 
 MINTERM_SPECS = {
@@ -64,6 +72,7 @@ MINTERM_GOLDEN = {
     "minterm:pltl": "35 da3ea08d7c61ce3b",
     "minterm:general-buchi": "35 f970e9d81497dc55",
     "minterm:incremental-sp1": "35 487c99d86413d020",
+    "minterm:incremental-general-buchi": "35 bd22ff96cae68fe7",
 }
 
 
@@ -83,20 +92,30 @@ def minterm_instances():
 
 def fingerprint(tag):
     """``"<instances> <digest>"`` of one tag: a scheme name or
-    ``incremental-sp0``/``incremental-sp1``, with ``@d1`` for d_max 1, over
-    the fixtures, or over the minterm models with the prefix ``minterm:``.
+    ``incremental-<session>``, with ``@d1`` for d_max 1, over the fixtures,
+    or over the minterm models with the prefix ``minterm:``.
 
-    ``incremental-sp0`` hashes the session after each ``step(k)``;
+    ``incremental-sp0`` hashes the pltl session after each ``step(k)``;
     ``incremental-sp1`` hashes it after ``step(k)`` and a completeness query,
-    so it pins the simple path pairs the lazy refinement adds."""
+    so it pins the simple path pairs the lazy refinement adds.
+    ``incremental-<scheme>`` hashes that scheme's session after each
+    ``step(k)``."""
     source, _, tag = tag.rpartition(":")
     kind, _, depth = tag.partition("@")
     d_max = 1 if depth == "d1" else None
+    session = kind.startswith("incremental-")
+    scheme = kind.partition("-")[2] if session else kind
+    if scheme in ("sp0", "sp1"):
+        scheme = "pltl"
     h = hashlib.sha256()
     count = 0
     for m, psi in minterm_instances() if source else instances():
-        if kind.startswith("incremental"):
-            inc = IncrementalEncoder(m, psi, d_max=d_max)
+        if scheme not in ("pltl", "general-buchi") and past_depth(psi) > 0:
+            continue
+        opts = RunOptions(scheme=scheme, d_max=d_max)
+        target = scheme_model(m, psi, opts)
+        if session:
+            inc = IncrementalEncoder(target, psi, d_max=d_max, scheme=scheme)
             for k in range(MAX_K + 1):
                 inc.step(k)
                 if kind.endswith("sp1"):
@@ -104,10 +123,6 @@ def fingerprint(tag):
                 h.update(repr((inc.solver.nvars, inc.solver.db)).encode())
                 count += 1
             continue
-        if kind not in ("pltl", "general-buchi") and past_depth(psi) > 0:
-            continue
-        opts = RunOptions(scheme=kind, d_max=d_max)
-        target = scheme_model(m, psi, opts)
         for k in range(MAX_K + 1):
             s, _ = encode_bound(target, psi, k, opts)
             h.update(repr((s.nvars, s.db)).encode())
@@ -116,7 +131,9 @@ def fingerprint(tag):
 
 
 def test_every_scheme_is_fingerprinted():
-    assert {tag.partition("@")[0] for tag in GOLDEN} >= set(SCHEMES)
+    kinds = {tag.partition("@")[0] for tag in GOLDEN}
+    assert kinds >= set(SCHEMES)
+    assert kinds >= {f"incremental-{s}" for s in INCREMENTAL_SCHEMES - {"pltl"}}
 
 
 @pytest.mark.parametrize("tag", list(GOLDEN))
