@@ -24,6 +24,7 @@ from .sat import Solver, CircuitBuilder, SAT, UNSAT, export_dimacs, run_external
 from .encode import (
     TimedVarMap,
     IncrementalEncoder,
+    unroll_model,
     encode_ltl_fixpoint,
     encode_ltl_eventuality,
     encode_ltl_buchi,
@@ -108,16 +109,26 @@ def scheme_model(m: SymbolicModel, psi, opts: RunOptions) -> SymbolicModel:
     return m
 
 
-def encode_bound(target: SymbolicModel, psi, k, opts: RunOptions):
-    """A fresh solver holding the scheme's encoding of bound k, and its
-    variable map."""
+def encode_bound(target: SymbolicModel, psi, k, opts: RunOptions, prefix: TimedVarMap = None):
+    """A solver holding the scheme's encoding of bound k, and its variable
+    map.
+
+    Without ``prefix`` the solver is fresh.  With it, ``prefix`` is a map
+    that holds nothing but the model unrolling (``unroll_model``) up to at
+    most k: it is unrolled to k, and the bound is encoded on a copy of it,
+    which gives the same solver as a fresh one, while ``prefix`` stays
+    ready for a later bound."""
     if k < 0:
         raise CheckError(f"k must be non-negative, got {k}")
-    s = Solver()
-    b = CircuitBuilder(s)
-    vm = TimedVarMap(b, d_max=opts.d_max)
-    s.add_clause([SCHEMES[opts.scheme](target, psi, k, b, vm)])
-    return s, vm
+    if prefix is None:
+        vm = TimedVarMap(CircuitBuilder(Solver()), d_max=opts.d_max)
+    else:
+        if len(prefix.steps) > k + 1:
+            raise CheckError(f"the prefix is unrolled past bound {k}")
+        unroll_model(target, k, prefix.b, prefix)
+        vm = prefix.copy()
+    vm.b.solver.add_clause([SCHEMES[opts.scheme](target, psi, k, vm.b, vm)])
+    return vm.b.solver, vm
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +182,10 @@ def run_bmc(m: SymbolicModel, spec, opts: RunOptions = None):
 
     Every scheme in ``INCREMENTAL_SCHEMES`` runs as one incremental session
     (``_run_incremental``); fixpoint, ``incremental=False`` and an external
-    solver encode each bound afresh (``_run_monolithic``)."""
+    solver encode each bound into a solver of its own (``_run_monolithic``).
+    That driver lowers the model unrolling once per run, each TRANS step
+    once, and encodes each bound on a copy of it, with the same CNF as a
+    bound encoded on a fresh solver (``encode_bound``)."""
     opts = opts or RunOptions()
     if isinstance(spec, str):
         spec = parse_formula(spec)
@@ -197,15 +211,28 @@ def _bounds(opts):
 
 
 def _run_monolithic(m, psi, opts):
+    """Encode and solve bound after bound.  The CNF of every bound begins
+    with the model unrolling, so one prefix map holds it for the whole run,
+    each TRANS step lowered once, and each bound is encoded on a copy."""
     target = scheme_model(m, psi, opts)
+    prefix = TimedVarMap(CircuitBuilder(Solver()), d_max=opts.d_max)
     for k in _bounds(opts):
-        s, vm = encode_bound(target, psi, k, opts)
-        res, value_of = _solve(s, opts, k)
-        if res == SAT:
-            w = extract_witness(value_of, vm, target, k)
-            w.display_vars = m.vars
-            return WitnessFound(witness=w, k=k)
+        found = _solve_bound(m, target, psi, k, opts, prefix)
+        if found is not None:
+            return found
     return BoundExhausted(max_k=opts.max_k)
+
+
+def _solve_bound(m, target, psi, k, opts, prefix):
+    """The witness of bound k, or None; the bound's solver dies on return,
+    so the prefix and one bound are all that is alive at a time."""
+    s, vm = encode_bound(target, psi, k, opts, prefix)
+    res, value_of = _solve(s, opts, k)
+    if res != SAT:
+        return None
+    w = extract_witness(value_of, vm, target, k)
+    w.display_vars = m.vars
+    return WitnessFound(witness=w, k=k)
 
 
 def _solve(s, opts, k):

@@ -77,7 +77,7 @@ def main(argv=None) -> int:
     pc.add_argument(
         "--no-incremental",
         action="store_true",
-        help="encode every bound afresh instead of growing one incremental solver",
+        help="give every bound a solver of its own instead of growing one incremental solver",
     )
     pc.add_argument("--complete", action="store_true", help="enable the termination check")
     pc.add_argument("--max-k", type=int, default=25)

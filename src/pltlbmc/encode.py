@@ -8,21 +8,24 @@ unrolling cap alias down to the cap, which realises virtual unrolling.
 
 Monolithic encoders take ``(m, psi, k, b, vm)``, write their gates into the
 builder's solver, and return one literal whose assertion makes the solver
-search for a witness of bound k; the unrolling cap is ``vm.d_max``.  The
-incremental encoder serves every constraint-style scheme (pltl,
-eventuality, buchi, general-buchi), which differ only in their chains.  It
-keeps one growing solver and adds its clauses to it directly; constraints
-that mention the current bound are guarded by per-bound activation literals
-so that moving to a larger bound never deletes clauses, it just stops
-assuming the stale activators.  The loop selector step (``_loop_step``) is
-the same for both kinds of encoder.  The simple path constraint of the
-termination check is added lazily, one pair of positions at a time, behind
-one guard literal.
+search for a witness of bound k; the unrolling cap is ``vm.d_max``.  Each
+begins with the model unrolling (``encode_model_k``), of which the map may
+already hold a prefix; the driver keeps one unrolling per run and encodes
+each bound on a copy.  The incremental encoder serves every
+constraint-style scheme (pltl, eventuality, buchi, general-buchi), which
+differ only in their chains.  It keeps one growing solver and adds its
+clauses to it directly; constraints that mention the current bound are
+guarded by per-bound activation literals so that moving to a larger bound
+never deletes clauses, it just stops assuming the stale activators.  The
+model unrolling (``unroll_model``) and the loop selector step
+(``_loop_step``) are the same for both kinds of encoder.  The simple path
+constraint of the termination check is added lazily, one pair of positions
+at a time, behind one guard literal.
 """
 
 from __future__ import annotations
 
-from .pltl import Formula, closure, past_depth
+from .pltl import Formula, closure, memoised, past_depth
 from .model import SymbolicModel, ModelError
 from .sat import SAT, CircuitBuilder, Solver
 
@@ -60,6 +63,17 @@ class TimedVarMap:
         self.aux = {}  # (role, key, i) -> lit
         self.activation = {}  # k -> lit
         self.classes = {}  # i -> simple path class literals of position i
+        self.steps = []  # literals of I(s_0), T(s_0, s_1), ... (``unroll_model``)
+
+    def copy(self) -> "TimedVarMap":
+        """The same map over a copy of its builder and solver
+        (``CircuitBuilder.copy``); what either adds leaves the other as it
+        was."""
+        c = TimedVarMap.__new__(TimedVarMap)
+        for name, value in self.__dict__.items():
+            setattr(c, name, value.copy() if isinstance(value, (dict, list)) else value)
+        c.b = self.b.copy()
+        return c
 
     def dcap(self, f: Formula) -> int:
         if self.d_max is None:
@@ -167,12 +181,29 @@ def atom_lit(b, vm, m, name, i) -> int:
     raise UnresolvedAtomError(f"atom {name!r} is neither a variable nor a define")
 
 
+def unroll_model(m: SymbolicModel, k, b, vm) -> list:
+    """The literals of I(s_0) and T(s_{i-1}, s_i) for i = 1..k, in order.
+
+    The steps not yet in ``vm.steps`` are lowered after the ones that are,
+    so a map unrolled bound by bound holds the same gates, clauses and
+    variable numbers as one unrolled to k at once."""
+    steps = vm.steps
+    if not steps:
+        steps.append(_expr_lit(b, vm, m.init_program, 0))
+    for i in range(len(steps), k + 1):
+        steps.append(_expr_lit(b, vm, m.trans_program, i - 1, i))
+    return steps[: k + 1]
+
+
 def encode_model_k(m: SymbolicModel, k, b, vm) -> int:
-    """I(s_0) and the k-fold unrolling of the transition relation."""
-    parts = [_expr_lit(b, vm, m.init_program, 0)]
-    for i in range(1, k + 1):
-        parts.append(_expr_lit(b, vm, m.trans_program, i - 1, i))
-    return b.and_(*parts)
+    """I(s_0) and the k-fold unrolling of the transition relation.
+
+    Every monolithic encoder calls this first, right after the builder's
+    TRUE variable, so the CNF of bound k begins with the unrolling
+    (``unroll_model``) up to k, and the steps already in ``vm`` are reused:
+    a copy of a map unrolled to k (``TimedVarMap.copy``) encodes bound k to
+    the same CNF as a fresh map."""
+    return b.and_(*unroll_model(m, k, b, vm))
 
 
 def _loop_step(b, vm, model_vars, i, end):
@@ -219,68 +250,58 @@ def encode_ltl_fixpoint(m: SymbolicModel, psi: Formula, k, b, vm) -> int:
     Until and release at the last position dispatch through the loop
     selectors into an auxiliary translation that under-approximates least
     fixpoints and over-approximates greatest fixpoints, which is exact at
-    the loop point.
+    the loop point.  The translation of (subformula, position) pairs runs
+    on ``memoised``'s explicit stack, in the order of the plain recursion.
     """
     _reject_past(psi)
     mlit = encode_model_k(m, k, b, vm)
     llit = encode_loop_constraints(k, b, vm, m.vars)
-    memo = {}
-    aux_memo = {}
 
-    def aux(f, i):
-        key = (f.fid, i)
-        if key in aux_memo:
-            return aux_memo[key]
-        if i == k:
-            v = tr(f.right, k)
-        elif f.kind == "U":
-            v = b.or_(tr(f.right, i), b.and_(tr(f.left, i), aux(f, i + 1)))
-        else:
-            v = b.and_(tr(f.right, i), b.or_(tr(f.left, i), aux(f, i + 1)))
-        aux_memo[key] = v
-        return v
+    def loop_dispatch(role, f):
+        parts = []
+        for j in range(1, k + 1):
+            sel = vm.loop_sel(j)
+            parts.append(b.and_(sel, (yield role, f, j)))
+        return b.or_(*parts)
 
-    def loop_dispatch(get):
-        return b.or_(*[b.and_(vm.loop_sel(j), get(j)) for j in range(1, k + 1)])
-
-    def tr(f, i):
-        key = (f.fid, i)
-        if key in memo:
-            return memo[key]
+    def rule(key):
+        """("tr", f, i): f at position i; ("aux", f, i): the auxiliary
+        translation of the until or release f from position i to k."""
+        role, f, i = key
+        if role == "aux" and i == k:
+            return (yield "tr", f.right, k)
         kk = f.kind
         if kk == "true":
-            v = b.TRUE
-        elif kk == "false":
-            v = b.FALSE
-        elif kk == "atom":
-            v = atom_lit(b, vm, m, f.name, i)
-        elif kk == "natom":
-            v = -atom_lit(b, vm, m, f.name, i)
-        elif kk == "&":
-            v = b.and_(tr(f.left, i), tr(f.right, i))
-        elif kk == "|":
-            v = b.or_(tr(f.left, i), tr(f.right, i))
-        elif kk == "X":
+            return b.TRUE
+        if kk == "false":
+            return b.FALSE
+        if kk == "atom":
+            return atom_lit(b, vm, m, f.name, i)
+        if kk == "natom":
+            return -atom_lit(b, vm, m, f.name, i)
+        if kk in ("&", "|"):
+            left = yield "tr", f.left, i
+            right = yield "tr", f.right, i
+            return b.and_(left, right) if kk == "&" else b.or_(left, right)
+        if kk == "X":
             if i < k:
-                v = tr(f.left, i + 1)
-            else:
-                v = loop_dispatch(lambda j: tr(f.left, j))
-        elif kk == "U":
-            if i < k:
-                v = b.or_(tr(f.right, i), b.and_(tr(f.left, i), tr(f, i + 1)))
-            else:
-                v = b.or_(tr(f.right, k), b.and_(tr(f.left, k), loop_dispatch(lambda j: aux(f, j))))
-        elif kk == "R":
-            if i < k:
-                v = b.and_(tr(f.right, i), b.or_(tr(f.left, i), tr(f, i + 1)))
-            else:
-                v = b.and_(tr(f.right, k), b.or_(tr(f.left, k), loop_dispatch(lambda j: aux(f, j))))
-        else:
+                return (yield "tr", f.left, i + 1)
+            return (yield from loop_dispatch("tr", f.left))
+        if kk not in ("U", "R"):
             raise PastOperatorError(f"{kk} is a past operator")
-        memo[key] = v
-        return v
+        right = yield "tr", f.right, i
+        left = yield "tr", f.left, i
+        if role == "aux":
+            later = yield "aux", f, i + 1
+        elif i < k:
+            later = yield "tr", f, i + 1
+        else:
+            later = yield from loop_dispatch("aux", f)
+        if kk == "U":
+            return b.or_(right, b.and_(left, later))
+        return b.and_(right, b.or_(left, later))
 
-    return b.and_(mlit, llit, tr(psi, 0))
+    return b.and_(mlit, llit, memoised(rule, ("tr", psi, 0)))
 
 
 def _reject_past(psi):
@@ -656,11 +677,10 @@ class IncrementalEncoder:
         if k != self.k + 1:
             raise EncodeError(f"step({k}) out of order, expected {self.k + 1}")
         b, vm, m, add = self.b, self.vm, self.m, self.solver.add_clause
+        add([unroll_model(m, k, b, vm)[k]])
         if k == 0:
-            add([_expr_lit(b, vm, m.init_program, 0)])
             self._emit_base()
         else:
-            add([_expr_lit(b, vm, m.trans_program, k - 1, k)])
             for lit in _loop_step(b, vm, m.vars, k, E_INDEX):
                 add([lit])
         for f in self.cl:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .pltl import Formula, closure, past_depth
+from .pltl import Formula, closure, memoised, past_depth
 from .model import ExplicitModel, reachable_states
 
 
@@ -315,59 +315,51 @@ def eval_bounded(path: BoundedPath, f: Formula, i: int) -> bool:
         return eval_lasso(path.word(), f, i, names=path.em.names())
     labels = [path.em.labels[s] for s in path.states]
     names = path.em.names()
-    memo = {}
 
-    def ev(g, t):
-        key = (g.fid, t)
-        if key in memo:
-            return memo[key]
+    def rule(key):
+        g, t = key
         kk = g.kind
         if kk == "true":
-            v = True
-        elif kk == "false":
-            v = False
-        elif kk == "atom":
+            return True
+        if kk == "false":
+            return False
+        if kk == "atom":
             _check_atom(names, g.name)
-            v = g.name in labels[t]
-        elif kk == "natom":
+            return g.name in labels[t]
+        if kk == "natom":
             _check_atom(names, g.name)
-            v = g.name not in labels[t]
-        elif kk == "&":
-            v = ev(g.left, t) and ev(g.right, t)
-        elif kk == "|":
-            v = ev(g.left, t) or ev(g.right, t)
-        elif kk == "X":
-            v = t < k and ev(g.left, t + 1)
-        elif kk == "U":
-            v = False
+            return g.name not in labels[t]
+        if kk == "&":
+            return (yield g.left, t) and (yield g.right, t)
+        if kk == "|":
+            return (yield g.left, t) or (yield g.right, t)
+        if kk == "X":
+            return t < k and (yield g.left, t + 1)
+        if kk == "U":
             for j in range(t, k + 1):
-                if ev(g.right, j):
-                    v = True
-                    break
-                if not ev(g.left, j):
-                    break
-        elif kk == "R":
-            v = False
+                if (yield g.right, j):
+                    return True
+                if not (yield g.left, j):
+                    return False
+            return False
+        if kk == "R":
             for j in range(t, k + 1):
-                if not ev(g.right, j):
-                    break
-                if ev(g.left, j):
-                    v = True
-                    break
-        elif kk == "Y":
-            v = t > 0 and ev(g.left, t - 1)
-        elif kk == "Z":
-            v = t == 0 or ev(g.left, t - 1)
-        elif kk == "S":
-            v = ev(g.right, t) or (t > 0 and ev(g.left, t) and ev(g, t - 1))
-        elif kk == "T":
-            v = ev(g.right, t) and (t == 0 or ev(g.left, t) or ev(g, t - 1))
-        else:
-            raise OracleError(f"unknown kind {kk!r}")
-        memo[key] = v
-        return v
+                if not (yield g.right, j):
+                    return False
+                if (yield g.left, j):
+                    return True
+            return False
+        if kk == "Y":
+            return t > 0 and (yield g.left, t - 1)
+        if kk == "Z":
+            return t == 0 or (yield g.left, t - 1)
+        if kk == "S":
+            return (yield g.right, t) or (t > 0 and (yield g.left, t) and (yield g, t - 1))
+        if kk == "T":
+            return (yield g.right, t) and (t == 0 or (yield g.left, t) or (yield g, t - 1))
+        raise OracleError(f"unknown kind {kk!r}")
 
-    return ev(f, i)
+    return memoised(rule, (f, i))
 
 
 @dataclass

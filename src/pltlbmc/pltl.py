@@ -477,6 +477,35 @@ def closure(f: Formula) -> list:
     return out
 
 
+def memoised(rule, root):
+    """The value of ``root`` under a memoised recursive definition, computed
+    on an explicit stack, so formulas of any depth are fine.
+
+    ``rule(key)`` is a generator: it yields each key whose value it needs,
+    is sent that value back, and returns the value of ``key``.  Every key is
+    computed once, and the keys are computed in the order the plain
+    recursion would compute them, so side effects such as gate creation
+    happen in that order too."""
+    memo = {}
+    stack = [(root, rule(root))]
+    value = None
+    while True:
+        key, gen = stack[-1]
+        try:
+            need = gen.send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = memo[key] = done.value
+            if not stack:
+                return value
+            continue
+        if need in memo:
+            value = memo[need]
+        else:
+            stack.append((need, rule(need)))
+            value = None
+
+
 def atoms_of(f) -> set:
     """Atom names referenced by a formula (surface or PNF)."""
     out = set()

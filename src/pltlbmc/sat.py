@@ -449,6 +449,38 @@ class Solver:
         self.restarts += restarts
         return result
 
+    def copy(self) -> "Solver":
+        """An independent solver in the same state, taken at decision level 0.
+
+        Recorded clauses are never mutated, and neither are two-literal
+        clauses once attached, so the copy shares them; it gets its own
+        lists of them.  Propagation reorders the literals of longer clauses
+        and their watch lists, so those clauses are copied, and the watch
+        lists are rebuilt from the copies' first two literals, which are
+        the watches, in attach order.  That is their order in a solver that
+        has not solved yet (the monolithic driver copies such solvers), so
+        such a copy continues exactly as the original would; after solves
+        the copy gives the same answers, searching in its own order.
+        """
+        assert not self.trail_lim, "only a solver at decision level 0 can be copied"
+        c = Solver.__new__(Solver)
+        c.__dict__.update(self.__dict__)  # the counters and flags
+        for name in ("db", "vals", "level", "reason", "saved", "activity", "_seen", "_in_heap", "_heap", "trail"):
+            setattr(c, name, getattr(self, name)[:])
+        c.trail_lim = []
+        c.model = []
+        c.bins = dict(zip(self.bins, map(list.copy, self.bins.values())))
+        watches = c.watches = {lit: [] for lit in self.watches}
+        clauses = c._clauses = []
+        append = clauses.append
+        for clause in self._clauses:
+            if len(clause) > 2:
+                clause = clause[:]
+                watches[clause[0]].append(clause)
+                watches[clause[1]].append(clause)
+            append(clause)
+        return c
+
     def stats(self):
         return {
             "vars": self.nvars,
@@ -484,15 +516,29 @@ class CircuitBuilder:
 
     Every new gate writes its full Tseitin definition into the solver when it
     is created, so the clauses of a gate exist as soon as its literal does.
+
+    With ``template``, the builder continues ``template``'s gates on
+    ``solver``, which must be a copy of the template's solver (``copy``).
     """
 
-    def __init__(self, solver: Solver):
+    def __init__(self, solver: Solver, template: "CircuitBuilder" = None):
         self.solver = solver
-        self.cache = {}
-        t = solver.new_var()
+        if template is None:
+            self.cache = {}
+            t = solver.new_var()
+            solver.add_clause([t])
+        else:
+            self.cache = template.cache.copy()
+            t = template.TRUE
         self.TRUE = t
         self.FALSE = -t
-        solver.add_clause([t])
+
+    def copy(self) -> "CircuitBuilder":
+        """A builder over a copy of this one's solver, with the same gates;
+        what either adds leaves the other as it was.  The copy is made
+        through ``__init__``, so code that wraps it (the benchmark's
+        tracer) sees every builder."""
+        return CircuitBuilder(self.solver.copy(), self)
 
     # -- variables and gates ---------------------------------------------------
 

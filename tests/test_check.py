@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import os
 import random
@@ -8,7 +9,7 @@ import pytest
 from pltlbmc import check
 from pltlbmc.model import parse_model, eval_expr, explicit_expand
 from pltlbmc.pltl import parse_formula, past_depth, s_not, to_pnf, closure
-from pltlbmc.sat import INTERRUPTED, SAT, UNSAT, Solver, CircuitBuilder
+from pltlbmc.sat import INTERRUPTED, SAT, UNSAT, Solver, CircuitBuilder, export_dimacs, run_external_solver
 from pltlbmc.encode import IncrementalEncoder, TimedVarMap, encode_pltl, simple_path_pair
 from pltlbmc.check import (
     BoundExhausted,
@@ -523,6 +524,110 @@ class TestIncrementalSessions:
                 assert inc.query_witness() == want, (scheme, k, str(psi))
                 sat += want == SAT
         assert sat > 0
+
+
+def solver_state(s):
+    """What a solver's answers and its next changes depend on, in order."""
+    return (
+        s.nvars, s.db, s._clauses, s.watches, s.bins, s._heap, s.trail,
+        s.vals, s.level, s.saved, s.activity, s.qhead, s.ok,
+    )
+
+
+class TestMonolithicPrefix:
+    """The monolithic driver lowers the model unrolling once per run and
+    encodes each bound on a copy of it: every bound's solver is the one
+    ``encode_bound`` builds on a fresh solver."""
+
+    @staticmethod
+    def instances(seed, scheme, count):
+        rng = random.Random(seed)
+        past = scheme in ("pltl", "general-buchi")
+        for _ in range(count):
+            fair_sets = rng.choice([0, 1, 2]) if scheme == "general-buchi" else 0
+            m = random_symbolic_model(rng, bits=rng.choice([2, 3]), fair_sets=fair_sets)
+            yield m, random_pnf_formula(rng, list(m.vars), max_cl=6, max_delta=2, allow_past=past)
+
+    @pytest.mark.parametrize("increment", [1, 2])
+    @pytest.mark.parametrize("d_max", [None, 0, 1])
+    @pytest.mark.parametrize("scheme", sorted(check.SCHEMES))
+    def test_each_bound_the_driver_solves_equals_a_fresh_encoding(
+        self, monkeypatch, scheme, d_max, increment
+    ):
+        targets = []
+
+        def recorded_scheme_model(m, psi, opts):
+            targets.append(scheme_model(m, psi, opts))
+            return targets[-1]
+
+        solve = check._solve
+        bounds = []
+
+        def compared_solve(s, opts, k):
+            fresh, _ = encode_bound(targets[-1], psi, k, opts)
+            assert solver_state(s) == solver_state(fresh), k
+            res = solve(s, opts, k)
+            assert res[0] == fresh.solve()
+            assert s.stats() == fresh.stats()
+            bounds.append(k)
+            return res
+
+        monkeypatch.setattr(check, "scheme_model", recorded_scheme_model)
+        monkeypatch.setattr(check, "_solve", compared_solve)
+        seed = 191 + 11 * sorted(check.SCHEMES).index(scheme) + 3 * (d_max or 0) + increment
+        for m, psi in self.instances(seed, scheme, 8):
+            opts = RunOptions(scheme=scheme, d_max=d_max, incremental=False, increment=increment, max_k=5)
+            before = len(bounds)
+            v = run_bmc(m, psi, opts)
+            k_last = v.k if isinstance(v, WitnessFound) else opts.max_k - (opts.max_k % increment)
+            assert bounds[before:] == list(range(0, k_last + 1, increment))
+        assert max(bounds) >= 4 and len(bounds) >= 12, bounds
+
+    @pytest.mark.parametrize("scheme", sorted(check.SCHEMES))
+    def test_solving_a_bound_leaves_the_prefix_intact(self, scheme):
+        for m, psi in self.instances(197, scheme, 3):
+            opts = RunOptions(scheme=scheme, d_max=1)
+            target = scheme_model(m, psi, opts)
+            prefix = TimedVarMap(CircuitBuilder(Solver()), d_max=1)
+            for k in range(6):
+                s, vm = encode_bound(target, psi, k, opts, prefix)
+                fresh, fresh_vm = encode_bound(target, psi, k, opts)
+                assert solver_state(s) == solver_state(fresh)
+                assert vars(vm).keys() == vars(fresh_vm).keys()
+                assert vm.state == fresh_vm.state and vm.fvars == fresh_vm.fvars
+                unrolled = copy.deepcopy((solver_state(prefix.b.solver), prefix.steps, prefix.state))
+                assert s.solve() == fresh.solve()
+                s.add_clause([s.nvars])
+                s.solve()
+                assert (solver_state(prefix.b.solver), prefix.steps, prefix.state) == unrolled
+                assert len(prefix.steps) == k + 1 and len(prefix.b.cache) < len(vm.b.cache)
+        with pytest.raises(CheckError, match="past bound 2"):
+            encode_bound(target, psi, 2, opts, prefix)
+
+    def test_an_external_solver_reads_the_cnf_of_a_fresh_encoding(self, monkeypatch, tmp_path):
+        external = (sys.executable, os.path.join(os.path.dirname(__file__), "external_dpll.py"))
+        read = []
+
+        def spy(cmd, path):
+            read.append(open(path).read())
+            return run_external_solver(cmd, path)
+
+        monkeypatch.setattr(check, "run_external_solver", spy)
+        for scheme in sorted(check.SCHEMES):
+            for increment in (1, 2):
+                ((m, psi),) = self.instances(199 + increment, scheme, 1)
+                opts = RunOptions(scheme=scheme, increment=increment, max_k=4, external_solver=external)
+                read.clear()
+                v = run_bmc(m, psi, opts)
+                target = scheme_model(m, psi, opts)
+                written = []
+                for n, k in enumerate(range(0, opts.max_k + 1, increment)[: len(read)]):
+                    s, _ = encode_bound(target, psi, k, opts)
+                    export_dimacs(s, tmp_path / f"{n}.cnf")
+                    written.append((tmp_path / f"{n}.cnf").read_text())
+                assert read == written
+                ref = run_bmc(m, psi, dataclasses.replace(opts, external_solver=None, incremental=False))
+                assert type(v) == type(ref) and getattr(v, "k", None) == getattr(ref, "k", None)
 
 
 class TestAgainstOracle:

@@ -344,6 +344,30 @@ class TestDeepExpressions:
             assert code == 1, err
             assert out.startswith("VERDICT WITNESS k=0")
 
+    def test_fixpoint_on_a_spec_with_thousands_of_terms(self, capsys, tmp_path):
+        # the fixpoint translation walks the 1500 nested conjunctions
+        path = tmp_path / "two.mod"
+        path.write_text(chain_model([]).replace("FAIRNESS d1499\n", ""))
+        spec = " & ".join(["(a | b)"] * 1500)
+        for flags in (["--scheme", "fixpoint"], ["--scheme", "fixpoint", "--increment", "2"]):
+            code, out, err = run(capsys, ["check", str(path), "--spec", spec] + flags)
+            assert code == 1, err
+            assert out.startswith("VERDICT WITNESS k=0")
+
+    def test_oracle_on_a_spec_with_thousands_of_terms(self, capsys, tmp_path):
+        # the bounded semantics evaluates the 1500 nested conjunctions
+        path = tmp_path / "two.mod"
+        path.write_text(chain_model([]).replace("FAIRNESS d1499\n", ""))
+        spec = " & ".join(["(a | b)"] * 1500)
+        code, out, err = run(capsys, ["oracle", str(path), "--spec", spec])
+        assert code == 1, err
+        assert out.startswith("VERDICT WITNESS k=0")
+        # no witness: the conjunction is evaluated wherever b holds, on
+        # every path up to the bound
+        code, out, err = run(capsys, ["oracle", str(path), "--spec", f"G (b -> {spec})", "--max-k", "4"])
+        assert code == 2, err
+        assert out.startswith("VERDICT UNKNOWN max_k=4")
+
     def test_general_buchi_on_a_spec_with_thousands_of_terms(self, capsys, tmp_path):
         # the tight automaton defines each of the 1500 nested disjunctions;
         # the model's shortest loop has four states

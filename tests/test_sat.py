@@ -1,3 +1,4 @@
+import copy
 import itertools
 import os
 import random
@@ -576,6 +577,63 @@ class TestIncrementalSessions:
         with pytest.raises(ValueError, match="names no variable"):
             s.solve([a, -3])
         assert s.db == [] and s.solve([a]) == SAT
+
+
+def solver_state(s):
+    """What the solver's answers and its next changes depend on, in order."""
+    return (
+        s.nvars, s.db, s._clauses, s.watches, s.bins, s._heap, s.trail,
+        s.vals, s.level, s.saved, s.activity, s.qhead, s.ok, s.stats(),
+    )
+
+
+class TestCopy:
+    @pytest.mark.parametrize("solved", [False, True])
+    def test_a_copy_answers_as_the_original_and_leaves_it_alone(self, solved):
+        """Before any solve the copy is the original's state exactly; after
+        solves, which move watches, it gives the same answers."""
+        rng = random.Random(47 + solved)
+        answers = {SAT: 0, UNSAT: 0}
+        for _ in range(40):
+            s = Solver()
+            for _ in range(rng.randint(3, 8)):
+                s.new_var()
+            for _ in range(rng.randint(5, 30)):
+                s.add_clause(random_clause(rng, s.nvars))
+                if solved and rng.random() < 0.2:
+                    s.solve([rng.choice([1, -1]) * rng.randint(1, s.nvars)])
+            c = s.copy()
+            for name, value in vars(c).items():
+                if isinstance(value, (list, dict)):
+                    assert value is not vars(s)[name], name
+            before = copy.deepcopy(solver_state(s))
+            twin = copy.deepcopy(s)
+            for _ in range(rng.randint(3, 12)):
+                if not solved:
+                    assert solver_state(c) == solver_state(twin)
+                if rng.random() < 0.5:
+                    clause = random_clause(rng, c.nvars)
+                    c.add_clause(clause)
+                    twin.add_clause(clause)
+                else:
+                    assumptions = [rng.choice([1, -1]) * rng.randint(1, c.nvars) for _ in range(2)]
+                    res = c.solve(assumptions)
+                    assert twin.solve(assumptions) == res
+                    answers[res] += 1
+            assert solver_state(s) == before
+        assert min(answers.values()) > 0, answers
+
+    def test_a_copied_builder_continues_the_gates_of_its_template(self):
+        s = Solver()
+        b = CircuitBuilder(s)
+        x, y = b.var(), b.var()
+        g = b.and_(x, y)
+        c = b.copy()
+        assert (c.TRUE, c.FALSE) == (b.TRUE, b.FALSE)
+        assert c.and_(x, y) == g and c.solver.nvars == s.nvars
+        h = c.or_(x, y)
+        assert s.nvars == 4 and c.solver.nvars == 5 and len(c.cache) == len(b.cache) + 1
+        assert b.or_(x, y) == h  # the same number, made on each side apart
 
 
 class TestRetiredAssumptions:
