@@ -18,13 +18,21 @@ Several TRANS and FAIRNESS lines may appear; TRANS lines are conjoined.
 A name is declared once, as a variable or as a DEFINE, in either order.
 Expressions use ``! & | -> <->``, ``true``/``false``, parentheses, names,
 and ``next(name)`` (TRANS only, state variables only).
+
+The front end here serves both model expressions and PLTL formulas
+(``pltl`` adds the temporal operators): one tokenizer, one
+operator-precedence parser and one printer, all on explicit stacks, so
+inputs of any depth parse and print.  A ``Grammar`` supplies a language's
+operator table, node builders and error words.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
+from functools import cached_property, partial
+from operator import attrgetter
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -174,152 +182,182 @@ class SymbolicModel:
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# Parsing and printing: one front end for expressions and formulas
 # ---------------------------------------------------------------------------
 
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789=")
+# A name, or an operator or parenthesis.  Blanks and newlines separate
+# tokens; ``_VALID`` reads tokens and blanks as far as it can, so where it
+# stops there is a character that starts no token.
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_=]*|<->|->|[!&|()]")
+_VALID = re.compile(rf"(?:{_TOKEN.pattern}|[ \t\r\n])*")
+_PUNCT = frozenset(["<->", "->", "!", "&", "|", "(", ")"])
+
+# Binary operator -> (its precedence, the least precedence of an operand
+# written without parentheses on its left, the same on its right).  ``&``
+# and ``|`` associate to the left, the implications to the right.
+BINARY = {"<->": (0, 1, 0), "->": (1, 2, 1), "|": (2, 2, 3), "&": (3, 3, 4)}
+_UNARY_PREC = 5  # prefix operators bind tighter than every binary one
+_OPEN = (-1, "(")  # an open parenthesis on the parser's operator stack
+
+_LEAF_TEXT = {"var": "{}", "next": "next({})", "atom": "{}", "natom": "!{}", "true": "true", "false": "false"}
 
 
-def _tokenize_expr(text, line_no):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t":
-            i += 1
-            continue
-        col = i + 1
-        if c in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            tokens.append(("ident", text[i:j], line_no, col))
-            i = j
-        elif c == "(":
-            tokens.append(("(", c, line_no, col))
-            i += 1
-        elif c == ")":
-            tokens.append((")", c, line_no, col))
-            i += 1
-        elif c == "!":
-            tokens.append(("op", "!", line_no, col))
-            i += 1
-        elif c == "&":
-            tokens.append(("op", "&", line_no, col))
-            i += 1
-        elif c == "|":
-            tokens.append(("op", "|", line_no, col))
-            i += 1
-        elif c == "-" and text[i : i + 2] == "->":
-            tokens.append(("op", "->", line_no, col))
-            i += 2
-        elif c == "<" and text[i : i + 3] == "<->":
-            tokens.append(("op", "<->", line_no, col))
-            i += 3
-        else:
-            raise ModelError(f"line {line_no}, column {col}: unexpected character {c!r}")
-    tokens.append(("eof", None, line_no, n + 1))
-    return tokens
+def _where(text, line, start, i):
+    """(line, column) of token ``i`` of ``text`` read from ``start``, where
+    ``text[start]`` is on line ``line``; token ``i`` may also be the end of
+    the text, one past the last token."""
+    offsets = [m.start() for m in _TOKEN.finditer(text, start)] + [len(text)]
+    return _line_col(text, line, start, offsets[i])
 
 
-class _ExprParser:
-    """Boolean expressions with the same precedence ladder as formulas."""
+def _line_col(text, line, start, offset):
+    return line + text.count("\n", start, offset), offset - text.rfind("\n", 0, offset)
 
-    def __init__(self, text, line_no, allow_next):
-        self.tokens = _tokenize_expr(text, line_no)
-        self.pos = 0
-        self.allow_next = allow_next
 
-    def peek(self):
-        return self.tokens[self.pos]
+class Grammar(NamedTuple):
+    """A language on the shared front end: model expressions here, formulas
+    in ``pltl``.  The tokenizer, the parser and the printer are the same for
+    every grammar and keep explicit stacks, so inputs of any depth parse and
+    print; a grammar supplies its operator tables, its node builders and
+    the words of its error messages."""
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
+    binary: dict  # binary operators, as in ``BINARY``
+    unary: frozenset  # prefix operators
+    leaf: Callable  # (grammar, tokens, i, where) -> (leaf tokens[i] starts, index after it)
+    node: Callable  # (kind, operands) -> operator node
+    operands: Callable  # operator node -> its operands
+    error: Callable  # (message, line, column) -> the exception to raise
+    missing: str  # message for a missing operand
+    trailing: str  # message for input after a complete tree
+    end: str  # how messages show the end of the text
 
-    def error(self, message):
-        kind, value, line, col = self.peek()
-        shown = value if value is not None else "end of line"
-        raise ModelError(f"line {line}, column {col}: {message}, got {shown!r}")
+    def tokenize(self, text, line=1, start=0):
+        """The tokens of ``text`` from ``start`` on, each a name or an
+        operator or parenthesis, and ``None`` for the end of the text."""
+        stop = _VALID.match(text, start).end()
+        if stop < len(text):
+            raise self.error(f"unexpected character {text[stop]!r}", *_line_col(text, line, start, stop))
+        return _TOKEN.findall(text, start) + [None]
 
-    def parse(self):
-        e = self.parse_iff()
-        if self.peek()[0] != "eof":
-            self.error("trailing input after expression")
-        return e
+    def expected(self, message, token, position):
+        """The error for ``message`` at ``token``, which it shows;
+        ``position`` is the token's (line, column)."""
+        return self.error(f"{message}, got {(token or self.end)!r}", *position)
 
-    def parse_iff(self):
-        left = self.parse_imp()
-        if self.peek()[:2] == ("op", "<->"):
-            self.advance()
-            return biff(left, self.parse_iff())
-        return left
+    def parse(self, text, line=1, start=0):
+        """The tree of ``text`` from ``start`` on.
 
-    def parse_imp(self):
-        left = self.parse_or()
-        if self.peek()[:2] == ("op", "->"):
-            self.advance()
-            return bimp(left, self.parse_imp())
-        return left
+        Operator precedence parsing: operands and pending operators wait on
+        two stacks, and each operator is applied once the next binary
+        operator binds looser than its right operand may.  Token positions
+        are worked out only for an error message.
+        """
+        tokens = self.tokenize(text, line, start)
+        where = partial(_where, text, line, start)
+        binary, unary, node = self.binary, self.unary, self.node
+        operands = []
+        pending = []  # (least precedence of the right operand, operator)
+        i = 0
+        while True:
+            token = tokens[i]
+            if token in unary:
+                pending.append((_UNARY_PREC, token))
+                i += 1
+                continue
+            if token == "(":
+                pending.append(_OPEN)
+                i += 1
+                continue
+            if token is None or token in _PUNCT or token in binary:
+                raise self.expected(self.missing, token, where(i))
+            leaf, i = self.leaf(self, tokens, i, where)
+            operands.append(leaf)
+            while True:  # after an operand: close parentheses up to a binary operator
+                token = tokens[i]
+                prec = binary[token][0] if token in binary else -1
+                while pending and pending[-1][0] > prec:
+                    op = pending.pop()[1]
+                    right = operands.pop()
+                    if op in unary:
+                        operands.append(node(op, (right,)))
+                    else:
+                        operands[-1] = node(op, (operands[-1], right))
+                if prec >= 0:
+                    pending.append((binary[token][2], token))
+                    i += 1
+                    break
+                if token == ")" and pending:
+                    pending.pop()
+                    i += 1
+                    continue
+                if token is None and not pending:
+                    return operands[0]
+                raise self.expected("expected ')'" if pending else self.trailing, token, where(i))
 
-    def parse_or(self):
-        left = self.parse_and()
-        while self.peek()[:2] == ("op", "|"):
-            self.advance()
-            left = bor(left, self.parse_and())
-        return left
+    def format(self, root, parent_prec=-1):
+        """Text of ``root`` with the parentheses its precedence needs, where
+        ``parent_prec`` is the least precedence it may have unbracketed.
+        Pieces are emitted left to right from an explicit stack."""
+        out = []
+        todo = [(root, parent_prec)]  # (node, parent precedence) pairs and literal pieces
+        while todo:
+            item = todo.pop()
+            if item.__class__ is str:
+                out.append(item)
+                continue
+            e, parent_prec = item
+            k = e.kind
+            if k in _LEAF_TEXT:
+                out.append(_LEAF_TEXT[k].format(e.name))
+                continue
+            args = self.operands(e)
+            if len(args) == 1:
+                out.append("!" if k == "!" else k + " ")
+                todo.append((args[0], _UNARY_PREC))
+                continue
+            prec, left, right = self.binary[k]
+            pieces = [(args[0], left), f" {k} ", (args[1], right)]
+            if prec < parent_prec:
+                pieces = ["(", *pieces, ")"]
+            todo.extend(reversed(pieces))
+        return "".join(out)
 
-    def parse_and(self):
-        left = self.parse_unary()
-        while self.peek()[:2] == ("op", "&"):
-            self.advance()
-            left = band(left, self.parse_unary())
-        return left
 
-    def parse_unary(self):
-        if self.peek()[:2] == ("op", "!"):
-            self.advance()
-            return bnot(self.parse_unary())
-        return self.parse_primary()
+def _expr_leaf(grammar, tokens, i, where, allow_next=False):
+    """The leaf of a model expression that ``tokens[i]`` starts: ``true``,
+    ``false``, ``next(name)`` (only where ``allow_next``), or a name; with
+    the index of the token after it."""
+    token = tokens[i]
+    if token != "next":
+        return _CONSTANTS.get(token) or bvar(token), i + 1
+    if tokens[i + 1] != "(":
+        raise grammar.expected("expected '(' after next", tokens[i + 1], where(i + 1))
+    if not allow_next:
+        raise ModelError(f"line {where(i)[0]}: next() is only allowed in TRANS expressions")
+    if tokens[i + 2] is None or tokens[i + 2] in _PUNCT:
+        raise grammar.expected("expected a variable name inside next()", tokens[i + 2], where(i + 2))
+    if tokens[i + 3] != ")":
+        raise grammar.expected("expected ')' after next(name", tokens[i + 3], where(i + 3))
+    return bnext(tokens[i + 2]), i + 4
 
-    def parse_primary(self):
-        kind, value, line, col = self.peek()
-        if kind == "ident":
-            self.advance()
-            if value == "true":
-                return BTRUE
-            if value == "false":
-                return BFALSE
-            if value == "next":
-                if self.peek()[0] != "(":
-                    self.error("expected '(' after next")
-                if not self.allow_next:
-                    raise ModelError(f"line {line}: next() is only allowed in TRANS expressions")
-                self.advance()
-                name_tok = self.peek()
-                if name_tok[0] != "ident":
-                    self.error("expected a variable name inside next()")
-                self.advance()
-                if self.peek()[0] != ")":
-                    self.error("expected ')' after next(name")
-                self.advance()
-                return bnext(name_tok[1])
-            return bvar(value)
-        if kind == "(":
-            self.advance()
-            e = self.parse_iff()
-            if self.peek()[0] != ")":
-                self.error("expected ')'")
-            self.advance()
-            return e
-        self.error("expected an expression")
+
+_CONSTANTS = {"true": BTRUE, "false": BFALSE}
+_EXPR = Grammar(
+    binary=BINARY,
+    unary=frozenset("!"),
+    leaf=_expr_leaf,
+    node=lambda kind, operands: BoolExpr(kind, None, operands),
+    operands=attrgetter("args"),
+    error=lambda message, line, col: ModelError(f"line {line}, column {col}: {message}"),
+    missing="expected an expression",
+    trailing="trailing input after expression",
+    end="end of line",
+)
+_TRANS_EXPR = _EXPR._replace(leaf=partial(_expr_leaf, allow_next=True))
 
 
 def parse_expr(text, line_no=1, allow_next=False):
-    return _ExprParser(text, line_no, allow_next).parse()
+    return (_TRANS_EXPR if allow_next else _EXPR).parse(text, line_no)
 
 
 def parse_model(text) -> SymbolicModel:
@@ -333,12 +371,14 @@ def parse_model(text) -> SymbolicModel:
     define_names = set()
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0].rstrip()
+        line = code.lstrip()
         if not line:
             continue
         parts = line.split(None, 1)
         head = parts[0]
         rest = parts[1].strip() if len(parts) > 1 else ""
+        at = len(code) - len(rest)  # where rest starts, so errors give columns of the line
         if head == "VAR":
             names = rest.split()
             if not names:
@@ -354,9 +394,9 @@ def parse_model(text) -> SymbolicModel:
         elif head == "INIT":
             if init_expr is not None:
                 raise ModelError(f"line {line_no}: duplicate INIT section")
-            init_expr = parse_expr(rest, line_no, allow_next=False)
+            init_expr = _EXPR.parse(code, line_no, at)
         elif head == "TRANS":
-            trans_exprs.append(parse_expr(rest, line_no, allow_next=True))
+            trans_exprs.append(_TRANS_EXPR.parse(code, line_no, at))
         elif head == "DEFINE":
             name, sep, body = rest.partition(":=")
             name = name.strip()
@@ -367,9 +407,9 @@ def parse_model(text) -> SymbolicModel:
             if not name or name in ("next", "true", "false"):
                 raise ModelError(f"line {line_no}: bad DEFINE name {name!r}")
             define_names.add(name)
-            defines.append((name, parse_expr(body, line_no, allow_next=False)))
+            defines.append((name, _EXPR.parse(code, line_no, len(code) - len(body))))
         elif head == "FAIRNESS":
-            fairness.append(parse_expr(rest, line_no, allow_next=False))
+            fairness.append(_EXPR.parse(code, line_no, at))
         elif head == "SPEC":
             if spec_text is not None:
                 raise ModelError(f"line {line_no}: duplicate SPEC section")
@@ -795,41 +835,9 @@ def input_vars_irrelevant_for_fairness(m: SymbolicModel) -> frozenset:
 # Serialization
 # ---------------------------------------------------------------------------
 
-_EXPR_PREC = {"<->": 0, "->": 1, "|": 2, "&": 3}
-
-
 def expr_to_text(e, parent_prec=-1):
-    """Text of ``e`` with the parentheses its precedence needs.
-
-    Pieces are emitted left to right from an explicit stack, so long TRANS
-    chains do not hit the recursion limit.
-    """
-    out = []
-    todo = [(e, parent_prec)]  # (node, parent precedence) pairs and literal pieces
-    while todo:
-        item = todo.pop()
-        if item.__class__ is str:
-            out.append(item)
-            continue
-        e, parent_prec = item
-        k = e.kind
-        if k == "var":
-            out.append(e.name)
-        elif k == "next":
-            out.append(f"next({e.name})")
-        elif k in ("true", "false"):
-            out.append(k)
-        elif k == "!":
-            out.append("!")
-            todo.append((e.args[0], 5))
-        else:
-            prec = _EXPR_PREC[k]
-            left, right = (prec, prec + 1) if k in ("&", "|") else (prec + 1, prec)
-            pieces = [(e.args[0], left), f" {k} ", (e.args[1], right)]
-            if prec < parent_prec:
-                pieces = ["(", *pieces, ")"]
-            todo.extend(reversed(pieces))
-    return "".join(out)
+    """Text of ``e`` with the parentheses its precedence needs."""
+    return _EXPR.format(e, parent_prec)
 
 
 def model_to_text(m: SymbolicModel) -> str:

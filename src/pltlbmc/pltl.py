@@ -1,5 +1,9 @@
 """PLTL formulas: parsing, positive normal form, and structural metrics.
 
+Formulas are read and printed by the front end of :mod:`pltlbmc.model`:
+the formula grammar is the model-expression grammar plus the temporal
+operators ``X F G Y Z O H`` (prefix) and ``U R S T`` (binary).
+
 Two representations are used. ``SurfaceFormula`` is the parse-level tree and
 may contain negation, implication, equivalence and the derived operators
 F, G, O, H.  ``Formula`` is the normalised form used by every encoder: it is
@@ -11,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
+
+from .model import BINARY, Grammar
 
 # Node kinds shared by both representations.  PNF kinds:
 #   "true" "false" "atom" "natom" "&" "|" "X" "U" "R" "Y" "Z" "S" "T"
@@ -47,7 +53,7 @@ class SurfaceFormula:
     right: Optional["SurfaceFormula"] = None
 
     def __str__(self):
-        return _to_text(self)
+        return format_formula(self)
 
 
 def s_atom(name):
@@ -90,10 +96,10 @@ class Formula:
         self.fid = fid
 
     def __repr__(self):
-        return f"Formula({_to_text(self)!r})"
+        return f"Formula({format_formula(self)!r})"
 
     def __str__(self):
-        return _to_text(self)
+        return format_formula(self)
 
 
 _POOL: dict = {}
@@ -170,176 +176,39 @@ def mk_trigger(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# Parsing and printing
 # ---------------------------------------------------------------------------
 
-_OPERATOR_LETTERS = frozenset("XFGURYZSTOH")
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789=")
+def _formula_leaf(grammar, tokens, i, where):
+    """An atom or a constant; every name that is not an operator is one."""
+    return _CONSTANTS.get(tokens[i]) or s_atom(tokens[i]), i + 1
 
 
-def _tokenize(text):
-    """Yield (kind, value, line, col).  Kinds: ident true false op ( ) eof."""
-    line, col, i, n = 1, 1, 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if c in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            word = text[i:j]
-            col += j - i
-            i = j
-            if word == "true":
-                yield ("true", word, line, start_col)
-            elif word == "false":
-                yield ("false", word, line, start_col)
-            elif len(word) == 1 and word in _OPERATOR_LETTERS:
-                yield ("op", word, line, start_col)
-            else:
-                yield ("ident", word, line, start_col)
-        elif c == "(":
-            yield ("(", c, line, start_col)
-            i += 1
-            col += 1
-        elif c == ")":
-            yield (")", c, line, start_col)
-            i += 1
-            col += 1
-        elif c == "!":
-            yield ("op", "!", line, start_col)
-            i += 1
-            col += 1
-        elif c == "&":
-            yield ("op", "&", line, start_col)
-            i += 1
-            col += 1
-        elif c == "|":
-            yield ("op", "|", line, start_col)
-            i += 1
-            col += 1
-        elif c == "-" and i + 1 < n and text[i + 1] == ">":
-            yield ("op", "->", line, start_col)
-            i += 2
-            col += 2
-        elif c == "<" and text[i : i + 3] == "<->":
-            yield ("op", "<->", line, start_col)
-            i += 3
-            col += 3
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    yield ("eof", None, line, col)
-
-
-class _FormulaParser:
-    """Recursive descent: unary > U/R/S/T > & > | > -> > <->.
-
-    The binary temporal operators and the implications associate to the
-    right; single capital letters from the operator set are always operators,
-    never atoms.
-    """
-
-    def __init__(self, text):
-        self.tokens = list(_tokenize(text))
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
-
-    def error(self, message):
-        kind, value, line, col = self.peek()
-        shown = value if value is not None else "end of input"
-        raise ParseError(f"{message}, got {shown!r}", line, col)
-
-    def parse(self):
-        f = self.parse_iff()
-        if self.peek()[0] != "eof":
-            self.error("trailing input after formula")
-        return f
-
-    def parse_iff(self):
-        left = self.parse_implies()
-        if self.peek()[:2] == ("op", "<->"):
-            self.advance()
-            return s_binop("<->", left, self.parse_iff())
-        return left
-
-    def parse_implies(self):
-        left = self.parse_or()
-        if self.peek()[:2] == ("op", "->"):
-            self.advance()
-            return s_binop("->", left, self.parse_implies())
-        return left
-
-    def parse_or(self):
-        left = self.parse_and()
-        while self.peek()[:2] == ("op", "|"):
-            self.advance()
-            left = s_binop("|", left, self.parse_and())
-        return left
-
-    def parse_and(self):
-        left = self.parse_temporal()
-        while self.peek()[:2] == ("op", "&"):
-            self.advance()
-            left = s_binop("&", left, self.parse_temporal())
-        return left
-
-    def parse_temporal(self):
-        left = self.parse_unary()
-        kind, value = self.peek()[:2]
-        if kind == "op" and value in BINARY_TEMPORAL:
-            self.advance()
-            return s_binop(value, left, self.parse_temporal())
-        return left
-
-    def parse_unary(self):
-        kind, value = self.peek()[:2]
-        if kind == "op" and value in UNARY_OPS:
-            self.advance()
-            return s_unop(value, self.parse_unary())
-        return self.parse_primary()
-
-    def parse_primary(self):
-        kind, value, line, col = self.peek()
-        if kind == "ident":
-            self.advance()
-            return s_atom(value)
-        if kind == "true":
-            self.advance()
-            return S_TRUE
-        if kind == "false":
-            self.advance()
-            return S_FALSE
-        if kind == "(":
-            self.advance()
-            f = self.parse_iff()
-            if self.peek()[0] != ")":
-                self.error("expected ')'")
-            self.advance()
-            return f
-        self.error("expected a formula")
+_CONSTANTS = {"true": S_TRUE, "false": S_FALSE}
+# The model grammar with temporal operators: ``U R S T`` bind tighter than
+# ``&`` and associate to the right, and single operator letters are never
+# atoms (while ``next`` is one).
+_FORMULA = Grammar(
+    binary={**BINARY, **dict.fromkeys(BINARY_TEMPORAL, (4, 5, 4))},
+    unary=frozenset(UNARY_OPS),
+    leaf=_formula_leaf,
+    node=lambda kind, operands: SurfaceFormula(kind, None, *operands),
+    operands=lambda f: (f.left,) if f.right is None else (f.left, f.right),
+    error=ParseError,
+    missing="expected a formula",
+    trailing="trailing input after formula",
+    end="end of input",
+)
 
 
 def parse_formula(text):
     """Parse the ASCII formula grammar into a :class:`SurfaceFormula`."""
-    return _FormulaParser(text).parse()
+    return _FORMULA.parse(text)
+
+
+def format_formula(f) -> str:
+    """Text of a surface or PNF formula; a negated atom prints as ``!name``."""
+    return _FORMULA.format(f)
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +274,6 @@ def _pnf_rule(f, neg):
         return operands, lambda a0, a1, b0, b1: mk_and(mk_or(a1, b0), mk_or(b1, a0))
     if k == "atom":
         return [], lambda: mk_natom(f.name) if neg else mk_atom(f.name)
-    if k == "natom":
-        # PNF node fed back in via embed(); keep the polarity arithmetic.
-        return [], lambda: mk_atom(f.name) if neg else mk_natom(f.name)
     if k == "true":
         return [], lambda: FALSE if neg else TRUE
     if k == "false":
@@ -437,18 +303,19 @@ def _pnf(f, neg):
 
 def embed(f: Formula) -> SurfaceFormula:
     """Inject a PNF formula back into the surface representation."""
-    k = f.kind
-    if k == "true":
-        return S_TRUE
-    if k == "false":
-        return S_FALSE
-    if k == "atom":
-        return s_atom(f.name)
-    if k == "natom":
+    return memoised(_embed_rule, f)
+
+
+def _embed_rule(f):
+    """``embed`` of ``f`` as a :func:`memoised` rule: it asks for the
+    operands' surface forms and builds the node over them."""
+    operands = []
+    for g in (f.left, f.right):
+        if g is not None:
+            operands.append((yield g))
+    if f.kind == "natom":
         return s_not(s_atom(f.name))
-    if f.right is None:
-        return s_unop(k, embed(f.left))
-    return s_binop(k, embed(f.left), embed(f.right))
+    return SurfaceFormula(f.kind, f.name, *operands)
 
 
 def past_depth(f: Formula) -> int:
@@ -521,48 +388,3 @@ def atoms_of(f) -> set:
         if g.right is not None:
             stack.append(g.right)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Printing
-# ---------------------------------------------------------------------------
-
-_PREC = {
-    "<->": 0,
-    "->": 1,
-    "|": 2,
-    "&": 3,
-    "U": 4,
-    "R": 4,
-    "S": 4,
-    "T": 4,
-}
-
-
-def _to_text(f, parent_prec=-1):
-    k = f.kind
-    if k == "true" or k == "false":
-        return k
-    if k == "atom":
-        return f.name
-    if k == "natom":
-        return "!" + f.name
-    if f.right is None:
-        op = k
-        sub = _to_text(f.left, 5)
-        return f"{op} {sub}" if op != "!" else f"!{sub}"
-    prec = _PREC[k]
-    if k in ("&", "|"):  # left associative
-        left = _to_text(f.left, prec)
-        right = _to_text(f.right, prec + 1)
-    else:  # right associative
-        left = _to_text(f.left, prec + 1)
-        right = _to_text(f.right, prec)
-    text = f"{left} {k} {right}"
-    if prec < parent_prec:
-        return f"({text})"
-    return text
-
-
-def format_formula(f) -> str:
-    return _to_text(f)

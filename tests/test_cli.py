@@ -380,6 +380,55 @@ class TestDeepExpressions:
             assert out.startswith("VERDICT WITNESS k=4")
 
 
+class TestDeepSpecs:
+    """Specs and expressions nested far deeper than the recursion limit: a
+    right-associated until chain parses, prints and gets a verdict."""
+
+    CHAIN = " U ".join(["x0"] * 1500)
+
+    def test_check(self, capsys):
+        code, out, err = run(capsys, ["check", COUNTER, "--spec", self.CHAIN, "--max-k", "2"])
+        assert code == 2, err
+        assert out.startswith("VERDICT UNKNOWN max_k=2")
+        code, out, err = run(capsys, ["check", COUNTER, "--spec", self.CHAIN.replace("x0", "x1")])
+        assert code == 1, err
+        assert out.startswith("VERDICT WITNESS k=0")
+
+    def test_encode_writes_every_subformula_to_the_map(self, capsys, tmp_path):
+        cnf = str(tmp_path / "deep.cnf")
+        code, _, err = run(capsys, ["encode", COUNTER, "--spec", f"x1 & !({self.CHAIN})", "-k", "1", "-o", cnf])
+        assert code == 0, err
+        phis = [line for line in open(cnf + ".map") if line.startswith("# phi ")]
+        assert len(phis) == 1502 and f" {self.CHAIN}\n" in phis[-2]
+
+    def test_tightba(self, capsys):
+        code, out, err = run(capsys, ["tightba", f"F ({self.CHAIN})"])
+        assert code == 0, err
+        assert len(parse_model(out).vars) > 1500
+
+    def test_oracle(self, capsys):
+        code, out, err = run(capsys, ["oracle", COUNTER, "--spec", self.CHAIN])
+        assert code == 2, err
+        assert out.startswith("VERDICT UNKNOWN max_k=8")
+
+    def test_check_on_a_model_with_a_deep_init(self, capsys, tmp_path):
+        path = tmp_path / "deep.mod"
+        path.write_text("VAR a\nINIT " + " -> ".join(["!a"] * 1500) + "\nTRANS next(a) <-> !a\n")
+        code, out, err = run(capsys, ["check", str(path), "--spec", "G !a"])
+        assert code == 1, err
+        assert out.startswith("VERDICT WITNESS k=0")
+
+    def test_malformed_deep_input_gives_its_line_and_column(self, capsys, tmp_path):
+        code, _, err = run(capsys, ["check", COUNTER, "--spec", "(" * 1500 + "\n  x0 U"])
+        assert code == 3
+        assert "expected a formula, got 'end of input' (line 2, column 7)" in err
+        path = tmp_path / "bad.mod"
+        path.write_text("VAR a\nINIT " + "(" * 1500 + "a ) )\n")
+        code, _, err = run(capsys, ["check", str(path), "--spec", "G a"])
+        assert code == 3
+        assert "line 2, column 1511: expected ')', got 'end of line'" in err
+
+
 class TestPipelines:
     def test_l2s_output_checks_with_bmc(self, capsys, tmp_path):
         out_mod = str(tmp_path / "l2s.mod")

@@ -1,5 +1,6 @@
 """Lint steps without a linter: no module imports a name it never uses,
-and the package defines no function, method or class that nothing names.
+the package defines no function, method or class that nothing names, and
+no function of the package calls itself, directly or through others.
 
 An import counts as used when the bound name occurs as a name anywhere in
 the module or is listed in ``__all__``; ``from __future__`` imports are
@@ -103,3 +104,81 @@ def test_no_dead_definitions():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in scanned}
     package = {str(p.relative_to(ROOT)) for p in PACKAGE}
     assert dead_definitions(sources, package) == []
+
+
+def call_cycles(sources):
+    """The cycles of the call graph of ``sources`` (module name -> text), as
+    sorted tuples of the qualified names in each strongly connected part.
+
+    The graph holds each module's functions and its classes' methods.  A
+    call of a bare name reaches the module function of that name, defined
+    in the module or imported into it with a relative ``from`` import; a
+    ``self.name`` call inside a class reaches that class's method.  Calls
+    in nested functions and lambdas count for the enclosing definition.
+    """
+    calls = {}  # qualified name -> the names it calls
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        scope = {}  # bare name -> qualified name
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                scope[node.name] = f"{module}.{node.name}"
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                scope.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                calls[scope[node.name]] = _callees(node, scope, {})
+            elif isinstance(node, ast.ClassDef):
+                methods = {
+                    d.name: f"{module}.{node.name}.{d.name}" for d in node.body if isinstance(d, ast.FunctionDef)
+                }
+                for d in node.body:
+                    if isinstance(d, ast.FunctionDef):
+                        calls[methods[d.name]] = _callees(d, scope, methods)
+    reach = {}
+    for start in calls:
+        seen, todo = set(), list(calls[start])
+        while todo:
+            name = todo.pop()
+            if name in calls and name not in seen:
+                seen.add(name)
+                todo.extend(calls[name])
+        reach[start] = seen
+    return sorted(
+        {tuple(sorted(m for m in reach[n] if n in reach[m])) for n in calls if n in reach[n]}
+    )
+
+
+def _callees(definition, scope, methods):
+    out = set()
+    for node in ast.walk(definition):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id in scope:
+            out.add(scope[f.id])
+        elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "self":
+            if f.attr in methods:
+                out.add(methods[f.attr])
+    return out
+
+
+def test_the_scan_finds_call_cycles():
+    a = (
+        "from .b import helper\n"
+        "def loop(n):\n    return loop(n - 1)\n"
+        "def ping():\n    return helper()\n"
+        "def leaf():\n    return len([])\n"
+        "class P:\n"
+        "    def one(self):\n        return self.two()\n"
+        "    def two(self):\n        return [self.one() for _ in ()]\n"
+        "    def three(self):\n        return leaf() or self.one()\n"
+    )
+    b = "from .a import ping\ndef helper():\n    return ping()\ndef other():\n    return helper()\n"
+    assert call_cycles({"a": a, "b": b}) == [("a.P.one", "a.P.two"), ("a.loop",), ("a.ping", "b.helper")]
+
+
+def test_no_recursion_in_the_package():
+    # deep formulas and expressions must not run into the interpreter's
+    # recursion limit, so every walk keeps an explicit stack
+    assert call_cycles({p.stem: p.read_text() for p in PACKAGE}) == []

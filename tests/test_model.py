@@ -2,12 +2,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pltlbmc.model import (
     BoolExpr,
     ModelError,
     TotalityError,
     band_all,
+    bnext,
     bvar,
     compile_expr,
     eval_expr,
@@ -92,6 +94,22 @@ class TestParsing:
     def test_spec_returned_verbatim(self):
         m = parse_model("VAR a\nINIT a\nSPEC G a\n")
         assert m.spec_text == "G a"
+
+    def test_an_unexpected_character_gives_its_column_in_the_line(self):
+        with pytest.raises(ModelError, match=r"^line 2, column 8: unexpected character '@'$"):
+            parse_model("VAR a\nINIT a @ a\n")
+
+    def test_a_missing_operand_gives_its_column_in_the_line(self):
+        with pytest.raises(ModelError, match=r"^line 2, column 15: expected an expression, got '&'$"):
+            parse_model("VAR a\n  TRANS   a & & a\n")
+
+    def test_an_unopened_parenthesis_gives_its_column_in_the_line(self):
+        with pytest.raises(ModelError, match=r"^line 2, column 17: expected an expression, got '\)'$"):
+            parse_model("VAR a\nDEFINE d := a | )\n")
+
+    def test_the_end_of_line_is_the_column_after_the_expression(self):
+        with pytest.raises(ModelError, match=r"^line 2, column 9: expected an expression, got 'end of line'$"):
+            parse_model("VAR a\nINIT a &  # comment\n")
 
 
 class TestExpansion:
@@ -365,6 +383,41 @@ class TestSerialization:
         )
         for text in texts:
             assert expr_to_text(parse_expr(text, allow_next=True)) == text
+
+    @given(
+        st.recursive(
+            st.one_of(
+                st.sampled_from(["a", "b", "c"]).map(bvar),
+                st.sampled_from(["a", "b"]).map(bnext),
+                st.sampled_from([BoolExpr("true"), BoolExpr("false")]),
+            ),
+            lambda children: st.one_of(
+                children.map(lambda a: BoolExpr("!", args=(a,))),
+                st.tuples(st.sampled_from(["&", "|", "->", "<->"]), children, children).map(
+                    lambda t: BoolExpr(t[0], args=t[1:])
+                ),
+            ),
+            max_leaves=8,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_expressions_round_trip_through_text(self, e):
+        assert parse_expr(expr_to_text(e), allow_next=True) == e
+
+    def test_deep_nesting_parses_and_prints(self):
+        assert parse_expr("(" * 1500 + "a" + ")" * 1500) == bvar("a")
+        e = parse_expr("!" * 1500 + "next(a)", allow_next=True)
+        for _ in range(1500):
+            assert e.kind == "!"
+            e = e.args[0]
+        assert e == bnext("a")
+        text = " -> ".join(["a"] * 1500)
+        e = parse_expr(text)
+        assert expr_to_text(e) == text
+        for _ in range(1499):
+            assert e.kind == "->" and e.args[0] == bvar("a")
+            e = e.args[1]
+        assert e == bvar("a")
 
     def test_parse_expr_precedence(self):
         e = parse_expr("a & b | c")

@@ -123,6 +123,49 @@ class TestPastDepth:
         assert past_depth(pnf("(Y p) S (Z q)")) == 2
 
 
+def spine(f, side):
+    """The kinds down ``f``'s chain of left or right operands."""
+    kinds = []
+    while f is not None:
+        kinds.append(f.kind)
+        f = getattr(f, side)
+    return kinds
+
+
+class TestDeepFormulas:
+    """Formulas far deeper than the recursion limit parse and print."""
+
+    def test_nested_parentheses(self):
+        assert parse_formula("(" * 1500 + "p" + ")" * 1500) == pltl.s_atom("p")
+
+    def test_negations(self):
+        f = parse_formula("!" * 1500 + "p")
+        assert spine(f, "left") == ["!"] * 1500 + ["atom"]
+        assert format_formula(f) == "!" * 1500 + "p"
+        assert to_pnf(f) is pnf("p")
+
+    def test_globally(self):
+        text = "G " * 1500 + "p"
+        f = parse_formula(text)
+        assert spine(f, "left") == ["G"] * 1500 + ["atom"]
+        assert format_formula(f) == text
+
+    def test_until_chain(self):
+        text = " U ".join(["p"] * 1500)
+        f = parse_formula(text)
+        assert spine(f, "right") == ["U"] * 1499 + ["atom"]
+        assert format_formula(f) == format_formula(to_pnf(f)) == text
+
+    def test_pnf_formula(self):
+        g = pltl.mk_atom("p")
+        for n in range(1500):
+            g = [pltl.mk_next, pltl.mk_prevz][n % 2](pltl.mk_release(pltl.mk_natom("q"), pltl.mk_or(g, pltl.TRUE)))
+        text = format_formula(g)
+        assert text.startswith("Z (!q R (X (!q R (") and text.count("(") == 3000
+        assert to_pnf(parse_formula(text)) is g
+        assert to_pnf(embed(g)) is g
+
+
 class TestClosure:
     def test_atom(self):
         f = pnf("p")
@@ -170,6 +213,18 @@ def _surface_strategy():
 def test_pnf_idempotent(f):
     g = to_pnf(f)
     assert to_pnf(embed(g)) is g
+
+
+@given(_surface_strategy())
+@settings(max_examples=300, deadline=None)
+def test_surface_formulas_round_trip_through_text(f):
+    assert parse_formula(format_formula(f)) == f
+
+
+@given(_surface_strategy().map(to_pnf))
+@settings(max_examples=300, deadline=None)
+def test_pnf_formulas_round_trip_through_text(g):
+    assert to_pnf(parse_formula(format_formula(g))) is g
 
 
 @given(_surface_strategy())
