@@ -16,11 +16,16 @@ constraint-style scheme (pltl, eventuality, buchi, general-buchi), which
 differ only in their chains.  It keeps one growing solver and adds its
 clauses to it directly; constraints that mention the current bound are
 guarded by per-bound activation literals so that moving to a larger bound
-never deletes clauses, it just stops assuming the stale activators.  The
-model unrolling (``unroll_model``) and the loop selector step
-(``_loop_step``) are the same for both kinds of encoder.  The simple path
-constraint of the termination check is added lazily, one pair of positions
-at a time, behind one guard literal.
+never deletes clauses, it just stops assuming the stale activators.  Its
+guarded equalities g -> (x <-> y) (the bindings of the bound, the loop
+proxies and the loop step's state equality) are two clauses per pair and
+no gate (``_guarded_equal``): a gate would stay a free variable after its
+guard retires, for every later query to assign again.  The model
+unrolling (``unroll_model``) and the loop selector step (``_loop_step``)
+are the same for both kinds of encoder; the monolithic encoders lower the
+loop step's equality as a gate.  The simple path constraint of the
+termination check is added lazily, one pair of positions at a time,
+behind one guard literal.
 """
 
 from __future__ import annotations
@@ -206,26 +211,38 @@ def encode_model_k(m: SymbolicModel, k, b, vm) -> int:
     return b.and_(*unroll_model(m, k, b, vm))
 
 
+def _guarded_equal(add, g, xs, ys):
+    """Add g -> (x <-> y) for each pair of ``xs`` and ``ys`` through the
+    clause sink ``add``, as the two clauses [-g, -x, y] and [-g, x, -y]
+    (Plaisted and Greenbaum, *A structure-preserving clause form
+    translation*, 1986): no gate variable, so a retired guard leaves no
+    free variable behind.  A pair with x == y needs no clause, and a
+    repeated pair is written once."""
+    for x, y in dict.fromkeys(zip(xs, ys)):
+        if x != y:
+            add([-g, -x, y])
+            add([-g, x, -y])
+
+
 def _loop_step(b, vm, model_vars, i, end):
-    """The loop selector constraints of position i >= 1, each yielded once
-    its gates exist: a true l_i commits the path to a loop back to i by
-    forcing s_{i-1} = s_end bitwise, InLoop_i is InLoop_{i-1} | l_i, and no
-    selector holds after the first one.  ``end`` is the bound itself for
-    monolithic encodings and the end proxy for the incremental one."""
+    """The loop selector constraints of position i >= 1.  A true l_i
+    commits the path to a loop back to i by forcing s_{i-1} = s_end
+    bitwise; that guarded equality comes first, as the data
+    ``(l_i, s_{i-1}, s_end)``, for the caller to lower before it takes the
+    rest.  The rest are literals, each yielded once its gates exist:
+    InLoop_i is InLoop_{i-1} | l_i, and no selector holds after the first
+    one.  ``end`` is the bound itself for monolithic encodings and the end
+    proxy for the incremental one."""
     li = vm.loop_sel(i)
-    eq = b.equal_vectors(
-        [vm.state_bit(i - 1, n) for n in model_vars],
-        [vm.state_bit(end, n) for n in model_vars],
-    )
-    yield b.implies(li, eq)
+    yield li, [vm.state_bit(i - 1, n) for n in model_vars], [vm.state_bit(end, n) for n in model_vars]
     yield b.iff(vm.in_loop(i), b.or_(vm.in_loop(i - 1), li))
     yield b.implies(vm.in_loop(i - 1), -li)
 
 
 def encode_loop_constraints(k, b, vm, model_vars) -> int:
     """Loop selector machinery for bound k: the ``_loop_step`` of every
-    position 1..k, l_0 and InLoop_0 false, and LoopExists mirroring
-    InLoop_k."""
+    position 1..k, its state equality lowered as a gate, l_0 and InLoop_0
+    false, and LoopExists mirroring InLoop_k."""
     # s_k, and then l_i and InLoop_i, get their variables before the gates
     # of each _loop_step: the monolithic CNF keeps its variable order
     parts = []
@@ -234,7 +251,10 @@ def encode_loop_constraints(k, b, vm, model_vars) -> int:
     for i in range(1, k + 1):
         vm.loop_sel(i)
         vm.in_loop(i)
-        parts.extend(_loop_step(b, vm, model_vars, i, k))
+        rest = _loop_step(b, vm, model_vars, i, k)
+        li, xs, ys = next(rest)
+        parts.append(b.implies(li, b.equal_vectors(xs, ys)))
+        parts.extend(rest)
     parts.append(b.iff(vm.loop_exists(), vm.in_loop(k)))
     return b.and_(*parts)
 
@@ -627,7 +647,10 @@ class IncrementalEncoder:
     ``step(k)`` adds the constraints for bound k: the stable part directly,
     the bound-dependent ones (end proxy binding, LoopExists, the index k+1
     hook into the loop proxy, ``LoopExists -> a_k`` of each acceptance
-    chain) guarded by an activation literal.  ``query_witness`` solves
+    chain) guarded by an activation literal.  The bindings, the loop
+    proxies (l_k -> L = k) and the loop step (l_k -> s_{k-1} = s_E) are
+    guarded equalities, written as clauses by ``_guarded_equal``, so a
+    retired bound leaves no gate variable behind.  ``query_witness`` solves
     under the current bound's activator; earlier activators are assumed
     negatively, which retires their constraints while keeping every learned
     clause sound.  The driver (``check.run_bmc``) also adds each past
@@ -681,17 +704,22 @@ class IncrementalEncoder:
         if k == 0:
             self._emit_base()
         else:
-            for lit in _loop_step(b, vm, m.vars, k, E_INDEX):
+            rest = _loop_step(b, vm, m.vars, k, E_INDEX)
+            _guarded_equal(add, *next(rest))
+            for lit in rest:
                 add([lit])
         for f in self.cl:
             for lit in _step_constraints(m, b, vm, f, k, E_INDEX):
                 add([lit])
         # loop proxy: l_k selects index k as the loop point
         if k >= 1:
-            for f in self.cl:
-                for d in range(0, vm.dcap(f) + 1):
-                    proxy = b.iff(vm.fvar(f, L_INDEX, d), vm.fvar(f, k, d))
-                    add([b.implies(vm.loop_sel(k), proxy)])
+            levels = [(f, d) for f in self.cl for d in range(0, vm.dcap(f) + 1)]
+            _guarded_equal(
+                add,
+                vm.loop_sel(k),
+                [vm.fvar(f, L_INDEX, d) for f, d in levels],
+                [vm.fvar(f, k, d) for f, d in levels],
+            )
             self._emit_chain_steps(k)
         self._emit_k_dependent(k)
         self.k = k
@@ -723,18 +751,18 @@ class IncrementalEncoder:
             add([_sticky_step(b, vm, role, key, k, hit)])
 
     def _emit_k_dependent(self, k):
-        b, vm, m, add = self.b, self.vm, self.m, self.solver.add_clause
+        vm, m, add = self.vm, self.m, self.solver.add_clause
         act = vm.activation_lit(k)
-        for n in m.vars:
-            add([-act, b.iff(vm.state_bit(E_INDEX, n), vm.state_bit(k, n))])
         le = vm.loop_exists()
-        add([-act, b.iff(le, vm.in_loop(k))])
+        pairs = [(vm.state_bit(E_INDEX, n), vm.state_bit(k, n)) for n in m.vars]
+        pairs.append((le, vm.in_loop(k)))
         for f in self.cl:
             for d in range(0, vm.dcap(f) + 1):
-                add([-act, b.iff(vm.fvar(f, E_INDEX, d), vm.fvar(f, k, d))])
-                add([-act, b.iff(vm.fvar(f, k + 1, d), vm.fvar(f, L_INDEX, d + 1))])
+                pairs.append((vm.fvar(f, E_INDEX, d), vm.fvar(f, k, d)))
+                pairs.append((vm.fvar(f, k + 1, d), vm.fvar(f, L_INDEX, d + 1)))
             if self.eventuality_chains and f.kind in ("U", "R"):
-                add([-act, b.iff(_chain_var(vm, f, E_INDEX), _chain_var(vm, f, k))])
+                pairs.append((_chain_var(vm, f, E_INDEX), _chain_var(vm, f, k)))
+        _guarded_equal(add, act, *zip(*pairs))
         for role, key, _ in self.acceptance:
             add([-act, -le, vm.aux_var(role, key, k)])
 

@@ -49,8 +49,69 @@ class TotalityError(ModelError):
         self.state_desc = state_desc
 
 
-@dataclass(frozen=True)
-class BoolExpr:
+class TreeNode:
+    """Structural ``==``, ``hash`` and ``repr`` for the frozen dataclass
+    trees (``BoolExpr`` and ``pltl.SurfaceFormula``), on explicit stacks:
+    the generated methods recurse once per level, so they fail on a tree
+    deeper than the recursion limit.  A field holds a child node, a tuple
+    of child nodes or a plain value; ``repr`` prints what the generated
+    one does."""
+
+    __slots__ = ()
+
+    def _preorder(self) -> list:
+        """The tree in pre-order: a node as its class and then its fields, a
+        tuple as its length and then its items, any other value as itself.
+        Two trees are equal exactly when these lists are."""
+        out = []
+        stack = [self]
+        while stack:
+            v = stack.pop()
+            if isinstance(v, TreeNode):
+                out.append(v.__class__)
+                stack.extend(reversed([getattr(v, f) for f in v.__dataclass_fields__]))
+            elif isinstance(v, tuple):
+                out.append((tuple, len(v)))
+                stack.extend(reversed(v))
+            else:
+                out.append(v)
+        return out
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._preorder() == other._preorder()
+
+    def __hash__(self):
+        return hash(tuple(self._preorder()))
+
+    def __repr__(self):
+        out = []
+        stack = [(False, self)]  # (True, text to write) or (False, value to print)
+        while stack:
+            text, v = stack.pop()
+            if text:
+                out.append(v)
+                continue
+            if isinstance(v, TreeNode):
+                parts = [(True, v.__class__.__qualname__ + "(")]
+                for n, f in enumerate(v.__dataclass_fields__):
+                    parts += [(True, (", " if n else "") + f + "="), (False, getattr(v, f))]
+                parts.append((True, ")"))
+            elif isinstance(v, tuple):
+                parts = [(True, "(")]
+                for n, item in enumerate(v):
+                    parts += [(True, ", " if n else ""), (False, item)]
+                parts.append((True, ",)" if len(v) == 1 else ")"))
+            else:
+                out.append(repr(v))
+                continue
+            stack.extend(reversed(parts))
+        return "".join(out)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class BoolExpr(TreeNode):
     """Boolean expression node: var, next, true, false, !, &, |, ->, <->."""
 
     kind: str

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import BINARY, Grammar
+from .model import BINARY, Grammar, TreeNode
 
 # Node kinds shared by both representations.  PNF kinds:
 #   "true" "false" "atom" "natom" "&" "|" "X" "U" "R" "Y" "Z" "S" "T"
@@ -43,8 +43,8 @@ class ParseError(FormulaError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class SurfaceFormula:
+@dataclass(frozen=True, eq=False, repr=False)
+class SurfaceFormula(TreeNode):
     """Parse tree; negation and derived operators still present."""
 
     kind: str

@@ -300,6 +300,42 @@ class TestSimplePath:
         assert depths.index(UNSAT) == 10
 
 
+def counter(width):
+    """A binary counter over b0..b{width-1} from zero, least significant bit
+    first, with ``top`` (all ones) and ``zero`` (all zeros): it visits its
+    2**width values in order and wraps around."""
+    names = [f"b{i}" for i in range(width)]
+    lines = ["VAR " + " ".join(names), "INIT " + " & ".join("!" + b for b in names)]
+    for i, b in enumerate(names):
+        carry = " & ".join(names[:i]) if i else "true"
+        lines.append(f"TRANS next({b}) <-> !({b} <-> ({carry}))")
+    lines.append("DEFINE top := " + " & ".join(names))
+    lines.append("DEFINE zero := " + " & ".join("!" + b for b in names))
+    return parse_model("\n".join(lines))
+
+
+class TestProofBounds:
+    """The bound at which the termination check closes on the counters.
+    A proof closes once no simple path is left, and a position's class
+    holds its state and its in-loop flag: a width-n counter has 2**n states,
+    each taken outside and then inside the loop, so its proof closes at
+    2**(n+1).  The stall counter's 8 states close at 16 the same way."""
+
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_counter_proof_closes_at_twice_its_states(self, width):
+        v = run_bmc(counter(width), "G (top -> O zero)", RunOptions(completeness=True, max_k=80))
+        assert v == Proved(k=2 ** (width + 1))
+
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_counter_loop_witness_spans_its_states(self, width):
+        v = run_bmc(counter(width), "F G !top", RunOptions(completeness=True, max_k=80))
+        assert isinstance(v, WitnessFound) and v.k == 2**width
+
+    def test_stall_proof_closes_at_16(self):
+        v = run_bmc(STALL, "G !(top & zero)", RunOptions(completeness=True, max_k=80))
+        assert v == Proved(k=16)
+
+
 class TestWitnessExtraction:
     def _solve_pltl(self, m, psi, k):
         s = Solver()

@@ -52,14 +52,14 @@ GOLDEN = {
     "pltl@d1": "56 6fe24b167c93087d",
     "general-buchi": "56 e21c0dc7b5e47412",
     "general-buchi@d1": "56 5c0aad5826c1a551",
-    "incremental-sp0": "56 6dc604fa6f01a63a",
-    "incremental-sp0@d1": "56 39986249c7dece96",
-    "incremental-sp1": "56 a55a5526092142e3",
-    "incremental-sp1@d1": "56 7e39b59e7b64a210",
-    "incremental-eventuality": "28 022d6b8334dc279e",
-    "incremental-buchi": "28 0d66771a87d4e93c",
-    "incremental-general-buchi": "56 399b60a320bab3f7",
-    "incremental-general-buchi@d1": "56 31412b87566149d6",
+    "incremental-sp0": "56 4436b727eef051de",
+    "incremental-sp0@d1": "56 97787b49deb34bc1",
+    "incremental-sp1": "56 7f4a7b05f6bab29f",
+    "incremental-sp1@d1": "56 7b7c2d5b93e01861",
+    "incremental-eventuality": "28 1bf1648386f04558",
+    "incremental-buchi": "28 bf51911c9565bf11",
+    "incremental-general-buchi": "56 38982897f00f06f4",
+    "incremental-general-buchi@d1": "56 e183be24c91b96f3",
 }
 
 MINTERM_SPECS = {
@@ -71,8 +71,8 @@ MINTERM_GOLDEN = {
     "minterm:fixpoint": "21 c4d5a4c5d81982ce",
     "minterm:pltl": "35 da3ea08d7c61ce3b",
     "minterm:general-buchi": "35 f970e9d81497dc55",
-    "minterm:incremental-sp1": "35 487c99d86413d020",
-    "minterm:incremental-general-buchi": "35 bd22ff96cae68fe7",
+    "minterm:incremental-sp1": "35 83df119fc802ffe0",
+    "minterm:incremental-general-buchi": "35 effc942c22a418ec",
 }
 
 

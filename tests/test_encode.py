@@ -3,10 +3,12 @@ import random
 import pytest
 
 from pltlbmc.model import parse_model, explicit_expand
-from pltlbmc.pltl import parse_formula, to_pnf, closure, past_depth
+from pltlbmc.pltl import parse_formula, to_pnf, closure, past_depth, s_not
 from pltlbmc.sat import SAT, UNSAT, Solver, CircuitBuilder
-from pltlbmc.check import SCHEMES
+from pltlbmc.check import INCREMENTAL_SCHEMES, SCHEMES, RunOptions, scheme_model
 from pltlbmc.encode import (
+    E_INDEX,
+    L_INDEX,
     IncrementalEncoder,
     PastOperatorError,
     TimedVarMap,
@@ -15,6 +17,7 @@ from pltlbmc.encode import (
     encode_ltl_buchi,
     encode_model_k,
     encode_pltl,
+    _chain_var,
 )
 from pltlbmc.oracle import Budget, exists_witness_bounded, fair_lasso_search
 
@@ -308,3 +311,94 @@ class TestIncremental:
         # completeness eventually settles the property (tested end to end in
         # the checker tests); here it must at least not contradict
         assert inc.query_completeness() in (SAT, UNSAT)
+
+
+def guarded_equalities(inc, k):
+    """(guard, x, y) of every guarded equality ``step(k)`` writes, x != y:
+    the bindings of bound k behind ``act(k)``, and for k >= 1 the loop
+    step's state equality and the loop proxies behind ``l_k``."""
+    vm, m = inc.vm, inc.m
+    act = vm.activation_lit(k)
+    out = [(act, vm.state_bit(E_INDEX, n), vm.state_bit(k, n)) for n in m.vars]
+    out.append((act, vm.loop_exists(), vm.in_loop(k)))
+    for f in inc.cl:
+        for d in range(vm.dcap(f) + 1):
+            out.append((act, vm.fvar(f, E_INDEX, d), vm.fvar(f, k, d)))
+            out.append((act, vm.fvar(f, k + 1, d), vm.fvar(f, L_INDEX, d + 1)))
+            if k >= 1:
+                out.append((vm.loop_sel(k), vm.fvar(f, L_INDEX, d), vm.fvar(f, k, d)))
+        if inc.eventuality_chains and f.kind in ("U", "R"):
+            out.append((act, _chain_var(vm, f, E_INDEX), _chain_var(vm, f, k)))
+    if k >= 1:
+        out.extend((vm.loop_sel(k), vm.state_bit(k - 1, n), vm.state_bit(E_INDEX, n)) for n in m.vars)
+    return [e for e in dict.fromkeys(out) if e[1] != e[2]]
+
+
+def named_vars(vm):
+    """The number of variables the map has made for a timed role."""
+    roles = (vm.state, vm.loopsel, vm.inloop, vm.fvars, vm.aux, vm.activation)
+    return sum(map(len, roles)) + (vm._loopexists is not None)
+
+
+class TestGuardedEqualities:
+    """Each session writes its guarded equalities g -> (x <-> y) as two
+    clauses per pair, with no gate: once a bound is retired, nothing it
+    made stays free for later queries to assign."""
+
+    SPECS = ["G F x4", "(x0 | x1) U (G !x3)", "G (x4 -> Y x3)", "G (x5 -> (H !x3 | Z x0))"]
+
+    @staticmethod
+    def sessions():
+        for scheme in sorted(INCREMENTAL_SCHEMES):
+            for d_max in (None, 1):
+                for spec in TestGuardedEqualities.SPECS:
+                    psi = to_pnf(s_not(parse_formula(spec)))
+                    if scheme in ("eventuality", "buchi") and past_depth(psi) > 0:
+                        continue
+                    opts = RunOptions(scheme=scheme, d_max=d_max)
+                    target = scheme_model(COUNTER_FAIR, psi, opts)
+                    yield IncrementalEncoder(target, psi, d_max=d_max, scheme=scheme)
+
+    def test_step_writes_each_guarded_equality_as_two_clauses(self):
+        schemes = set()
+        for inc in self.sessions():
+            solver, vm = inc.solver, inc.vm
+            for k in range(6):
+                nvars, nclauses, named = solver.nvars, len(solver.db), named_vars(vm)
+                gates = set(inc.b.cache)
+                inc.step(k)
+                new_gates = set(inc.b.cache) - gates
+                # every variable step(k) makes is a timed role or a gate
+                assert solver.nvars - nvars == named_vars(vm) - named + len(new_gates)
+                made = solver.nvars
+                eqs = guarded_equalities(inc, k)
+                assert solver.nvars == made
+                act = vm.activation_lit(k)
+                added = solver.db[nclauses:]
+                for g, x, y in eqs:
+                    a, b = (x, y) if abs(x) <= abs(y) else (y, x)
+                    assert ("iff", (a, b) if a > 0 else (-a, -b)) not in new_gates
+                    pair = [sorted(c) for c in added if {abs(l) for l in c} == {abs(g), abs(x), abs(y)}]
+                    assert sorted(pair) == sorted([sorted([-g, -x, y]), sorted([-g, x, -y])])
+                for _, key in new_gates:
+                    assert abs(act) not in map(abs, key)
+                behind_act = [c for c in added if -act in c]
+                assert len(behind_act) == 2 * sum(g == act for g, _, _ in eqs) + len(inc.acceptance)
+            schemes.add(inc.scheme)
+        assert schemes == INCREMENTAL_SCHEMES
+
+    def test_a_retired_bound_leaves_only_satisfied_clauses(self):
+        for inc in self.sessions():
+            solver = inc.solver
+            for k in range(6):
+                inc.step(k)
+                if k > 0:
+                    solver.add_clause([-inc.vm.activation_lit(k - 1)])
+                inc.query_witness()
+            assert not solver.trail_lim
+            for j in range(5):
+                act = abs(inc.vm.activation_lit(j))
+                mentions = [c for c in solver.db if act in map(abs, c)]
+                assert mentions
+                for c in mentions:
+                    assert any(solver.value(l) == 1 and solver.level[abs(l)] == 0 for l in c), c

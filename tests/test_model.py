@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pltlbmc.model import (
+    BTRUE,
     BoolExpr,
     ModelError,
     TotalityError,
+    band,
     band_all,
     bnext,
+    bnot,
     bvar,
     compile_expr,
     eval_expr,
@@ -418,6 +421,23 @@ class TestSerialization:
             assert e.kind == "->" and e.args[0] == bvar("a")
             e = e.args[1]
         assert e == bvar("a")
+
+    def test_deep_expressions_compare_hash_and_print(self):
+        text = " -> ".join(["a"] * 1500)
+        e, same = parse_expr(text), parse_expr(text)
+        assert e == same and hash(e) == hash(same)
+        assert e != parse_expr(text + " -> b") and e != parse_expr(text.replace("->", "<->"))
+        leaf = "BoolExpr(kind='var', name='a', args=())"
+        node = f"BoolExpr(kind='->', name=None, args=({leaf}, "
+        assert repr(e) == node * 1499 + leaf + "))" * 1499
+
+    def test_equality_hash_and_repr_are_structural(self):
+        a, b = bvar("a"), bvar("b")
+        assert bnot(band(a, b)) != band(bnot(a), b)
+        assert band(a, b) != band(b, a) and band(a, b) == band(bvar("a"), b)
+        assert hash(band(a, bnext("b"))) == hash(band(bvar("a"), bnext("b")))
+        assert band(a, b) != BTRUE and band(a, b) != ("&", None, (a, b))
+        assert repr(bnot(a)) == "BoolExpr(kind='!', name=None, args=(BoolExpr(kind='var', name='a', args=()),))"
 
     def test_parse_expr_precedence(self):
         e = parse_expr("a & b | c")

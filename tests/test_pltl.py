@@ -156,6 +156,16 @@ class TestDeepFormulas:
         assert spine(f, "right") == ["U"] * 1499 + ["atom"]
         assert format_formula(f) == format_formula(to_pnf(f)) == text
 
+    def test_deep_formulas_compare_hash_and_print(self):
+        for op in ("U", "->"):
+            text = f" {op} ".join(["x0"] * 1500)
+            f, same = parse_formula(text), parse_formula(text)
+            assert f == same and hash(f) == hash(same)
+            assert f != parse_formula(text + f" {op} x1")
+            leaf = "SurfaceFormula(kind='atom', name='x0', left=None, right=None)"
+            node = f"SurfaceFormula(kind='{op}', name=None, left={leaf}, right="
+            assert repr(f) == node * 1499 + leaf + ")" * 1499
+
     def test_pnf_formula(self):
         g = pltl.mk_atom("p")
         for n in range(1500):
