@@ -15,10 +15,15 @@ short, propagation-bound queries over one growing database:
   clauses; propagation assigns and extends the trail inline.
 - The decision heap holds one live entry per unassigned variable: a
   variable is pushed again only when it is not in the heap, and entries
-  whose key is not the variable's current activity are skipped.
+  whose key is not the variable's current activity are skipped.  A new
+  variable's entry is appended, which keeps heap order: its key -0.0 is
+  the largest a key can be, and every older variable is smaller.
+- A literal's watch and binary lists are made on first use, so a new
+  variable costs no lists, and a copy copies only the lists that exist.
 - ``CircuitBuilder`` writes each gate's Tseitin clauses through the trusted
   ``add_definition``, which skips the duplicate and tautology checks that
-  ``add_clause`` runs; both record the same database.
+  ``add_clause`` runs, and attaches a clause with no assigned literal as it
+  is; both record the same database.
 - An assumption already true at level 0 opens no decision level, so a
   retired activation literal, added as a negative unit once its bound is
   past (see ``check``), costs nothing at later queries.
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 import subprocess
+from collections import defaultdict
 from itertools import islice
 from typing import Iterable
 
@@ -47,8 +53,10 @@ class Solver:
         self.db = []  # original clauses, for export
         self._clauses = []  # attached clause objects (lists), incl. learned
         self._nlearned = 0
-        self.watches = {}  # lit -> clauses of three or more literals watching it
-        self.bins = {}  # lit -> (other, clause) for each two-literal clause of lit
+        # lit -> clauses of three or more literals watching it
+        self.watches = defaultdict(list)
+        # lit -> (other, clause) for each two-literal clause of lit
+        self.bins = defaultdict(list)
         # lit -> 0 unassigned, 1 true, -1 false; a negative literal indexes
         # from the end, and new_var keeps the list longer than 2 * nvars so
         # the two halves never meet
@@ -90,11 +98,7 @@ class Solver:
         self.activity.append(0.0)
         self._seen.append(False)
         self._in_heap.append(True)
-        self.watches[v] = []
-        self.watches[-v] = []
-        self.bins[v] = []
-        self.bins[-v] = []
-        heapq.heappush(self._heap, (-0.0, v))
+        self._heap.append((-0.0, v))  # in heap order: see the module docstring
         return v
 
     def value(self, lit) -> int:
@@ -128,15 +132,23 @@ class Solver:
 
         Trusted: the literals of each clause are distinct and none is the
         complement of another, so the database takes the clauses as given,
-        just as ``add_clause`` would record them.  Literals fixed at level 0
-        are still filtered, since a fixed literal must never be watched.
+        just as ``add_clause`` would record them.  A clause with no assigned
+        literal is attached as it is (a longer one as a copy, since
+        propagation reorders it); the others go through ``_insert``, since a
+        literal fixed at level 0 must never be watched.
         """
         assert not self.trail_lim, "clauses must be added at decision level 0"
         self.db.extend(clauses)
+        vals = self.vals
         for clause in clauses:
             if not self.ok:
                 return
-            self._insert(clause)
+            for lit in clause:
+                if vals[lit]:
+                    self._insert(clause)
+                    break
+            else:
+                self._attach(clause if len(clause) == 2 else clause[:])
 
     def _insert(self, clause):
         """Attach the unassigned literals of a level-0 clause, or enqueue
@@ -454,10 +466,10 @@ class Solver:
 
         Recorded clauses are never mutated, and neither are two-literal
         clauses once attached, so the copy shares them; it gets its own
-        lists of them.  Propagation reorders the literals of longer clauses
-        and their watch lists, so those clauses are copied, and the watch
-        lists are rebuilt from the copies' first two literals, which are
-        the watches, in attach order.  That is their order in a solver that
+        copies of the binary lists that exist.  Propagation reorders the
+        literals of longer clauses and their watch lists, so those clauses
+        are copied, and the watch lists are rebuilt from the copies' first
+        two literals, which are the watches, in attach order.  That is their order in a solver that
         has not solved yet (the monolithic driver copies such solvers), so
         such a copy continues exactly as the original would; after solves
         the copy gives the same answers, searching in its own order.
@@ -469,8 +481,8 @@ class Solver:
             setattr(c, name, getattr(self, name)[:])
         c.trail_lim = []
         c.model = []
-        c.bins = dict(zip(self.bins, map(list.copy, self.bins.values())))
-        watches = c.watches = {lit: [] for lit in self.watches}
+        c.bins = defaultdict(list, zip(self.bins, map(list.copy, self.bins.values())))
+        watches = c.watches = defaultdict(list)
         clauses = c._clauses = []
         append = clauses.append
         for clause in self._clauses:
@@ -552,22 +564,35 @@ class CircuitBuilder:
         return -self._nary([-l for l in lits])
 
     def _nary(self, lits):
+        """The AND of ``lits``, keyed by its sorted distinct inputs.  Two
+        inputs, the most common call, take a path without a set or a sort
+        that gives the same key and clauses."""
         true = self.TRUE
-        ins = set()
-        for l in lits:
-            if l == true:
-                continue
-            if l == -true or -l in ins:
+        if len(lits) == 2:
+            x, y = lits
+            if x == true or x == y:
+                return y
+            if y == true:
+                return x
+            if x == -true or y == -true or x == -y:
                 return -true
-            ins.add(l)
-        if len(ins) < 2:
-            return ins.pop() if ins else true
-        key = ("and", tuple(sorted(ins)))
+            ins = (x, y) if x < y else (y, x)
+        else:
+            seen = set()
+            for l in lits:
+                if l == true:
+                    continue
+                if l == -true or -l in seen:
+                    return -true
+                seen.add(l)
+            if len(seen) < 2:
+                return seen.pop() if seen else true
+            ins = tuple(sorted(seen))
+        key = ("and", ins)
         g = self.cache.get(key)
         if g is None:
             g = self.solver.new_var()
             self.cache[key] = g
-            ins = key[1]
             self.solver.add_definition([[-g, x] for x in ins] + [[g] + [-x for x in ins]])
         return g
 
@@ -691,7 +716,9 @@ def run_external_solver(cmd, cnf_path, timeout=300):
     """Run ``cmd cnf_path`` and parse the s/v answer lines.
 
     Returns (verdict, assignment) where assignment maps var -> bool for SAT
-    answers.  Nonzero exit codes are tolerated (solvers use 10/20).
+    answers.  Nonzero exit codes are tolerated (solvers use 10/20).  No
+    verdict line, or a value that is not an integer, raises
+    ``ExternalSolverError`` with the output at fault.
     """
     proc = subprocess.run(
         list(cmd) + [str(cnf_path)],
@@ -711,7 +738,10 @@ def run_external_solver(cmd, cnf_path, timeout=300):
                 verdict = UNSAT
         elif line.startswith("v "):
             for tok in line[2:].split():
-                lit = int(tok)
+                try:
+                    lit = int(tok)
+                except ValueError:
+                    raise ExternalSolverError(f"external solver printed a malformed value line: {line!r}") from None
                 if lit != 0:
                     values[abs(lit)] = lit > 0
     if verdict is None:

@@ -476,9 +476,11 @@ def definition_clauses(rng, g, nvars):
 
 
 def check_heap(s):
-    """Every variable has one live heap entry (its current activity as the
-    key) exactly when it is marked in the heap, and every unassigned
-    variable is marked."""
+    """The heap is in binary-heap order, every variable has one live heap
+    entry (its current activity as the key) exactly when it is marked in
+    the heap, and every unassigned variable is marked."""
+    heap = s._heap
+    assert all(heap[(n - 1) // 2] <= heap[n] for n in range(1, len(heap)))
     live = {}
     for key, var in s._heap:
         if -key == s.activity[var]:
@@ -668,13 +670,26 @@ class TestHeap:
             for c in clauses:
                 s.add_clause(c)
             levels = checked_backtracks(s)
-            for _ in range(3):
+            for n in range(3):
+                if n:
+                    # new variables between solves: their entries are
+                    # appended, in heap order behind the bumped ones
+                    for _ in range(n):
+                        s.new_var()
+                        check_heap(s)
                 assumptions = [rng.choice([1, -1]) * rng.randint(1, nv) for _ in range(2)]
                 res = s.solve(assumptions)
                 units = [[a] for a in assumptions]
                 assert (res == SAT) == brute_force_sat(nv, clauses + units)
             assert levels  # every solve backtracks at least once
             check_heap(s)
+            del s._backtrack  # the checking wrapper backtracks s, not a copy
+            c = s.copy()
+            check_heap(c)
+            c.new_var()
+            check_heap(c)
+            assert c.solve() == s.solve()
+            check_heap(c)
 
     def test_activity_rescale_keeps_the_heap_and_the_answers(self):
         s = pigeonhole(6, 5)
