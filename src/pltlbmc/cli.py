@@ -192,9 +192,13 @@ def _cmd_encode(args):
 def _write_var_map(path, vm, psi):
     cl = closure(psi)
     pos = {f.fid: n for n, f in enumerate(cl)}
+    # every member is a subformula of psi: cut its line out of psi's text
+    spans = {}
+    text = format_formula(psi, spans)
     with open(path, "w") as fh:
         for n, f in enumerate(cl):
-            fh.write(f"# phi {n} {format_formula(f)}\n")
+            start, end = spans[id(f)]
+            fh.write(f"# phi {n} {text[start:end]}\n")
         for (i, name), var in sorted(vm.state.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
             fh.write(f"state - {i} - {name} {var}\n")
         for i, var in sorted(vm.loopsel.items()):

@@ -147,15 +147,17 @@ class TimedVarMap:
 
 
 def _expr_lit(b, vm, prog, i, j=None):
-    """Replay a model expression's gate program (``model.compile_expr``) at
-    time i; next() refers to time j.  Each distinct node makes one builder
-    call, so the gates and clauses are those of the expression tree."""
+    """Replay a model expression's n-ary gate program
+    (``model.nary_program``) at time i; next() refers to time j.  Each step
+    makes at most one builder call: a merged ``&`` or ``|`` chain is one
+    ``and_`` or ``or_`` over all its inputs, and a subterm used twice is
+    lowered once."""
     state_bit = vm.state_bit
     vals = []
     push = vals.append
     for op, x, y in prog:
         if op == "&":
-            push(b.and_(vals[x], vals[y]))
+            push(b.and_(vals[x], vals[y]) if y is not None else b.and_(*[vals[s] for s in x]))
         elif op == "!":
             push(-vals[x])
         elif op == "var":
@@ -165,7 +167,7 @@ def _expr_lit(b, vm, prog, i, j=None):
                 raise ModelError("next() outside a transition expression")
             push(state_bit(j, x))
         elif op == "|":
-            push(b.or_(vals[x], vals[y]))
+            push(b.or_(vals[x], vals[y]) if y is not None else b.or_(*[vals[s] for s in x]))
         elif op == "->":
             push(b.or_(-vals[x], vals[y]))
         elif op == "<->":

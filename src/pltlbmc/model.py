@@ -31,6 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import accumulate
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
 
@@ -215,20 +216,23 @@ class SymbolicModel:
                     stack.pop()
         return tuple(order)
 
-    # Gate programs (see ``compile_expr``) of the model's expressions, each
-    # compiled at its first lowering and kept on the model with it.
+    def _program(self, expr):
+        """The n-ary gate program (``nary_program``) of ``expr``, which the
+        encoder replays at each time step.  The programs below are built at
+        their first lowering, not at parse time, and kept on the model."""
+        return nary_program(compile_expr(expr, self.define_map))
 
     @cached_property
     def init_program(self):
-        return compile_expr(self.init, self.define_map)
+        return self._program(self.init)
 
     @cached_property
     def trans_program(self):
-        return compile_expr(self.trans, self.define_map)
+        return self._program(self.trans)
 
     @cached_property
     def fairness_programs(self):
-        return tuple(compile_expr(e, self.define_map) for e in self.fairness)
+        return tuple(map(self._program, self.fairness))
 
     @cached_property
     def _define_programs(self):
@@ -237,8 +241,7 @@ class SymbolicModel:
     def define_program(self, name):
         prog = self._define_programs.get(name)
         if prog is None:
-            prog = compile_expr(self.define_map[name], self.define_map)
-            self._define_programs[name] = prog
+            prog = self._define_programs[name] = self._program(self.define_map[name])
         return prog
 
 
@@ -355,11 +358,16 @@ class Grammar(NamedTuple):
                     return operands[0]
                 raise self.expected("expected ')'" if pending else self.trailing, token, where(i))
 
-    def format(self, root, parent_prec=-1):
+    def format(self, root, parent_prec=-1, spans=None):
         """Text of ``root`` with the parentheses its precedence needs, where
         ``parent_prec`` is the least precedence it may have unbracketed.
-        Pieces are emitted left to right from an explicit stack."""
+        Pieces are emitted left to right from an explicit stack.
+
+        With ``spans``, a dict, the first print of each node is recorded as
+        ``id(node) -> (start, end)``, without the node's parentheses, so
+        that ``text[start:end]`` is the text of the node on its own."""
         out = []
+        marks = {}  # id(node) -> [its first piece, the piece after its last]
         todo = [(root, parent_prec)]  # (node, parent precedence) pairs and literal pieces
         while todo:
             item = todo.pop()
@@ -367,20 +375,29 @@ class Grammar(NamedTuple):
                 out.append(item)
                 continue
             e, parent_prec = item
+            if parent_prec is None:  # the end of a marked node
+                marks[id(e)].append(len(out))
+                continue
             k = e.kind
             if k in _LEAF_TEXT:
-                out.append(_LEAF_TEXT[k].format(e.name))
-                continue
-            args = self.operands(e)
-            if len(args) == 1:
-                out.append("!" if k == "!" else k + " ")
-                todo.append((args[0], _UNARY_PREC))
-                continue
-            prec, left, right = self.binary[k]
-            pieces = [(args[0], left), f" {k} ", (args[1], right)]
-            if prec < parent_prec:
-                pieces = ["(", *pieces, ")"]
+                pieces = [_LEAF_TEXT[k].format(e.name)]
+            else:
+                args = self.operands(e)
+                if len(args) == 1:
+                    pieces = ["!" if k == "!" else k + " ", (args[0], _UNARY_PREC)]
+                else:
+                    prec, left, right = self.binary[k]
+                    pieces = [(args[0], left), f" {k} ", (args[1], right)]
+                    if prec < parent_prec:
+                        out.append("(")
+                        todo.append(")")
+            if spans is not None and id(e) not in marks:
+                marks[id(e)] = [len(out)]
+                todo.append((e, None))
             todo.extend(reversed(pieces))
+        if spans is not None:
+            offsets = [0, *accumulate(map(len, out))]
+            spans.update((key, (offsets[a], offsets[b])) for key, (a, b) in marks.items())
         return "".join(out)
 
 
@@ -538,7 +555,8 @@ def _names(expr):
 # Gate programs
 # ---------------------------------------------------------------------------
 
-_KINDS = frozenset(("var", "next", "true", "false", "!", "&", "|", "->", "<->"))
+_OPERATORS = frozenset(("!", "&", "|", "->", "<->"))
+_KINDS = _OPERATORS | {"var", "next", "true", "false"}
 
 
 def compile_expr(expr, define_map):
@@ -589,6 +607,70 @@ def compile_expr(expr, define_map):
             steps.append(step)
         done[id(e)] = slot
     return tuple(steps)
+
+
+def nary_program(prog):
+    """``prog`` (``compile_expr``) with its single-use chains merged.
+
+    An ``&`` or ``|`` step used exactly once, as an operand of a step of the
+    same kind, is folded into that step, and so is a ``|`` step used
+    exactly once, as the right operand of ``->``: ``x -> (y | z)`` becomes
+    ``!x | y | z``.  A step with three or more inputs is
+    ``(kind, slots, None)``; every other step keeps its ``compile_expr``
+    form.  Equal steps still share one slot, so a subterm used twice stays
+    one step, and the program has no more steps or inputs than ``prog``.
+    Replaying it (``encode._expr_lit``) makes one n-ary gate per chain where
+    ``prog`` makes one binary gate per operator (after Een, Mishchenko and
+    Soerensson, *Applying logic synthesis for speeding up SAT*, SAT 2007).
+    """
+    uses = [0] * len(prog)
+    for k, x, y in prog:
+        if k in _OPERATORS:
+            uses[x] += 1
+            if y is not None:
+                uses[y] += 1
+    folded = [False] * len(prog)
+    for k, x, y in prog:
+        if k == "&" or k == "|":
+            for a in (x, y):
+                if prog[a][0] == k and uses[a] == 1:
+                    folded[a] = True
+        elif k == "->" and prog[y][0] == "|" and uses[y] == 1:
+            folded[y] = True
+    out = []
+    index = {}  # step -> its slot in out
+    slot = [None] * len(prog)  # slot in prog -> slot in out
+
+    def emit(step):
+        s = index.get(step)
+        if s is None:
+            s = index[step] = len(out)
+            out.append(step)
+        return s
+
+    for n, (k, x, y) in enumerate(prog):
+        if folded[n]:
+            continue
+        if k == "&" or k == "|" or (k == "->" and folded[y]):
+            # the inputs left to right, through the folded operands
+            ins, stack = [], [y, x]
+            if k == "->":
+                k = "|"
+                ins.append(emit(("!", slot[stack.pop()], None)))
+            while stack:
+                a = stack.pop()
+                if folded[a]:
+                    _, ax, ay = prog[a]
+                    stack += (ay, ax)
+                else:
+                    ins.append(slot[a])
+            step = (k, ins[0], ins[1]) if len(ins) == 2 else (k, tuple(ins), None)
+        elif k in _OPERATORS:
+            step = (k, slot[x], None if y is None else slot[y])
+        else:
+            step = (k, x, y)
+        slot[n] = emit(step)
+    return tuple(out)
 
 
 def substitute(expr, leaf, define_map=None):

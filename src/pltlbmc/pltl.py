@@ -206,9 +206,11 @@ def parse_formula(text):
     return _FORMULA.parse(text)
 
 
-def format_formula(f) -> str:
-    """Text of a surface or PNF formula; a negated atom prints as ``!name``."""
-    return _FORMULA.format(f)
+def format_formula(f, spans=None) -> str:
+    """Text of a surface or PNF formula; a negated atom prints as ``!name``.
+    With ``spans``, a dict, the text of each subformula is located in it as
+    ``Grammar.format`` does."""
+    return _FORMULA.format(f, spans=spans)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import sys
 import tempfile
 
@@ -7,13 +8,14 @@ import pytest
 
 from pltlbmc import check
 from pltlbmc.check import SCHEMES, RunOptions, scheme_model
-from pltlbmc.cli import main
+from pltlbmc.cli import _write_var_map, main
 from pltlbmc.encode import TimedVarMap
 from pltlbmc.model import model_to_text, parse_model
-from pltlbmc.pltl import parse_formula, s_not, to_pnf
+from pltlbmc.pltl import closure, format_formula, parse_formula, s_not, to_pnf
 from pltlbmc.sat import CircuitBuilder, Solver, parse_dimacs, run_external_solver
 
 from _fixtures import FIXTURES
+from _grid import random_pnf_formula
 
 COUNTER = str(FIXTURES / "counter.mod")
 COUNTER_FAIR = str(FIXTURES / "counter_fair.mod")
@@ -147,6 +149,25 @@ class TestCheck:
         # each CNF lived in a private directory under the temp root, now gone
         assert all(os.path.dirname(os.path.dirname(p)) == str(tmp_path) for p in paths)
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "output, message",
+        [
+            ("s SATISFIABLE\nv 1 -2 x3 0\n", "malformed value line: 'v 1 -2 x3 0'"),
+            ("c no verdict\nv 1 -2 0\n", "external solver produced no verdict"),
+            # var 1 is the constant true and var 2 is a at time 0
+            ("s SATISFIABLE\nv 1 2 0\n", "decoded path does not start in an initial state"),
+        ],
+    )
+    def test_malformed_external_solver_output_is_an_error(self, capsys, tmp_path, output, message):
+        model = tmp_path / "m.mod"
+        model.write_text("VAR a\nINIT !a\nTRANS next(a) <-> a\n")
+        solver = tmp_path / "fake_solver.py"
+        solver.write_text(f"import sys\nsys.stdout.write({output!r})\n")
+        argv = ["check", str(model), "--spec", "G a", "--solver", "external", sys.executable, str(solver)]
+        code, out, err = run(capsys, argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
 
     def test_every_scheme_runs(self, capsys):
         for scheme in ("fixpoint", "eventuality", "buchi", "pltl", "general-buchi"):
@@ -400,6 +421,15 @@ class TestDeepSpecs:
         assert code == 0, err
         phis = [line for line in open(cnf + ".map") if line.startswith("# phi ")]
         assert len(phis) == 1502 and f" {self.CHAIN}\n" in phis[-2]
+
+    def test_each_map_line_is_the_text_of_its_subformula(self, tmp_path):
+        rng = random.Random(29)
+        path = tmp_path / "f.map"
+        for _ in range(60):
+            psi = random_pnf_formula(rng, ["a", "b", "c"], max_cl=12)
+            _write_var_map(path, TimedVarMap(CircuitBuilder(Solver())), psi)
+            phis = [line for line in path.read_text().splitlines() if line.startswith("# phi ")]
+            assert phis == [f"# phi {n} {format_formula(f)}" for n, f in enumerate(closure(psi))]
 
     def test_tightba(self, capsys):
         code, out, err = run(capsys, ["tightba", f"F ({self.CHAIN})"])

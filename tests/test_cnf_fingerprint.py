@@ -45,21 +45,21 @@ SPECS = {
 }
 
 GOLDEN = {
-    "fixpoint": "28 2e9490cafa8366de",
-    "eventuality": "28 525ce35b61a308f0",
-    "buchi": "28 08e7f68d73f17fa2",
-    "pltl": "56 af950677b51dbd1b",
-    "pltl@d1": "56 6fe24b167c93087d",
-    "general-buchi": "56 e21c0dc7b5e47412",
-    "general-buchi@d1": "56 5c0aad5826c1a551",
-    "incremental-sp0": "56 4436b727eef051de",
-    "incremental-sp0@d1": "56 97787b49deb34bc1",
-    "incremental-sp1": "56 7f4a7b05f6bab29f",
-    "incremental-sp1@d1": "56 7b7c2d5b93e01861",
-    "incremental-eventuality": "28 1bf1648386f04558",
-    "incremental-buchi": "28 bf51911c9565bf11",
-    "incremental-general-buchi": "56 38982897f00f06f4",
-    "incremental-general-buchi@d1": "56 e183be24c91b96f3",
+    "fixpoint": "28 b084d5ee36b25309",
+    "eventuality": "28 76adb43a2383f6b8",
+    "buchi": "28 6d51ff8b9b26553e",
+    "pltl": "56 f7489598a5c795d1",
+    "pltl@d1": "56 b08449d3aa56a840",
+    "general-buchi": "56 1793f8b6cae47326",
+    "general-buchi@d1": "56 792f43cefb399e48",
+    "incremental-sp0": "56 0cbb969f28bdb394",
+    "incremental-sp0@d1": "56 7e888bcf1c0dc6a6",
+    "incremental-sp1": "56 786ec2958c84b2de",
+    "incremental-sp1@d1": "56 610a406b4fd4bfd7",
+    "incremental-eventuality": "28 51f076b9964c43c7",
+    "incremental-buchi": "28 b4d753f598414cf2",
+    "incremental-general-buchi": "56 ee92fef5503ac22a",
+    "incremental-general-buchi@d1": "56 13cbf8c965a47e6f",
 }
 
 MINTERM_SPECS = {
@@ -68,11 +68,11 @@ MINTERM_SPECS = {
 }
 
 MINTERM_GOLDEN = {
-    "minterm:fixpoint": "21 c4d5a4c5d81982ce",
-    "minterm:pltl": "35 da3ea08d7c61ce3b",
-    "minterm:general-buchi": "35 f970e9d81497dc55",
-    "minterm:incremental-sp1": "35 83df119fc802ffe0",
-    "minterm:incremental-general-buchi": "35 effc942c22a418ec",
+    "minterm:fixpoint": "21 55e5494a3b7fd45b",
+    "minterm:pltl": "35 2ef0585b51097c88",
+    "minterm:general-buchi": "35 20ad78fa1d281d4e",
+    "minterm:incremental-sp1": "35 6223a7a9c8858567",
+    "minterm:incremental-general-buchi": "35 cc93a3cbb1f09728",
 }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -21,16 +22,36 @@ from pltlbmc.model import (
     expr_to_text,
     input_vars_irrelevant_for_fairness,
     model_to_text,
+    nary_program,
     parse_expr,
     parse_model,
     reachable_states,
     successors,
 )
+from pltlbmc.encode import TimedVarMap, _expr_lit, unroll_model
+from pltlbmc.sat import SAT, CircuitBuilder, Solver
 
 from _fixtures import FIXTURES
 from _grid import random_symbolic_model
 
 COUNTER = (FIXTURES / "counter.mod").read_text()
+
+# Expressions over the state variables a, b, c and the next-state copies of
+# a and b.
+BOOL_EXPRS = st.recursive(
+    st.one_of(
+        st.sampled_from(["a", "b", "c"]).map(bvar),
+        st.sampled_from(["a", "b"]).map(bnext),
+        st.sampled_from([BoolExpr("true"), BoolExpr("false")]),
+    ),
+    lambda children: st.one_of(
+        children.map(lambda a: BoolExpr("!", args=(a,))),
+        st.tuples(st.sampled_from(["&", "|", "->", "<->"]), children, children).map(
+            lambda t: BoolExpr(t[0], args=t[1:])
+        ),
+    ),
+    max_leaves=8,
+)
 
 
 class TestParsing:
@@ -351,6 +372,69 @@ class TestGatePrograms:
             (("var", "a", None), ("var", "b", None), ("&", 0, 1), ("!", 2, None)),
         )
 
+    @given(BOOL_EXPRS)
+    @settings(max_examples=150, deadline=None)
+    def test_the_lowered_root_is_the_value_of_the_expression(self, e):
+        b = CircuitBuilder(Solver())
+        vm = TimedVarMap(b)
+        bits = {(i, n): vm.state_bit(i, n) for i, names in ((0, "abc"), (1, "ab")) for n in names}
+        root = _expr_lit(b, vm, nary_program(compile_expr(e, {})), 0, 1)
+        for values in itertools.product((False, True), repeat=len(bits)):
+            point = dict(zip(bits, values))
+            assumptions = [lit if point[key] else -lit for key, lit in bits.items()]
+            assert b.solver.solve(assumptions) == SAT
+            cur = {n: point[0, n] for n in "abc"}
+            nxt = {n: point[1, n] for n in "ab"}
+            assert b.solver.model_value(root) == eval_expr(e, cur, nxt)
+
+    @given(BOOL_EXPRS)
+    @settings(max_examples=300, deadline=None)
+    def test_the_nary_program_is_no_larger_than_the_binary_one(self, e):
+        def inputs(prog):
+            return sum(
+                len(x) if isinstance(x, tuple) else 1 + (y is not None)
+                for k, x, y in prog
+                if k in ("!", "&", "|", "->", "<->")
+            )
+
+        binary = compile_expr(e, {})
+        nary = nary_program(binary)
+        assert len(nary) <= len(binary) and inputs(nary) <= inputs(binary)
+
+    def test_chains_fold_into_one_step(self):
+        e = parse_expr("a & b & c | (a -> next(b) | c | a) | !c", allow_next=True)
+        assert nary_program(compile_expr(e, {})) == (
+            ("var", "a", None),
+            ("var", "b", None),
+            ("var", "c", None),
+            ("&", (0, 1, 2), None),
+            ("next", "b", None),
+            ("!", 0, None),
+            ("|", (5, 4, 2, 0), None),
+            ("!", 2, None),
+            ("|", (3, 6, 7), None),
+        )
+
+    def test_a_3000_term_disjunction_lowers_to_one_gate(self):
+        names = [f"v{n}" for n in range(1500)]
+        terms = [t for n in names for t in (n, f"next({n})")]
+        m = parse_model(f"VAR {' '.join(names)}\nINIT true\nTRANS {' | '.join(terms)}\n")
+        assert len(m.trans_program) == 3001
+        b = CircuitBuilder(Solver())
+        unroll_model(m, 1, b, TimedVarMap(b))
+        assert len(b.cache) == 1
+
+    def test_a_subterm_used_twice_stays_one_gate(self):
+        m = parse_model("VAR a b c d\nINIT true\nTRANS (a & b) & c & ((a & b) | d)\n")
+        assert [k for k, _, _ in m.trans_program if k in ("&", "|")] == ["&", "|", "&"]
+        b = CircuitBuilder(Solver())
+        vm = TimedVarMap(b)
+        unroll_model(m, 1, b, vm)
+        a, bb = vm.state_bit(0, "a"), vm.state_bit(0, "b")
+        # a & b, (a & b) | d, and one gate over a & b, c and the disjunction
+        assert len(b.cache) == 3 and ("and", (a, bb)) in b.cache
+        assert sorted(len(ins) for _, ins in b.cache) == [2, 2, 3]
+
     def test_unknown_kinds_are_rejected(self):
         with pytest.raises(ModelError, match="unknown expression kind 'xor'"):
             compile_expr(BoolExpr("xor", args=(bvar("a"), bvar("b"))), {})
@@ -387,22 +471,7 @@ class TestSerialization:
         for text in texts:
             assert expr_to_text(parse_expr(text, allow_next=True)) == text
 
-    @given(
-        st.recursive(
-            st.one_of(
-                st.sampled_from(["a", "b", "c"]).map(bvar),
-                st.sampled_from(["a", "b"]).map(bnext),
-                st.sampled_from([BoolExpr("true"), BoolExpr("false")]),
-            ),
-            lambda children: st.one_of(
-                children.map(lambda a: BoolExpr("!", args=(a,))),
-                st.tuples(st.sampled_from(["&", "|", "->", "<->"]), children, children).map(
-                    lambda t: BoolExpr(t[0], args=t[1:])
-                ),
-            ),
-            max_leaves=8,
-        )
-    )
+    @given(BOOL_EXPRS)
     @settings(max_examples=300, deadline=None)
     def test_expressions_round_trip_through_text(self, e):
         assert parse_expr(expr_to_text(e), allow_next=True) == e
