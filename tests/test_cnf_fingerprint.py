@@ -13,6 +13,11 @@ session, the others the session named after them.
 The ``minterm:`` tags do the same for two seeded minterm models, whose
 INIT and TRANS repeat each state's minterm and share most of their
 subterms: one 4-bit model and one 3-bit model with fairness defines.
+
+The ``shared:`` tags do the same for specs on ``counter.mod`` in which two
+untils or two releases share their right operand, and so share one
+eventuality chain, over the monolithic encoding and the session of every
+constraint-style scheme.
 """
 
 import hashlib
@@ -76,6 +81,26 @@ MINTERM_GOLDEN = {
 }
 
 
+SHARED_SPECS = [
+    "!((x0 U x4) | (x1 U x4))",
+    "(x0 U x4) | (x1 U x4)",
+    "!(F x4 & (x1 U x2) & (x0 U x4))",
+    "G F x4 | (x1 R x2) | (x0 R x4)",
+]
+
+SHARED_GOLDEN = {
+    "shared:pltl": "28 a180e8fc071fdd34",
+    "shared:eventuality": "28 a180e8fc071fdd34",
+    "shared:buchi": "28 db18426ff9187062",
+    "shared:general-buchi": "28 4d775f9dd8bbbbe0",
+    "shared:incremental-sp0": "28 f662979edee17e08",
+    "shared:incremental-sp1": "28 8820a35a1959ad4d",
+    "shared:incremental-eventuality": "28 f662979edee17e08",
+    "shared:incremental-buchi": "28 10959cf655acf03f",
+    "shared:incremental-general-buchi": "28 b108a82457b677ff",
+}
+
+
 def instances():
     for name, specs in SPECS.items():
         m = parse_model((FIXTURES / name).read_text())
@@ -90,10 +115,20 @@ def minterm_instances():
             yield m, to_pnf(s_not(parse_formula(spec)))
 
 
+def shared_instances():
+    m = parse_model((FIXTURES / "counter.mod").read_text())
+    for spec in SHARED_SPECS:
+        yield m, to_pnf(s_not(parse_formula(spec)))
+
+
+SOURCES = {"": instances, "minterm": minterm_instances, "shared": shared_instances}
+
+
 def fingerprint(tag):
     """``"<instances> <digest>"`` of one tag: a scheme name or
     ``incremental-<session>``, with ``@d1`` for d_max 1, over the fixtures,
-    or over the minterm models with the prefix ``minterm:``.
+    or over the minterm models with the prefix ``minterm:``, or over the
+    shared-chain specs with the prefix ``shared:``.
 
     ``incremental-sp0`` hashes the pltl session after each ``step(k)``;
     ``incremental-sp1`` hashes it after ``step(k)`` and a completeness query,
@@ -109,7 +144,7 @@ def fingerprint(tag):
         scheme = "pltl"
     h = hashlib.sha256()
     count = 0
-    for m, psi in minterm_instances() if source else instances():
+    for m, psi in SOURCES[source]():
         if scheme not in ("pltl", "general-buchi") and past_depth(psi) > 0:
             continue
         opts = RunOptions(scheme=scheme, d_max=d_max)
@@ -144,3 +179,8 @@ def test_cnf_is_unchanged(tag):
 @pytest.mark.parametrize("tag", list(MINTERM_GOLDEN))
 def test_minterm_cnf_is_unchanged(tag):
     assert fingerprint(tag) == MINTERM_GOLDEN[tag]
+
+
+@pytest.mark.parametrize("tag", list(SHARED_GOLDEN))
+def test_shared_chain_cnf_is_unchanged(tag):
+    assert fingerprint(tag) == SHARED_GOLDEN[tag]
