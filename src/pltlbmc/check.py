@@ -18,12 +18,15 @@ import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
-from .pltl import SurfaceFormula, parse_formula, to_pnf, s_not
+from .pltl import SurfaceFormula, atoms_of, parse_formula, to_pnf, s_not
 from .model import SymbolicModel, eval_expr
 from .sat import Solver, CircuitBuilder, SAT, UNSAT, export_dimacs, run_external_solver
 from .encode import (
+    CONSTRAINT_SCHEMES,
     TimedVarMap,
     IncrementalEncoder,
+    UnresolvedAtomError,
+    eventuality_style,
     unroll_model,
     encode_ltl_fixpoint,
     encode_ltl_eventuality,
@@ -95,15 +98,18 @@ SCHEMES = {
     "general-buchi": lambda m, psi, k, b, vm: encode_general_buchi(m, k, b, vm),
 }
 
-# The schemes that also run as one incremental session, an
-# ``IncrementalEncoder`` whose chains its scheme name picks: all but
-# fixpoint, whose loop dispatch depends on k.
-INCREMENTAL_SCHEMES = frozenset(SCHEMES) - {"fixpoint"}
+# The schemes that also run as one incremental session: the constraint-style
+# ones, all but fixpoint, whose loop dispatch depends on k.
+INCREMENTAL_SCHEMES = frozenset(CONSTRAINT_SCHEMES)
 
 
 def scheme_model(m: SymbolicModel, psi, opts: RunOptions) -> SymbolicModel:
     """The model the scheme unrolls: for general-buchi the product of m with
-    the tight automaton of psi, otherwise m itself."""
+    the tight automaton of psi, otherwise m itself.  Every atom of psi must
+    be a variable or define of m, whether or not the encoding reaches it."""
+    for name in sorted(atoms_of(psi)):
+        if name not in m.vars and name not in m.define_map:
+            raise UnresolvedAtomError(f"atom {name!r} is neither a variable nor a define")
     if opts.scheme == "general-buchi":
         return product(m, build_tight_ba(psi, d_max=opts.d_max))
     return m
@@ -197,8 +203,11 @@ def run_bmc(m: SymbolicModel, spec, opts: RunOptions = None):
     if opts.increment < 1:
         raise CheckError(f"increment must be at least 1, got {opts.increment}")
     if opts.completeness:
-        if opts.scheme != "pltl" or not opts.incremental:
-            raise CheckError("completeness needs the incremental pltl scheme")
+        # the termination argument is made for the eventuality chains only:
+        # cutting a loop segment may drop the only visit to an acceptance set
+        _, style = CONSTRAINT_SCHEMES.get(opts.scheme, (None, None))
+        if style is not eventuality_style or not opts.incremental:
+            raise CheckError("completeness needs an incremental session with eventuality chains")
         if opts.external_solver:
             raise CheckError("completeness cannot use an external solver")
     if opts.scheme in INCREMENTAL_SCHEMES and opts.incremental and not opts.external_solver:
@@ -248,7 +257,7 @@ def _solve(s, opts, k):
 
 
 def _run_incremental(m, psi, opts):
-    """Query witnesses, and with completeness (pltl only) also termination,
+    """Query witnesses, and with completeness also termination,
     bound by bound on one incremental session of the scheme's model.
 
     With increment 1 the witness query carries the simple path conjunct, so

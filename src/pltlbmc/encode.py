@@ -11,9 +11,11 @@ builder's solver, and return one literal whose assertion makes the solver
 search for a witness of bound k; the unrolling cap is ``vm.d_max``.  Each
 begins with the model unrolling (``encode_model_k``), of which the map may
 already hold a prefix; the driver keeps one unrolling per run and encodes
-each bound on a copy.  The incremental encoder serves every
-constraint-style scheme (pltl, eventuality, buchi, general-buchi), which
-differ only in their chains.  It keeps one growing solver and adds its
+each bound on a copy.  The constraint-style schemes (pltl, eventuality,
+buchi, general-buchi) differ only in their chains: ``CONSTRAINT_SCHEMES``
+maps each to its chain style, which gives a list of ``Chain`` records, and
+both the monolithic encoder and the incremental one iterate that list.
+The incremental encoder keeps one growing solver and adds its
 clauses to it directly; constraints that mention the current bound are
 guarded by per-bound activation literals so that moving to a larger bound
 never deletes clauses, it just stops assuming the stale activators.  Its
@@ -29,6 +31,8 @@ behind one guard literal.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple, Optional
 
 from .pltl import Formula, closure, memoised, past_depth
 from .model import SymbolicModel, ModelError
@@ -334,18 +338,128 @@ def _reject_past(psi):
 
 
 # ---------------------------------------------------------------------------
-# Eventuality / Buechi / PLTL encodings (constraint style)
+# Constraint-style encodings: eventuality, Buechi, general Buechi and PLTL
 # ---------------------------------------------------------------------------
 
 
+class Chain(NamedTuple):
+    """One entry of a scheme's chain list: a sticky accumulator over the
+    in-loop positions, acc_0 false and acc_i <-> acc_{i-1} | (InLoop_i &
+    hit(i)), so acc_i says that ``hit`` held at an in-loop position up to i;
+    and the end condition of one until, release or fairness program.
+
+    The accumulator's variables are ``vm.aux_var(role, key, i)``, and acc is
+    the variable itself (``sign`` 1) or its complement (-1).  Entries with
+    the same role and key share the accumulator.
+
+    Without a ``member`` the end condition is LoopExists -> acc_k: on a
+    (k,l)-loop, ``hit`` holds at some position of the loop.  With one (an
+    until, or a release for sign -1) it is LoopExists -> (sign * member ->
+    acc) at the path end, over the member's top unrolling: an until that
+    holds there, or a release that fails there, met its eventuality in the
+    loop."""
+
+    role: str
+    key: int
+    sign: int
+    hit: Callable
+    member: Optional[Formula]
+
+    def var(self, vm, i) -> int:
+        return vm.aux_var(self.role, self.key, i)
+
+    def acc(self, vm, i) -> int:
+        return self.sign * self.var(vm, i)
+
+
+def _sticky_step(b, vm, c, i) -> int:
+    """acc_i <-> acc_{i-1} | (InLoop_i & hit(i)) of chain c; ``hit(i)`` is
+    lowered after acc_i exists."""
+    return b.iff(c.acc(vm, i), b.or_(c.acc(vm, i - 1), b.and_(vm.in_loop(i), c.hit(i))))
+
+
+def _chain_end(b, vm, c, end) -> int:
+    """The end condition of chain c at index ``end``: the bound itself for
+    monolithic encodings, the end proxy for the incremental one."""
+    cond = c.acc(vm, end)
+    if c.member is not None:
+        cond = b.implies(c.sign * vm.fvar(c.member, end, vm.dcap(c.member)), cond)
+    return b.implies(vm.loop_exists(), cond)
+
+
+def _acceptance_hit(b, vm, f, i) -> int:
+    """Position i fulfils the until a U c (c | !(a U c)), respectively
+    witnesses the release a R c (!c | (a R c))."""
+    c = vm.fvar(f.right, i, vm.dcap(f.right))
+    whole = vm.fvar(f, i, vm.dcap(f))
+    return b.or_(c, -whole) if f.kind == "U" else b.or_(-c, whole)
+
+
+def eventuality_style(b, vm, m, psi):
+    """The eventuality chains: an until a U c has <<F c>>, "c held at an
+    in-loop position"; a release a R c has the complement of <<G c>>, "!c
+    held at an in-loop position".  Untils (releases) with the same right
+    operand share the chain."""
+    cl = closure(psi)
+    chains = []
+    for f in cl:
+        if f.kind in ("U", "R"):
+            c, dc, sign = f.right, vm.dcap(f.right), 1 if f.kind == "U" else -1
+            hit = lambda i, c=c, dc=dc, sign=sign: sign * vm.fvar(c, i, dc)
+            chains.append(Chain("F" if sign == 1 else "G", c.fid, sign, hit, f))
+    return cl, chains, lambda: vm.fvar(psi, 0, 0)
+
+
+def buchi_style(b, vm, m, psi):
+    """One acceptance chain per until and release (``_acceptance_hit``)."""
+    cl = closure(psi)
+    chains = [
+        Chain("ACC", f.fid, 1, lambda i, f=f: _acceptance_hit(b, vm, f, i), None)
+        for f in cl
+        if f.kind in ("U", "R")
+    ]
+    return cl, chains, lambda: vm.fvar(psi, 0, 0)
+
+
+def fairness_style(b, vm, m, psi):
+    """One acceptance chain per fairness program of m, which is already the
+    product with the automaton of psi (``check.scheme_model``): no formula
+    variables, and the goal is a fair loop."""
+    chains = [
+        Chain("ACCSET", mi, 1, lambda i, prog=prog: _expr_lit(b, vm, prog, i), None)
+        for mi, prog in enumerate(m.fairness_programs)
+    ]
+    return [], chains, vm.loop_exists
+
+
+# Constraint-style scheme -> (future formulas only, chain style).  A chain
+# style takes (b, vm, m, psi) and returns the closure whose formula
+# variables the scheme encodes, its chain list in closure order, and the
+# goal, a function giving the literal asserted at the start.  The schemes
+# share everything else: the monolithic encoder (``_encode_constraint_style``)
+# and the incremental session (``IncrementalEncoder``) both read this table.
+CONSTRAINT_SCHEMES = {
+    "pltl": (False, eventuality_style),
+    "eventuality": (True, eventuality_style),
+    "buchi": (True, buchi_style),
+    "general-buchi": (False, fairness_style),
+}
+
+
+def _constraint_parts(scheme, b, vm, m, psi):
+    """The closure, chain list and goal of ``scheme`` (its chain style)."""
+    future_only, style = CONSTRAINT_SCHEMES[scheme]
+    if future_only:
+        _reject_past(psi)
+    return style(b, vm, m, psi)
+
+
 def encode_ltl_eventuality(m, psi, k, b, vm) -> int:
-    _reject_past(psi)
-    return _encode_constraint_style(m, psi, k, b, vm, aux_style="eventuality")
+    return _encode_constraint_style("eventuality", m, psi, k, b, vm)
 
 
 def encode_ltl_buchi(m, psi, k, b, vm) -> int:
-    _reject_past(psi)
-    return _encode_constraint_style(m, psi, k, b, vm, aux_style="buchi")
+    return _encode_constraint_style("buchi", m, psi, k, b, vm)
 
 
 def encode_pltl(m, psi, k, b, vm) -> int:
@@ -355,12 +469,17 @@ def encode_pltl(m, psi, k, b, vm) -> int:
     past subformulas whose depth is capped below their past depth receive
     stabilisation forcing constraints at their top unrolling.
     """
-    return _encode_constraint_style(m, psi, k, b, vm, aux_style="eventuality")
+    return _encode_constraint_style("pltl", m, psi, k, b, vm)
 
 
-def _encode_constraint_style(m, psi, k, b, vm, aux_style):
+def encode_general_buchi(m: SymbolicModel, k, b, vm) -> int:
+    """Satisfiable iff the model has an initialised fair (k,l)-loop."""
+    return _encode_constraint_style("general-buchi", m, None, k, b, vm)
+
+
+def _encode_constraint_style(scheme, m, psi, k, b, vm):
+    cl, chains, goal = _constraint_parts(scheme, b, vm, m, psi)
     cons = [encode_model_k(m, k, b, vm), encode_loop_constraints(k, b, vm, m.vars)]
-    cl = closure(psi)
     le = vm.loop_exists()
     for i in range(0, k + 1):
         for f in cl:
@@ -372,8 +491,13 @@ def _encode_constraint_style(m, psi, k, b, vm, aux_style):
             cons.append(b.implies(-le, -vk1))
             for i in range(1, k + 1):
                 cons.append(b.implies(vm.loop_sel(i), b.iff(vk1, vm.fvar(f, i, d + 1))))
-    cons.extend(_aux_constraints(b, vm, cl, k, aux_style))
-    return b.and_(*cons, vm.fvar(psi, 0, 0))
+    # the start and steps of a chain shared with an earlier entry are gates
+    # the builder already holds
+    for c in chains:
+        cons.append(-c.acc(vm, 0))
+        cons.extend(_sticky_step(b, vm, c, i) for i in range(1, k + 1))
+        cons.append(_chain_end(b, vm, c, k))
+    return b.and_(*cons, goal())
 
 
 def _step_constraints(m, b, vm, f, i, end):
@@ -473,160 +597,46 @@ def _past_constraints(b, vm, f, i, d, end, stabilise_here):
     return out
 
 
-def _aux_constraints(b, vm, cl, k, aux_style):
-    """Eventuality or acceptance chains for until and release subformulas."""
-    if aux_style == "buchi":
-        chains = _buchi_chains(b, vm, cl)
-        return [c for chain in chains for c in _acceptance_chain(b, vm, k, *chain)]
-    cons = []
-    chains_done = set()
-    for f in cl:
-        if f.kind not in ("U", "R"):
-            continue
-        key = (f.kind, f.right.fid)
-        if key not in chains_done:
-            chains_done.add(key)
-            cons.append(_chain_start(vm, f))
-            cons.extend(_chain_step(b, vm, f, i) for i in range(1, k + 1))
-        cons.append(_chain_end(b, vm, f, k))
-    return cons
-
-
-def _buchi_chains(b, vm, cl) -> list:
-    """(role, key, hit) of the Buechi acceptance chain of each until and
-    release, keyed by the whole subformula."""
-    return [
-        ("ACC", f.fid, lambda i, f=f: _acceptance_hit(b, vm, f, i))
-        for f in cl
-        if f.kind in ("U", "R")
-    ]
-
-
-def _fairness_chains(b, vm, m) -> list:
-    """(role, key, hit) of the acceptance chain of each fairness program."""
-    return [
-        ("ACCSET", mi, lambda i, prog=prog: _expr_lit(b, vm, prog, i))
-        for mi, prog in enumerate(m.fairness_programs)
-    ]
-
-
-def _acceptance_hit(b, vm, f, i) -> int:
-    """Position i fulfils the until a U c (c | !(a U c)), respectively
-    witnesses the release a R c (!c | (a R c))."""
-    c = vm.fvar(f.right, i, vm.dcap(f.right))
-    whole = vm.fvar(f, i, vm.dcap(f))
-    return b.or_(c, -whole) if f.kind == "U" else b.or_(-c, whole)
-
-
-def _sticky_step(b, vm, role, key, i, hit) -> int:
-    """a_i <-> a_{i-1} | (InLoop_i & hit(i)): the accumulator a of ``role``
-    and ``key`` holds from the first in-loop position where ``hit`` held.
-    ``hit(i)`` is lowered after a_i exists."""
-    ai = vm.aux_var(role, key, i)
-    return b.iff(ai, b.or_(vm.aux_var(role, key, i - 1), b.and_(vm.in_loop(i), hit(i))))
-
-
-def _acceptance_chain(b, vm, k, role, key, hit) -> list:
-    """a_0 false, the sticky steps up to k, and LoopExists -> a_k: on a
-    (k,l)-loop, ``hit`` holds at some position of the loop.  The incremental
-    session emits the same pieces bound by bound, LoopExists -> a_k behind
-    the bound's activator."""
-    cons = [-vm.aux_var(role, key, 0)]
-    cons.extend(_sticky_step(b, vm, role, key, i, hit) for i in range(1, k + 1))
-    cons.append(b.implies(vm.loop_exists(), vm.aux_var(role, key, k)))
-    return cons
-
-
-# Eventuality chains.  An until ``a U c`` has the chain <<F c>>_i, "c held at
-# an in-loop position up to i"; a release ``a R c`` has <<G c>>_i, "c held at
-# every in-loop position up to i".  Untils (releases) sharing their right
-# operand share the chain.  The monolithic and the incremental encodings
-# emit the same start, steps and end condition, at ``end`` = k or E_INDEX.
-
-
-def _chain_var(vm, f, i) -> int:
-    role = "F" if f.kind == "U" else "G"
-    return vm.aux_var(role, f.right.fid, i)
-
-
-def _chain_start(vm, f) -> int:
-    a0 = _chain_var(vm, f, 0)
-    return a0 if f.kind == "R" else -a0
-
-
-def _chain_step(b, vm, f, i) -> int:
-    def sub(j):
-        return vm.fvar(f.right, j, vm.dcap(f.right))
-
-    if f.kind == "U":
-        return _sticky_step(b, vm, "F", f.right.fid, i, sub)
-    ai = _chain_var(vm, f, i)
-    return b.iff(ai, b.and_(_chain_var(vm, f, i - 1), b.or_(-vm.in_loop(i), sub(i))))
-
-
-def _chain_end(b, vm, f, end) -> int:
-    """Under LoopExists, the top unrolling of f at the path end agrees with
-    its chain there."""
-    a_end = _chain_var(vm, f, end)
-    top = vm.fvar(f, end, vm.dcap(f))
-    if f.kind == "U":
-        return b.implies(vm.loop_exists(), b.implies(top, a_end))
-    return b.implies(vm.loop_exists(), b.implies(a_end, top))
-
-
-def _class_lits(vm, cl, model_vars, i):
+def _class_lits(vm, cl, chains, model_vars, i):
     """The literals of position i that make up its simple path class: those
     every position compares (the model state, the in-loop flag and the
-    depth-0 formula values), and those compared only when both positions
-    are inside the loop (every formula unrolling and eventuality chain).
+    depth-0 formula values of the closure ``cl``), and those compared only
+    when both positions are inside the loop (every formula unrolling and the
+    accumulator of every entry of ``chains``).
 
-    A variable map serves one model and one closure, and a position's
-    literals never change once it is encoded, so they are built once and
-    kept in ``vm.classes``."""
+    A variable map serves one model, one closure and one chain list, and a
+    position's literals never change once it is encoded, so they are built
+    once and kept in ``vm.classes``."""
     lits = vm.classes.get(i)
     if lits is None:
         shared = [vm.state_bit(i, n) for n in model_vars]
         shared.append(vm.in_loop(i))
         shared.extend(vm.fvar(f, i, 0) for f in cl)
         in_loop = [vm.fvar(f, i, d) for f in cl for d in range(0, vm.dcap(f) + 1)]
-        in_loop.extend(_chain_var(vm, f, i) for f in cl if f.kind in ("U", "R"))
+        in_loop.extend(c.acc(vm, i) for c in chains)
         lits = vm.classes[i] = (shared, shared + in_loop, in_loop)
     return lits
 
 
-def simple_path_pair(b, vm, cl, model_vars, i, j) -> int:
+def simple_path_pair(b, vm, cl, chains, model_vars, i, j) -> int:
     """Literal that holds when positions i and j of the path differ.
 
     Two positions clash when they agree on the model state, the in-loop
     flag, the depth-0 formula values, and, when both are inside the loop,
-    on every formula unrolling and eventuality chain.
+    on every formula unrolling and chain accumulator.
     """
-    shared_i, _, loop_i = _class_lits(vm, cl, model_vars, i)
-    shared_j, _, loop_j = _class_lits(vm, cl, model_vars, j)
+    shared_i, _, loop_i = _class_lits(vm, cl, chains, model_vars, i)
+    shared_j, _, loop_j = _class_lits(vm, cl, chains, model_vars, j)
     diff_loop = b.and_(vm.in_loop(i), vm.in_loop(j), b.or_(*map(b.xor, loop_i, loop_j)))
     return b.or_(*map(b.xor, shared_i, shared_j), diff_loop)
 
 
-def simple_path_class(value_of, vm, cl, model_vars, i) -> tuple:
+def simple_path_class(value_of, vm, cl, chains, model_vars, i) -> tuple:
     """The values of position i's class in the model ``value_of`` reads:
     ``simple_path_pair(i, j)`` is false exactly when the classes of i and j
     are equal."""
-    shared, whole, _ = _class_lits(vm, cl, model_vars, i)
+    shared, whole, _ = _class_lits(vm, cl, chains, model_vars, i)
     return tuple(map(value_of, whole if value_of(vm.in_loop(i)) else shared))
-
-
-# ---------------------------------------------------------------------------
-# General Buechi encoding: fair (k,l)-loops of a fair Kripke structure
-# ---------------------------------------------------------------------------
-
-
-def encode_general_buchi(m: SymbolicModel, k, b, vm) -> int:
-    """Satisfiable iff the model has an initialised fair (k,l)-loop."""
-    cons = [encode_model_k(m, k, b, vm), encode_loop_constraints(k, b, vm, m.vars)]
-    cons.append(vm.loop_exists())
-    for chain in _fairness_chains(b, vm, m):
-        cons.extend(_acceptance_chain(b, vm, k, *chain))
-    return b.and_(*cons)
 
 
 # ---------------------------------------------------------------------------
@@ -638,18 +648,21 @@ class IncrementalEncoder:
     """Bound-by-bound encoding of one constraint-style scheme over one
     growing solver.
 
-    ``scheme`` picks the chains; everything else is shared.  ``pltl`` and
-    ``eventuality`` (future formulas only) keep the eventuality chains of
-    their monolithic encoding, ``buchi`` one acceptance chain per until and
-    release, and ``general-buchi`` one acceptance chain per fairness program
-    of ``m``.  For ``general-buchi``, ``m`` is the product with the
-    automaton of ``psi`` (``check.scheme_model``), so the session has no
-    formula variables and asserts LoopExists instead.
+    ``scheme`` picks the closure, chain list and goal through its chain
+    style in ``CONSTRAINT_SCHEMES``; everything else is shared with the
+    other schemes and with the monolithic encoding.  Each ``Chain`` entry
+    gets its start at bound 0, its step at every bound, and its end
+    condition: at the end proxy E, once, for an entry with a member, whose
+    accumulator the bound's activator then binds to index k like the
+    formula variables; behind the activator at k for the others.  For
+    ``general-buchi``, ``m`` is the product with the automaton of ``psi``
+    (``check.scheme_model``), so the session has no formula variables and
+    asserts LoopExists instead.
 
     ``step(k)`` adds the constraints for bound k: the stable part directly,
     the bound-dependent ones (end proxy binding, LoopExists, the index k+1
-    hook into the loop proxy, ``LoopExists -> a_k`` of each acceptance
-    chain) guarded by an activation literal.  The bindings, the loop
+    hook into the loop proxy, ``LoopExists -> acc_k`` of each entry without
+    a member) guarded by an activation literal.  The bindings, the loop
     proxies (l_k -> L = k) and the loop step (l_k -> s_{k-1} = s_E) are
     guarded equalities, written as clauses by ``_guarded_equal``, so a
     retired bound leaves no gate variable behind.  ``query_witness`` solves
@@ -659,38 +672,33 @@ class IncrementalEncoder:
     activator as a negative unit, outside ``step()``; an assumption true at
     level 0 then opens no decision level in the solver.
 
-    The simple path constraint of the termination check (eventuality chains
-    only) is added lazily (Een and Soerensson, *Temporal induction by
-    incremental SAT solving*, BMC 2003).  A query that asks for it solves
-    under one guard literal; while the model repeats a position class
-    (``simple_path_class``), the pairs of positions it repeats get their
-    ``simple_path_pair`` constraint behind the guard, and the query solves
-    again.  An UNSAT round is UNSAT for the full constraint too, since it is
-    a subset of it; a SAT answer is a model without a repeated class, that
-    is a simple path.  A pair of positions up to k stays part of the
-    constraint at every bound from k on, so the pairs, once added, serve
+    The simple path constraint of the termination check is added lazily
+    (Een and Soerensson, *Temporal induction by incremental SAT solving*,
+    BMC 2003).  A query that asks for it solves under one guard literal;
+    while the model repeats a position class (``simple_path_class``, over
+    the closure and the chain list), the pairs of positions it repeats get
+    their ``simple_path_pair`` constraint behind the guard, and the query
+    solves again.  An UNSAT round is UNSAT for the full constraint too,
+    since it is a subset of it; a SAT answer is a model without a repeated
+    class, that is a simple path.  A pair of positions up to k stays part of
+    the constraint at every bound from k on, so the pairs, once added, serve
     every later query.
     """
 
     def __init__(self, m: SymbolicModel, psi: Formula, d_max=None, scheme="pltl"):
-        if scheme not in ("pltl", "eventuality", "buchi", "general-buchi"):
+        if scheme not in CONSTRAINT_SCHEMES:
             raise EncodeError(f"scheme {scheme!r} has no incremental session")
-        if scheme in ("eventuality", "buchi"):
-            _reject_past(psi)
         self.m = m
-        self.psi = psi
         self.scheme = scheme
         self.solver = Solver()
         self.b = CircuitBuilder(self.solver)
         self.vm = TimedVarMap(self.b, d_max=d_max)
-        self.cl = [] if scheme == "general-buchi" else closure(psi)
-        self.eventuality_chains = scheme in ("pltl", "eventuality")
-        if scheme == "buchi":
-            self.acceptance = _buchi_chains(self.b, self.vm, self.cl)
-        elif scheme == "general-buchi":
-            self.acceptance = _fairness_chains(self.b, self.vm, m)
-        else:
-            self.acceptance = []
+        self.cl, self.chains, self.goal = _constraint_parts(scheme, self.b, self.vm, m, psi)
+        self.levels = [(f, d) for f in self.cl for d in range(0, self.vm.dcap(f) + 1)]
+        # the entry whose end condition each until or release writes, and
+        # one entry per accumulator, which the entries sharing it step
+        self.ends = {c.member: c for c in self.chains if c.member is not None}
+        self.accumulators = {(c.role, c.key): c for c in self.chains}.values()
         self.k = -1
         # made by the first simple path query, so that step() numbers its
         # variables the same whether or not simple paths are ever asked for
@@ -715,42 +723,27 @@ class IncrementalEncoder:
                 add([lit])
         # loop proxy: l_k selects index k as the loop point
         if k >= 1:
-            levels = [(f, d) for f in self.cl for d in range(0, vm.dcap(f) + 1)]
             _guarded_equal(
                 add,
                 vm.loop_sel(k),
-                [vm.fvar(f, L_INDEX, d) for f, d in levels],
-                [vm.fvar(f, k, d) for f, d in levels],
+                [vm.fvar(f, L_INDEX, d) for f, d in self.levels],
+                [vm.fvar(f, k, d) for f, d in self.levels],
             )
-            self._emit_chain_steps(k)
+            for c in self.accumulators:
+                add([_sticky_step(b, vm, c, k)])
         self._emit_k_dependent(k)
         self.k = k
 
     def _emit_base(self):
         b, vm, add = self.b, self.vm, self.solver.add_clause
         le = vm.loop_exists()
-        for f in self.cl:
-            for d in range(0, vm.dcap(f) + 1):
-                add([b.implies(-le, -vm.fvar(f, L_INDEX, d))])
-        if self.eventuality_chains:
-            for f in self.cl:
-                if f.kind in ("U", "R"):
-                    add([_chain_start(vm, f)])
-                    add([_chain_end(b, vm, f, E_INDEX)])
-        for role, key, _ in self.acceptance:
-            add([-vm.aux_var(role, key, 0)])
-        add([le] if self.scheme == "general-buchi" else [vm.fvar(self.psi, 0, 0)])
-
-    def _emit_chain_steps(self, k):
-        b, vm, add = self.b, self.vm, self.solver.add_clause
-        if self.eventuality_chains:
-            done = set()
-            for f in self.cl:
-                if f.kind in ("U", "R") and (f.kind, f.right.fid) not in done:
-                    done.add((f.kind, f.right.fid))
-                    add([_chain_step(b, vm, f, k)])
-        for role, key, hit in self.acceptance:
-            add([_sticky_step(b, vm, role, key, k, hit)])
+        for f, d in self.levels:
+            add([b.implies(-le, -vm.fvar(f, L_INDEX, d))])
+        for c in self.chains:
+            add([-c.acc(vm, 0)])
+            if c.member is not None:
+                add([_chain_end(b, vm, c, E_INDEX)])
+        add([self.goal()])
 
     def _emit_k_dependent(self, k):
         vm, m, add = self.vm, self.m, self.solver.add_clause
@@ -762,11 +755,13 @@ class IncrementalEncoder:
             for d in range(0, vm.dcap(f) + 1):
                 pairs.append((vm.fvar(f, E_INDEX, d), vm.fvar(f, k, d)))
                 pairs.append((vm.fvar(f, k + 1, d), vm.fvar(f, L_INDEX, d + 1)))
-            if self.eventuality_chains and f.kind in ("U", "R"):
-                pairs.append((_chain_var(vm, f, E_INDEX), _chain_var(vm, f, k)))
+            c = self.ends.get(f)
+            if c is not None:
+                pairs.append((c.var(vm, E_INDEX), c.var(vm, k)))
         _guarded_equal(add, act, *zip(*pairs))
-        for role, key, _ in self.acceptance:
-            add([-act, -le, vm.aux_var(role, key, k)])
+        for c in self.chains:
+            if c.member is None:
+                add([-act, -le, c.acc(vm, k)])
 
     # -- queries ---------------------------------------------------------------
 
@@ -782,8 +777,6 @@ class IncrementalEncoder:
         solver = self.solver
         if not simple_path:
             return solver.solve(assumptions, conflict_budget=conflict_budget)
-        if not self.eventuality_chains:
-            raise EncodeError("the simple path constraint needs the eventuality chains")
         if self.sp_guard is None:
             self.sp_guard = self.b.var()
         assumptions.append(self.sp_guard)
@@ -797,7 +790,7 @@ class IncrementalEncoder:
             if not pairs:
                 return SAT
             for i, j in pairs:
-                pair = simple_path_pair(self.b, self.vm, self.cl, self.m.vars, i, j)
+                pair = simple_path_pair(self.b, self.vm, self.cl, self.chains, self.m.vars, i, j)
                 solver.add_clause([-self.sp_guard, pair])
 
     def _clashing_pairs(self):
@@ -805,7 +798,7 @@ class IncrementalEncoder:
         solver's model, grouped by class in order of first position."""
         groups = {}
         for i in range(0, self.k + 1):
-            key = simple_path_class(self.solver.model_value, self.vm, self.cl, self.m.vars, i)
+            key = simple_path_class(self.solver.model_value, self.vm, self.cl, self.chains, self.m.vars, i)
             groups.setdefault(key, []).append(i)
         return [(i, j) for g in groups.values() for n, j in enumerate(g) for i in g[:n]]
 

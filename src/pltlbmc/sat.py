@@ -476,7 +476,10 @@ class Solver:
         """
         assert not self.trail_lim, "only a solver at decision level 0 can be copied"
         c = Solver.__new__(Solver)
-        c.__dict__.update(self.__dict__)  # the counters and flags
+        # named fields only: an attribute set on this instance (a wrapped
+        # method, say) would act on this solver, not on the copy
+        for name in ("nvars", "_nlearned", "qhead", "ok", "var_inc", "conflicts", "decisions", "propagations", "restarts"):
+            setattr(c, name, getattr(self, name))
         for name in ("db", "vals", "level", "reason", "saved", "activity", "_seen", "_in_heap", "_heap", "trail"):
             setattr(c, name, getattr(self, name)[:])
         c.trail_lim = []
@@ -667,18 +670,11 @@ class CircuitBuilder:
 # ---------------------------------------------------------------------------
 
 
-def export_dimacs(solver: Solver, path, assumptions=(), assume_units=False):
-    """Write the clause database as DIMACS CNF.
-
-    With ``assume_units`` the assumption literals are appended as unit
-    clauses, making the file equivalent to a solve() call under them.
-    """
-    clauses = [c for c in solver.db]
-    if assume_units:
-        clauses.extend([a] for a in assumptions)
+def export_dimacs(solver: Solver, path):
+    """Write the clause database as DIMACS CNF."""
     with open(path, "w") as fh:
-        fh.write(f"p cnf {solver.nvars} {len(clauses)}\n")
-        for clause in clauses:
+        fh.write(f"p cnf {solver.nvars} {len(solver.db)}\n")
+        for clause in solver.db:
             fh.write(" ".join(str(l) for l in clause) + " 0\n")
 
 

@@ -10,7 +10,7 @@ from pltlbmc import check
 from pltlbmc.model import parse_model, eval_expr, explicit_expand
 from pltlbmc.pltl import parse_formula, past_depth, s_not, to_pnf, closure
 from pltlbmc.sat import INTERRUPTED, SAT, UNSAT, Solver, CircuitBuilder, export_dimacs, run_external_solver
-from pltlbmc.encode import IncrementalEncoder, TimedVarMap, encode_pltl, simple_path_pair
+from pltlbmc.encode import IncrementalEncoder, TimedVarMap, encode_pltl, eventuality_style, simple_path_pair
 from pltlbmc.check import (
     BoundExhausted,
     CheckError,
@@ -102,6 +102,19 @@ class TestRunBmc:
                 COUNTER, "G !p7", RunOptions(completeness=True, incremental=False)
             )
 
+    @pytest.mark.parametrize(
+        "opts",
+        [
+            RunOptions(completeness=True, scheme="general-buchi"),
+            RunOptions(completeness=True, scheme="fixpoint"),
+            RunOptions(completeness=True, scheme="eventuality", incremental=False),
+            RunOptions(completeness=True, external_solver=(sys.executable, "-c", "")),
+        ],
+    )
+    def test_completeness_needs_a_session_with_eventuality_chains(self, opts):
+        with pytest.raises(CheckError):
+            run_bmc(COUNTER, "G !p7", opts)
+
     def test_increment_without_completeness_scans_strides(self):
         # bounds 0,3,6: the k=6 witness is still the first one visited
         v = run_bmc(
@@ -149,10 +162,10 @@ class TestRunBmc:
         assert verdict_line(BoundExhausted(max_k=9)) == "VERDICT UNKNOWN max_k=9"
 
 
-def build_simple_path(k, vm, b, cl, model_vars):
+def build_simple_path(k, vm, b, cl, chains, model_vars):
     """Pairwise distinctness over 0 <= i < j <= k."""
     return b.and_(
-        *[simple_path_pair(b, vm, cl, model_vars, i, j) for j in range(1, k + 1) for i in range(j)]
+        *[simple_path_pair(b, vm, cl, chains, model_vars, i, j) for j in range(1, k + 1) for i in range(j)]
     )
 
 
@@ -203,6 +216,40 @@ def stall_session(k=15):
     return inc
 
 
+class TestEventualityCompleteness:
+    """On a future formula the eventuality session is the pltl session
+    (plus the check that the formula has no past), so its termination check
+    is pltl's."""
+
+    def test_the_session_database_is_pltls(self):
+        rng = random.Random(163)
+        for _ in range(12):
+            m = random_symbolic_model(rng, bits=rng.choice([2, 3]))
+            psi = random_pnf_formula(rng, list(m.vars), max_cl=6, allow_past=False)
+            pltl, ev = (IncrementalEncoder(m, psi, scheme=s) for s in ("pltl", "eventuality"))
+            for k in range(6):
+                for inc in (pltl, ev):
+                    inc.step(k)
+                    inc.query_completeness()
+                    inc.query_witness(simple_path=True)
+                assert (ev.solver.nvars, ev.solver.db) == (pltl.solver.nvars, pltl.solver.db)
+
+    def test_complete_verdicts_are_pltls(self):
+        rng = random.Random(167)
+        kinds = set()
+        for _ in range(30):
+            m = random_symbolic_model(rng, bits=rng.choice([2, 3]))
+            psi = random_pnf_formula(rng, list(m.vars), max_cl=6, allow_past=False)
+            for increment in (1, 2):
+                pltl, ev = (
+                    run_bmc(m, psi, RunOptions(scheme=s, completeness=True, increment=increment, max_k=16))
+                    for s in ("pltl", "eventuality")
+                )
+                assert ev == pltl  # the verdict, its k and any witness
+                kinds.add(type(ev))
+        assert {Proved, WitnessFound} <= kinds
+
+
 class TestConflictBudget:
     def test_the_rounds_of_one_query_share_its_budget(self):
         free = stall_session()
@@ -237,9 +284,10 @@ class TestSimplePath:
         vm = TimedVarMap(b)
         psi = pnf("F x4")
         encode_pltl(COUNTER, psi, 0, b, vm)
-        assert build_simple_path(0, vm, b, closure(psi), COUNTER.vars) == b.TRUE
+        cl, chains, _ = eventuality_style(b, vm, COUNTER, psi)
+        assert build_simple_path(0, vm, b, cl, chains, COUNTER.vars) == b.TRUE
         # a position never differs from itself
-        assert simple_path_pair(b, vm, closure(psi), COUNTER.vars, 0, 0) == b.FALSE
+        assert simple_path_pair(b, vm, cl, chains, COUNTER.vars, 0, 0) == b.FALSE
 
     def test_identical_positions_violate_the_constraint(self):
         m = parse_model("VAR a b\nINIT true\nTRANS true\n")
@@ -248,7 +296,7 @@ class TestSimplePath:
         vm = TimedVarMap(b)
         psi = pnf("F a")
         s.add_clause([encode_pltl(m, psi, 2, b, vm)])
-        sp = build_simple_path(2, vm, b, closure(psi), m.vars)
+        sp = build_simple_path(2, vm, b, *eventuality_style(b, vm, m, psi)[:2], m.vars)
         assert s.solve() == SAT
         # two identical stem positions with equal formula bits are allowed
         # without the constraint but contradict it
@@ -275,7 +323,7 @@ class TestSimplePath:
             for k in range(7):
                 lazy.step(k)
                 ref.step(k)
-                sp = build_simple_path(k, ref.vm, ref.b, ref.cl, m.vars)
+                sp = build_simple_path(k, ref.vm, ref.b, ref.cl, ref.chains, m.vars)
                 for witness in (False, True):
                     act = ref.vm.activation_lit
                     assumptions = [act(j) if witness and j == k else -act(j) for j in range(k + 1)]

@@ -177,6 +177,24 @@ class TestCheck:
             )
             assert code == 1 and "k=6" in out.splitlines()[0], scheme
 
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
+    @pytest.mark.parametrize("spec", ["X nosuch", "G (x0 | X nosuch)"])
+    def test_an_undeclared_atom_is_an_error(self, capsys, tmp_path, scheme, spec):
+        """Every scheme rejects an atom the model does not declare with one
+        message, incremental or not, and ``encode`` too, also where no
+        lowering reaches the atom (fixpoint at k=0)."""
+        message = "error: atom 'nosuch' is neither a variable nor a define"
+        for flags in ([], ["--no-incremental"]):
+            code, out, err = run(
+                capsys, ["check", COUNTER, "--scheme", scheme, "--spec", spec, "--max-k", "0"] + flags
+            )
+            assert code == 3 and message in err and "VERDICT" not in out
+        out_cnf = tmp_path / "o.cnf"
+        code, _, err = run(
+            capsys, ["encode", COUNTER, "--scheme", scheme, "--spec", spec, "-k", "0", "-o", str(out_cnf)]
+        )
+        assert code == 3 and message in err and not out_cnf.exists()
+
     def test_check_and_oracle_agree_on_the_fixtures(self, capsys):
         specs = ["G !x4", "!(G F x4)", "G !p7", "!(F (x3 & O (x4 & O x5)))"]
         for spec in specs:

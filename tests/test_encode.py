@@ -17,7 +17,6 @@ from pltlbmc.encode import (
     encode_ltl_buchi,
     encode_model_k,
     encode_pltl,
-    _chain_var,
 )
 from pltlbmc.oracle import Budget, exists_witness_bounded, fair_lasso_search
 
@@ -327,8 +326,9 @@ def guarded_equalities(inc, k):
             out.append((act, vm.fvar(f, k + 1, d), vm.fvar(f, L_INDEX, d + 1)))
             if k >= 1:
                 out.append((vm.loop_sel(k), vm.fvar(f, L_INDEX, d), vm.fvar(f, k, d)))
-        if inc.eventuality_chains and f.kind in ("U", "R"):
-            out.append((act, _chain_var(vm, f, E_INDEX), _chain_var(vm, f, k)))
+        if f in inc.ends:
+            chain = inc.ends[f]
+            out.append((act, chain.var(vm, E_INDEX), chain.var(vm, k)))
     if k >= 1:
         out.extend((vm.loop_sel(k), vm.state_bit(k - 1, n), vm.state_bit(E_INDEX, n)) for n in m.vars)
     return [e for e in dict.fromkeys(out) if e[1] != e[2]]
@@ -383,7 +383,7 @@ class TestGuardedEqualities:
                 for _, key in new_gates:
                     assert abs(act) not in map(abs, key)
                 behind_act = [c for c in added if -act in c]
-                assert len(behind_act) == 2 * sum(g == act for g, _, _ in eqs) + len(inc.acceptance)
+                assert len(behind_act) == 2 * sum(g == act for g, _, _ in eqs) + sum(c.member is None for c in inc.chains)
             schemes.add(inc.scheme)
         assert schemes == INCREMENTAL_SCHEMES
 

@@ -15,7 +15,6 @@ from pltlbmc.sat import (
     CircuitBuilder,
     Solver,
     export_dimacs,
-    parse_dimacs,
     run_external_solver,
 )
 
@@ -429,14 +428,6 @@ class TestDimacs:
         export_dimacs(s, path)
         assert path.read_text() == "p cnf 2 1\n1 -2 0\n"
 
-    def test_assumptions_as_units(self, tmp_path):
-        s = Solver()
-        s.new_var()
-        path = tmp_path / "u.cnf"
-        export_dimacs(s, path, assumptions=[-1], assume_units=True)
-        nvars, clauses = parse_dimacs(path.read_text())
-        assert clauses == [[-1]]
-
     def test_round_trip_against_external_solver(self, tmp_path):
         rng = random.Random(37)
         for i in range(100):
@@ -683,13 +674,33 @@ class TestHeap:
                 assert (res == SAT) == brute_force_sat(nv, clauses + units)
             assert levels  # every solve backtracks at least once
             check_heap(s)
-            del s._backtrack  # the checking wrapper backtracks s, not a copy
             c = s.copy()
             check_heap(c)
             c.new_var()
             check_heap(c)
             assert c.solve() == s.solve()
             check_heap(c)
+
+    def test_a_copy_keeps_no_method_wrapped_on_the_original(self):
+        """The checking wrapper set on one solver stays with it: the copy
+        backtracks itself, and both answer as brute force does."""
+        rng = random.Random(59)
+        for _ in range(20):
+            nv = rng.randint(4, 10)
+            clauses = random_cnf(rng, nv, rng.randint(nv, nv * 4))
+            s = Solver()
+            for _ in range(nv):
+                s.new_var()
+            for c in clauses:
+                s.add_clause(c)
+            levels = checked_backtracks(s)
+            c = s.copy()
+            expected = brute_force_sat(nv, clauses)
+            assert (c.solve() == SAT) == expected
+            assert not levels  # the copy ran none of the original's backtracks
+            check_heap(c)
+            assert (s.solve() == SAT) == expected
+            assert levels
 
     def test_activity_rescale_keeps_the_heap_and_the_answers(self):
         s = pigeonhole(6, 5)
