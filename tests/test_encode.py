@@ -383,7 +383,8 @@ class TestGuardedEqualities:
                 for _, key in new_gates:
                     assert abs(act) not in map(abs, key)
                 behind_act = [c for c in added if -act in c]
-                assert len(behind_act) == 2 * sum(g == act for g, _, _ in eqs) + sum(c.member is None for c in inc.chains)
+                ends_at_k = sum(c.member is None for c in inc.chains)
+                assert len(behind_act) == 2 * sum(g == act for g, _, _ in eqs) + ends_at_k
             schemes.add(inc.scheme)
         assert schemes == INCREMENTAL_SCHEMES
 
