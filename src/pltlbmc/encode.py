@@ -601,8 +601,8 @@ def _class_lits(vm, cl, chains, model_vars, i):
     """The literals of position i that make up its simple path class: those
     every position compares (the model state, the in-loop flag and the
     depth-0 formula values of the closure ``cl``), and those compared only
-    when both positions are inside the loop (every formula unrolling and the
-    accumulator of every entry of ``chains``).
+    when both positions are inside the loop (every formula unrolling and
+    each accumulator of ``chains``, once however many entries share it).
 
     A variable map serves one model, one closure and one chain list, and a
     position's literals never change once it is encoded, so they are built
@@ -613,7 +613,7 @@ def _class_lits(vm, cl, chains, model_vars, i):
         shared.append(vm.in_loop(i))
         shared.extend(vm.fvar(f, i, 0) for f in cl)
         in_loop = [vm.fvar(f, i, d) for f in cl for d in range(0, vm.dcap(f) + 1)]
-        in_loop.extend(c.acc(vm, i) for c in chains)
+        in_loop.extend(dict.fromkeys(c.acc(vm, i) for c in chains))
         lits = vm.classes[i] = (shared, shared + in_loop, in_loop)
     return lits
 

@@ -18,6 +18,12 @@ The ``shared:`` tags do the same for specs on ``counter.mod`` in which two
 untils or two releases share their right operand, and so share one
 eventuality chain, over the monolithic encoding and the session of every
 constraint-style scheme.
+
+Run as a script (``PYTHONPATH=src python tests/test_cnf_fingerprint.py``),
+the module prints every tag's current fingerprint in the layout of
+``GOLDEN``, ``MINTERM_GOLDEN`` and ``SHARED_GOLDEN``, to paste over them
+when an encoding changes on purpose; the tests only ever compare against
+the literals committed here.
 """
 
 import hashlib
@@ -184,3 +190,11 @@ def test_minterm_cnf_is_unchanged(tag):
 @pytest.mark.parametrize("tag", list(SHARED_GOLDEN))
 def test_shared_chain_cnf_is_unchanged(tag):
     assert fingerprint(tag) == SHARED_GOLDEN[tag]
+
+
+if __name__ == "__main__":
+    for name, golden in (("GOLDEN", GOLDEN), ("MINTERM_GOLDEN", MINTERM_GOLDEN), ("SHARED_GOLDEN", SHARED_GOLDEN)):
+        print(f"{name} = {{")
+        for tag in golden:
+            print(f'    "{tag}": "{fingerprint(tag)}",')
+        print("}\n")
