@@ -6,28 +6,33 @@ indexed by subformula, time and unrolling depth, and the auxiliary chains)
 to solver variables.  Requests for a formula variable above the subformula's
 unrolling cap alias down to the cap, which realises virtual unrolling.
 
-Monolithic encoders take ``(m, psi, k, b, vm)``, write their gates into the
-builder's solver, and return one literal whose assertion makes the solver
-search for a witness of bound k; the unrolling cap is ``vm.d_max``.  Each
-begins with the model unrolling (``encode_model_k``), of which the map may
-already hold a prefix; the driver keeps one unrolling per run and encodes
-each bound on a copy.  The constraint-style schemes (pltl, eventuality,
-buchi, general-buchi) differ only in their chains: ``CONSTRAINT_SCHEMES``
-maps each to its chain style, which gives a list of ``Chain`` records, and
-both the monolithic encoder and the incremental one iterate that list.
-The incremental encoder keeps one growing solver and adds its
-clauses to it directly; constraints that mention the current bound are
-guarded by per-bound activation literals so that moving to a larger bound
-never deletes clauses, it just stops assuming the stale activators.  Its
-guarded equalities g -> (x <-> y) (the bindings of the bound, the loop
-proxies and the loop step's state equality) are two clauses per pair and
-no gate (``_guarded_equal``): a gate would stay a free variable after its
-guard retires, for every later query to assign again.  The model
-unrolling (``unroll_model``) and the loop selector step (``_loop_step``)
-are the same for both kinds of encoder; the monolithic encoders lower the
-loop step's equality as a gate.  The simple path constraint of the
-termination check is added lazily, one pair of positions at a time,
-behind one guard literal.
+Monolithic encoders take ``(m, psi, k, b, vm)``, write their gates and
+clauses into the builder's solver, and return one literal whose assertion
+makes the solver search for a witness of bound k; the unrolling cap is
+``vm.d_max``.  Their clauses hold whether or not that literal is asserted,
+so a caller always asserts it (``check.encode_bound``).  Each begins with
+the model unrolling (``encode_model_k``), of which the map may already hold
+a prefix; the driver keeps one unrolling per run and encodes each bound on
+a copy.  The constraint-style schemes (pltl, eventuality, buchi,
+general-buchi) differ only in their chains: ``CONSTRAINT_SCHEMES`` maps
+each to its chain style, which gives a list of ``Chain`` records, and both
+the monolithic encoder and the incremental one iterate that list.  The
+incremental encoder keeps one growing solver and adds its clauses to it
+directly; constraints that mention the current bound are guarded by
+per-bound activation literals so that moving to a larger bound never
+deletes clauses, it just stops assuming the stale activators.
+
+Both kinds of encoder write an asserted implication a -> b as the clause
+[-a, b], and an asserted guarded equality g -> (x <-> y) as the clauses
+[-g, -x, y] and [-g, x, -y] per pair (``_guarded_equal``), through a
+clause sink ``add``, never as a gate (Plaisted and Greenbaum, 1986).  That
+covers the loop step, the binding of index k+1 and the chain ends in both,
+and the bindings of each bound and the loop proxies in the session, where a
+gate would also stay a free variable after its guard retires, for every
+later query to assign again.  The model unrolling (``unroll_model``) and
+the loop selector step (``_loop_step``) are the same for both kinds of
+encoder.  The simple path constraint of the termination check is added
+lazily, one pair of positions at a time, behind one guard literal.
 """
 
 from __future__ import annotations
@@ -230,37 +235,25 @@ def _guarded_equal(add, g, xs, ys):
             add([-g, x, -y])
 
 
-def _loop_step(b, vm, model_vars, i, end):
+def _loop_step(add, b, vm, model_vars, i, end) -> int:
     """The loop selector constraints of position i >= 1.  A true l_i
     commits the path to a loop back to i by forcing s_{i-1} = s_end
-    bitwise; that guarded equality comes first, as the data
-    ``(l_i, s_{i-1}, s_end)``, for the caller to lower before it takes the
-    rest.  The rest are literals, each yielded once its gates exist:
-    InLoop_i is InLoop_{i-1} | l_i, and no selector holds after the first
-    one.  ``end`` is the bound itself for monolithic encodings and the end
-    proxy for the incremental one."""
+    bitwise, and no selector holds after the first one: both go to the
+    clause sink ``add``.  The literal returned, for the caller to assert,
+    defines InLoop_i as InLoop_{i-1} | l_i.  ``end`` is the bound itself
+    for monolithic encodings and the end proxy for the incremental one."""
     li = vm.loop_sel(i)
-    yield li, [vm.state_bit(i - 1, n) for n in model_vars], [vm.state_bit(end, n) for n in model_vars]
-    yield b.iff(vm.in_loop(i), b.or_(vm.in_loop(i - 1), li))
-    yield b.implies(vm.in_loop(i - 1), -li)
+    _guarded_equal(add, li, [vm.state_bit(i - 1, n) for n in model_vars], [vm.state_bit(end, n) for n in model_vars])
+    if i > 1:
+        add([-vm.in_loop(i - 1), -li])
+    return b.iff(vm.in_loop(i), b.or_(vm.in_loop(i - 1), li))
 
 
 def encode_loop_constraints(k, b, vm, model_vars) -> int:
     """Loop selector machinery for bound k: the ``_loop_step`` of every
-    position 1..k, its state equality lowered as a gate, l_0 and InLoop_0
-    false, and LoopExists mirroring InLoop_k."""
-    # s_k, and then l_i and InLoop_i, get their variables before the gates
-    # of each _loop_step: the monolithic CNF keeps its variable order
-    parts = []
-    for n in model_vars:
-        vm.state_bit(k, n)
-    for i in range(1, k + 1):
-        vm.loop_sel(i)
-        vm.in_loop(i)
-        rest = _loop_step(b, vm, model_vars, i, k)
-        li, xs, ys = next(rest)
-        parts.append(b.implies(li, b.equal_vectors(xs, ys)))
-        parts.extend(rest)
+    position 1..k, whose clauses go into the builder's solver, l_0 and
+    InLoop_0 false, and LoopExists mirroring InLoop_k."""
+    parts = [_loop_step(b.solver.add_clause, b, vm, model_vars, i, k) for i in range(1, k + 1)]
     parts.append(b.iff(vm.loop_exists(), vm.in_loop(k)))
     return b.and_(*parts)
 
@@ -352,12 +345,12 @@ class Chain(NamedTuple):
     the variable itself (``sign`` 1) or its complement (-1).  Entries with
     the same role and key share the accumulator.
 
-    Without a ``member`` the end condition is LoopExists -> acc_k: on a
-    (k,l)-loop, ``hit`` holds at some position of the loop.  With one (an
-    until, or a release for sign -1) it is LoopExists -> (sign * member ->
-    acc) at the path end, over the member's top unrolling: an until that
-    holds there, or a release that fails there, met its eventuality in the
-    loop."""
+    Without a ``member`` the end condition is LoopExists -> acc at the path
+    end: on a (k,l)-loop, ``hit`` holds at some position of the loop.  With
+    one (an until, or a release for sign -1) it is LoopExists -> (sign *
+    member -> acc) at the path end, over the member's top unrolling: an
+    until that holds there, or a release that fails there, met its
+    eventuality in the loop."""
 
     role: str
     key: int
@@ -378,13 +371,13 @@ def _sticky_step(b, vm, c, i) -> int:
     return b.iff(c.acc(vm, i), b.or_(c.acc(vm, i - 1), b.and_(vm.in_loop(i), c.hit(i))))
 
 
-def _chain_end(b, vm, c, end) -> int:
-    """The end condition of chain c at index ``end``: the bound itself for
-    monolithic encodings, the end proxy for the incremental one."""
-    cond = c.acc(vm, end)
-    if c.member is not None:
-        cond = b.implies(c.sign * vm.fvar(c.member, end, vm.dcap(c.member)), cond)
-    return b.implies(vm.loop_exists(), cond)
+def _chain_end(vm, c, end) -> list:
+    """The clause of chain c's end condition at index ``end``: the bound
+    itself for monolithic encodings, the end proxy for the incremental
+    one."""
+    if c.member is None:
+        return [-vm.loop_exists(), c.acc(vm, end)]
+    return [-vm.loop_exists(), -c.sign * vm.fvar(c.member, end, vm.dcap(c.member)), c.acc(vm, end)]
 
 
 def _acceptance_hit(b, vm, f, i) -> int:
@@ -479,24 +472,27 @@ def encode_general_buchi(m: SymbolicModel, k, b, vm) -> int:
 
 def _encode_constraint_style(scheme, m, psi, k, b, vm):
     cl, chains, goal = _constraint_parts(scheme, b, vm, m, psi)
+    add = b.solver.add_clause
     cons = [encode_model_k(m, k, b, vm), encode_loop_constraints(k, b, vm, m.vars)]
-    le = vm.loop_exists()
     for i in range(0, k + 1):
         for f in cl:
             cons.extend(_step_constraints(m, b, vm, f, i, k))
     # binding of index k+1 through the loop selectors
-    for f in cl:
-        for d in range(0, vm.dcap(f) + 1):
-            vk1 = vm.fvar(f, k + 1, d)
-            cons.append(b.implies(-le, -vk1))
-            for i in range(1, k + 1):
-                cons.append(b.implies(vm.loop_sel(i), b.iff(vk1, vm.fvar(f, i, d + 1))))
-    # the start and steps of a chain shared with an earlier entry are gates
-    # the builder already holds
-    for c in chains:
+    levels = [(f, d) for f in cl for d in range(0, vm.dcap(f) + 1)]
+    for f, d in levels:
+        add([vm.loop_exists(), -vm.fvar(f, k + 1, d)])
+    for i in range(1, k + 1):
+        _guarded_equal(
+            add,
+            vm.loop_sel(i),
+            [vm.fvar(f, k + 1, d) for f, d in levels],
+            [vm.fvar(f, i, d + 1) for f, d in levels],
+        )
+    for c in {(c.role, c.key): c for c in chains}.values():
         cons.append(-c.acc(vm, 0))
         cons.extend(_sticky_step(b, vm, c, i) for i in range(1, k + 1))
-        cons.append(_chain_end(b, vm, c, k))
+    for c in chains:
+        add(_chain_end(vm, c, k))
     return b.and_(*cons, goal())
 
 
@@ -650,27 +646,26 @@ class IncrementalEncoder:
 
     ``scheme`` picks the closure, chain list and goal through its chain
     style in ``CONSTRAINT_SCHEMES``; everything else is shared with the
-    other schemes and with the monolithic encoding.  Each ``Chain`` entry
-    gets its start at bound 0, its step at every bound, and its end
-    condition: at the end proxy E, once, for an entry with a member, whose
-    accumulator the bound's activator then binds to index k like the
-    formula variables; behind the activator at k for the others.  For
-    ``general-buchi``, ``m`` is the product with the automaton of ``psi``
-    (``check.scheme_model``), so the session has no formula variables and
-    asserts LoopExists instead.
+    other schemes and with the monolithic encoding.  Each accumulator gets
+    its start at bound 0 and its step at every bound, and each ``Chain``
+    entry its end condition, once, at the end proxy E; the bound's
+    activator binds the accumulator's copy at E to index k like the formula
+    variables.  For ``general-buchi``, ``m`` is the product with the
+    automaton of ``psi`` (``check.scheme_model``), so the session has no
+    formula variables and asserts LoopExists instead.
 
     ``step(k)`` adds the constraints for bound k: the stable part directly,
     the bound-dependent ones (end proxy binding, LoopExists, the index k+1
-    hook into the loop proxy, ``LoopExists -> acc_k`` of each entry without
-    a member) guarded by an activation literal.  The bindings, the loop
-    proxies (l_k -> L = k) and the loop step (l_k -> s_{k-1} = s_E) are
-    guarded equalities, written as clauses by ``_guarded_equal``, so a
-    retired bound leaves no gate variable behind.  ``query_witness`` solves
-    under the current bound's activator; earlier activators are assumed
-    negatively, which retires their constraints while keeping every learned
-    clause sound.  The driver (``check.run_bmc``) also adds each past
-    activator as a negative unit, outside ``step()``; an assumption true at
-    level 0 then opens no decision level in the solver.
+    hook into the loop proxy) guarded by an activation literal.  The
+    bindings, the loop proxies (l_k -> L = k) and the loop step (l_k ->
+    s_{k-1} = s_E) are guarded equalities, written as clauses by
+    ``_guarded_equal``, so a retired bound leaves no gate variable behind.
+    ``query_witness`` solves under the current bound's activator; earlier
+    activators are assumed negatively, which retires their constraints
+    while keeping every learned clause sound.  The driver
+    (``check.run_bmc``) also adds each past activator as a negative unit,
+    outside ``step()``; an assumption true at level 0 then opens no
+    decision level in the solver.
 
     The simple path constraint of the termination check is added lazily
     (Een and Soerensson, *Temporal induction by incremental SAT solving*,
@@ -695,9 +690,8 @@ class IncrementalEncoder:
         self.vm = TimedVarMap(self.b, d_max=d_max)
         self.cl, self.chains, self.goal = _constraint_parts(scheme, self.b, self.vm, m, psi)
         self.levels = [(f, d) for f in self.cl for d in range(0, self.vm.dcap(f) + 1)]
-        # the entry whose end condition each until or release writes, and
-        # one entry per accumulator, which the entries sharing it step
-        self.ends = {c.member: c for c in self.chains if c.member is not None}
+        # one entry per accumulator: its start, steps and binding to the
+        # bound are written once, however many entries share it
         self.accumulators = {(c.role, c.key): c for c in self.chains}.values()
         self.k = -1
         # made by the first simple path query, so that step() numbers its
@@ -714,10 +708,7 @@ class IncrementalEncoder:
         if k == 0:
             self._emit_base()
         else:
-            rest = _loop_step(b, vm, m.vars, k, E_INDEX)
-            _guarded_equal(add, *next(rest))
-            for lit in rest:
-                add([lit])
+            add([_loop_step(add, b, vm, m.vars, k, E_INDEX)])
         for f in self.cl:
             for lit in _step_constraints(m, b, vm, f, k, E_INDEX):
                 add([lit])
@@ -735,33 +726,24 @@ class IncrementalEncoder:
         self.k = k
 
     def _emit_base(self):
-        b, vm, add = self.b, self.vm, self.solver.add_clause
-        le = vm.loop_exists()
+        vm, add = self.vm, self.solver.add_clause
         for f, d in self.levels:
-            add([b.implies(-le, -vm.fvar(f, L_INDEX, d))])
-        for c in self.chains:
+            add([vm.loop_exists(), -vm.fvar(f, L_INDEX, d)])
+        for c in self.accumulators:
             add([-c.acc(vm, 0)])
-            if c.member is not None:
-                add([_chain_end(b, vm, c, E_INDEX)])
+        for c in self.chains:
+            add(_chain_end(vm, c, E_INDEX))
         add([self.goal()])
 
     def _emit_k_dependent(self, k):
-        vm, m, add = self.vm, self.m, self.solver.add_clause
-        act = vm.activation_lit(k)
-        le = vm.loop_exists()
-        pairs = [(vm.state_bit(E_INDEX, n), vm.state_bit(k, n)) for n in m.vars]
-        pairs.append((le, vm.in_loop(k)))
-        for f in self.cl:
-            for d in range(0, vm.dcap(f) + 1):
-                pairs.append((vm.fvar(f, E_INDEX, d), vm.fvar(f, k, d)))
-                pairs.append((vm.fvar(f, k + 1, d), vm.fvar(f, L_INDEX, d + 1)))
-            c = self.ends.get(f)
-            if c is not None:
-                pairs.append((c.var(vm, E_INDEX), c.var(vm, k)))
-        _guarded_equal(add, act, *zip(*pairs))
-        for c in self.chains:
-            if c.member is None:
-                add([-act, -le, c.acc(vm, k)])
+        vm = self.vm
+        pairs = [(vm.state_bit(E_INDEX, n), vm.state_bit(k, n)) for n in self.m.vars]
+        pairs.append((vm.loop_exists(), vm.in_loop(k)))
+        for f, d in self.levels:
+            pairs.append((vm.fvar(f, E_INDEX, d), vm.fvar(f, k, d)))
+            pairs.append((vm.fvar(f, k + 1, d), vm.fvar(f, L_INDEX, d + 1)))
+        pairs.extend((c.var(vm, E_INDEX), c.var(vm, k)) for c in self.accumulators)
+        _guarded_equal(self.solver.add_clause, vm.activation_lit(k), *zip(*pairs))
 
     # -- queries ---------------------------------------------------------------
 

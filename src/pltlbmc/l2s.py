@@ -67,8 +67,6 @@ class L2SError(ModelError):
 class L2SModel:
     model: SymbolicModel
     target: str
-    original_vars: tuple
-    copied_vars: tuple  # originals that take part in loop detection
     optimised_out: tuple
 
 
@@ -139,8 +137,6 @@ def l2s_transform(m: SymbolicModel, optimise=False) -> L2SModel:
     return L2SModel(
         model=out,
         target=TARGET,
-        original_vars=tuple(m.vars),
-        copied_vars=copied,
         optimised_out=tuple(sorted(dropped)),
     )
 

@@ -627,9 +627,6 @@ class CircuitBuilder:
     def xor(self, a, b) -> int:
         return -self.iff(a, b)
 
-    def implies(self, a, b) -> int:
-        return self.or_(-a, b)
-
     def ite(self, c, a, b) -> int:
         if c == self.TRUE:
             return a
@@ -659,10 +656,6 @@ class CircuitBuilder:
             else:
                 self.solver.add_definition(clauses)
         return g
-
-    def equal_vectors(self, xs, ys) -> int:
-        assert len(xs) == len(ys)
-        return self.and_(*[self.iff(x, y) for x, y in zip(xs, ys)])
 
 
 # ---------------------------------------------------------------------------

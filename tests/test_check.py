@@ -684,7 +684,7 @@ class TestMonolithicPrefix:
                 s.add_clause([s.nvars])
                 s.solve()
                 assert (solver_state(prefix.b.solver), prefix.steps, prefix.state) == unrolled
-                assert len(prefix.steps) == k + 1 and len(prefix.b.cache) < len(vm.b.cache)
+                assert len(prefix.steps) == k + 1 and len(prefix.b.solver.db) < len(s.db)
         with pytest.raises(CheckError, match="past bound 2"):
             encode_bound(target, psi, 2, opts, prefix)
 

@@ -56,21 +56,21 @@ SPECS = {
 }
 
 GOLDEN = {
-    "fixpoint": "28 b084d5ee36b25309",
-    "eventuality": "28 76adb43a2383f6b8",
-    "buchi": "28 6d51ff8b9b26553e",
-    "pltl": "56 f7489598a5c795d1",
-    "pltl@d1": "56 b08449d3aa56a840",
-    "general-buchi": "56 1793f8b6cae47326",
-    "general-buchi@d1": "56 792f43cefb399e48",
-    "incremental-sp0": "56 0cbb969f28bdb394",
-    "incremental-sp0@d1": "56 7e888bcf1c0dc6a6",
-    "incremental-sp1": "56 786ec2958c84b2de",
-    "incremental-sp1@d1": "56 610a406b4fd4bfd7",
-    "incremental-eventuality": "28 51f076b9964c43c7",
-    "incremental-buchi": "28 b4d753f598414cf2",
-    "incremental-general-buchi": "56 ee92fef5503ac22a",
-    "incremental-general-buchi@d1": "56 13cbf8c965a47e6f",
+    "fixpoint": "28 00e165efe42892ae",
+    "eventuality": "28 3c483784ed6e4347",
+    "buchi": "28 28aaf99f3f5b2e2a",
+    "pltl": "56 482ce05df73dd584",
+    "pltl@d1": "56 3dde316defb10779",
+    "general-buchi": "56 18525ed8842f96c4",
+    "general-buchi@d1": "56 239bd0a0503177a8",
+    "incremental-sp0": "56 2b26192d58ff7486",
+    "incremental-sp0@d1": "56 d1f2d0b3ec1164d9",
+    "incremental-sp1": "56 e72610e8805da8d0",
+    "incremental-sp1@d1": "56 6d0578317b2be1b5",
+    "incremental-eventuality": "28 74ff16ddbdbc9610",
+    "incremental-buchi": "28 44ce62f95b221963",
+    "incremental-general-buchi": "56 9633bbaa0021bfea",
+    "incremental-general-buchi@d1": "56 f6574c77fb2a8499",
 }
 
 MINTERM_SPECS = {
@@ -79,11 +79,11 @@ MINTERM_SPECS = {
 }
 
 MINTERM_GOLDEN = {
-    "minterm:fixpoint": "21 55e5494a3b7fd45b",
-    "minterm:pltl": "35 2ef0585b51097c88",
-    "minterm:general-buchi": "35 20ad78fa1d281d4e",
-    "minterm:incremental-sp1": "35 6223a7a9c8858567",
-    "minterm:incremental-general-buchi": "35 cc93a3cbb1f09728",
+    "minterm:fixpoint": "21 c930806ad6b3da27",
+    "minterm:pltl": "35 6c6049c86b82aafd",
+    "minterm:general-buchi": "35 97a6eba8d54265f9",
+    "minterm:incremental-sp1": "35 8c97bb30c0b14dd3",
+    "minterm:incremental-general-buchi": "35 53da257bcc2227bd",
 }
 
 
@@ -95,15 +95,15 @@ SHARED_SPECS = [
 ]
 
 SHARED_GOLDEN = {
-    "shared:pltl": "28 a180e8fc071fdd34",
-    "shared:eventuality": "28 a180e8fc071fdd34",
-    "shared:buchi": "28 db18426ff9187062",
-    "shared:general-buchi": "28 4d775f9dd8bbbbe0",
-    "shared:incremental-sp0": "28 f662979edee17e08",
-    "shared:incremental-sp1": "28 8820a35a1959ad4d",
-    "shared:incremental-eventuality": "28 f662979edee17e08",
-    "shared:incremental-buchi": "28 10959cf655acf03f",
-    "shared:incremental-general-buchi": "28 b108a82457b677ff",
+    "shared:pltl": "28 acbfbc85eae4cc35",
+    "shared:eventuality": "28 acbfbc85eae4cc35",
+    "shared:buchi": "28 6744720c0c4560c6",
+    "shared:general-buchi": "28 8d40bacd6ca97179",
+    "shared:incremental-sp0": "28 6ede6baec23c069c",
+    "shared:incremental-sp1": "28 fefd58ad3eb8b2b0",
+    "shared:incremental-eventuality": "28 6ede6baec23c069c",
+    "shared:incremental-buchi": "28 946cfb8bbf397bc8",
+    "shared:incremental-general-buchi": "28 4f7e853b57bc73ee",
 }
 
 

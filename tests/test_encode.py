@@ -5,7 +5,7 @@ import pytest
 from pltlbmc.model import parse_model, explicit_expand
 from pltlbmc.pltl import parse_formula, to_pnf, closure, past_depth, s_not
 from pltlbmc.sat import SAT, UNSAT, Solver, CircuitBuilder
-from pltlbmc.check import INCREMENTAL_SCHEMES, SCHEMES, RunOptions, scheme_model
+from pltlbmc.check import INCREMENTAL_SCHEMES, SCHEMES, RunOptions, encode_bound, scheme_model
 from pltlbmc.encode import (
     E_INDEX,
     L_INDEX,
@@ -17,6 +17,7 @@ from pltlbmc.encode import (
     encode_ltl_buchi,
     encode_model_k,
     encode_pltl,
+    unroll_model,
 )
 from pltlbmc.oracle import Budget, exists_witness_bounded, fair_lasso_search
 
@@ -314,8 +315,9 @@ class TestIncremental:
 
 def guarded_equalities(inc, k):
     """(guard, x, y) of every guarded equality ``step(k)`` writes, x != y:
-    the bindings of bound k behind ``act(k)``, and for k >= 1 the loop
-    step's state equality and the loop proxies behind ``l_k``."""
+    the bindings of bound k (each accumulator's among them) behind
+    ``act(k)``, and for k >= 1 the loop step's state equality and the loop
+    proxies behind ``l_k``."""
     vm, m = inc.vm, inc.m
     act = vm.activation_lit(k)
     out = [(act, vm.state_bit(E_INDEX, n), vm.state_bit(k, n)) for n in m.vars]
@@ -326,12 +328,36 @@ def guarded_equalities(inc, k):
             out.append((act, vm.fvar(f, k + 1, d), vm.fvar(f, L_INDEX, d + 1)))
             if k >= 1:
                 out.append((vm.loop_sel(k), vm.fvar(f, L_INDEX, d), vm.fvar(f, k, d)))
-        if f in inc.ends:
-            chain = inc.ends[f]
-            out.append((act, chain.var(vm, E_INDEX), chain.var(vm, k)))
+    out.extend((act, c.var(vm, E_INDEX), c.var(vm, k)) for c in inc.accumulators)
     if k >= 1:
         out.extend((vm.loop_sel(k), vm.state_bit(k - 1, n), vm.state_bit(E_INDEX, n)) for n in m.vars)
     return [e for e in dict.fromkeys(out) if e[1] != e[2]]
+
+
+def monolithic_guarded_equalities(vm, cl, model_vars, k):
+    """(guard, x, y) of every guarded equality a monolithic encoding of
+    bound k writes: for each selector l_i, the loop step's state equality
+    s_{i-1} = s_k and the binding of index k+1 to the unrolling above i."""
+    out = []
+    for i in range(1, k + 1):
+        li = vm.loop_sel(i)
+        out.extend((li, vm.state_bit(i - 1, n), vm.state_bit(k, n)) for n in model_vars)
+        for f in cl:
+            for d in range(vm.dcap(f) + 1):
+                out.append((li, vm.fvar(f, k + 1, d), vm.fvar(f, i, d + 1)))
+    return list(dict.fromkeys(out))
+
+
+def iff_key(x, y):
+    """The builder's cache key of the gate x <-> y."""
+    a, b = (x, y) if abs(x) <= abs(y) else (y, x)
+    return ("iff", (a, b) if a > 0 else (-a, -b))
+
+
+def assert_two_clauses(added, g, x, y):
+    """``added`` holds g -> (x <-> y) as exactly its two clauses."""
+    pair = [sorted(c) for c in added if {abs(l) for l in c} == {abs(g), abs(x), abs(y)}]
+    assert sorted(pair) == sorted([sorted([-g, -x, y]), sorted([-g, x, -y])])
 
 
 def named_vars(vm):
@@ -341,23 +367,28 @@ def named_vars(vm):
 
 
 class TestGuardedEqualities:
-    """Each session writes its guarded equalities g -> (x <-> y) as two
-    clauses per pair, with no gate: once a bound is retired, nothing it
-    made stays free for later queries to assign."""
+    """Every encoder writes its guarded equalities g -> (x <-> y) as two
+    clauses per pair, with no gate: once a session's bound is retired,
+    nothing it made stays free for later queries to assign, and a
+    monolithic bound makes no gate for them either."""
 
     SPECS = ["G F x4", "(x0 | x1) U (G !x3)", "G (x4 -> Y x3)", "G (x5 -> (H !x3 | Z x0))"]
 
     @staticmethod
-    def sessions():
-        for scheme in sorted(INCREMENTAL_SCHEMES):
+    def instances(schemes):
+        for scheme in sorted(schemes):
             for d_max in (None, 1):
                 for spec in TestGuardedEqualities.SPECS:
                     psi = to_pnf(s_not(parse_formula(spec)))
-                    if scheme in ("eventuality", "buchi") and past_depth(psi) > 0:
+                    if scheme in ("fixpoint", "eventuality", "buchi") and past_depth(psi) > 0:
                         continue
                     opts = RunOptions(scheme=scheme, d_max=d_max)
-                    target = scheme_model(COUNTER_FAIR, psi, opts)
-                    yield IncrementalEncoder(target, psi, d_max=d_max, scheme=scheme)
+                    yield scheme_model(COUNTER_FAIR, psi, opts), psi, opts
+
+    @staticmethod
+    def sessions():
+        for target, psi, opts in TestGuardedEqualities.instances(INCREMENTAL_SCHEMES):
+            yield IncrementalEncoder(target, psi, d_max=opts.d_max, scheme=opts.scheme)
 
     def test_step_writes_each_guarded_equality_as_two_clauses(self):
         schemes = set()
@@ -376,17 +407,45 @@ class TestGuardedEqualities:
                 act = vm.activation_lit(k)
                 added = solver.db[nclauses:]
                 for g, x, y in eqs:
-                    a, b = (x, y) if abs(x) <= abs(y) else (y, x)
-                    assert ("iff", (a, b) if a > 0 else (-a, -b)) not in new_gates
-                    pair = [sorted(c) for c in added if {abs(l) for l in c} == {abs(g), abs(x), abs(y)}]
-                    assert sorted(pair) == sorted([sorted([-g, -x, y]), sorted([-g, x, -y])])
+                    assert iff_key(x, y) not in new_gates
+                    assert_two_clauses(added, g, x, y)
                 for _, key in new_gates:
                     assert abs(act) not in map(abs, key)
                 behind_act = [c for c in added if -act in c]
-                ends_at_k = sum(c.member is None for c in inc.chains)
-                assert len(behind_act) == 2 * sum(g == act for g, _, _ in eqs) + ends_at_k
+                assert len(behind_act) == 2 * sum(g == act for g, _, _ in eqs)
             schemes.add(inc.scheme)
         assert schemes == INCREMENTAL_SCHEMES
+
+    def test_monolithic_bound_writes_each_guarded_equality_as_two_clauses(self):
+        """The loop step's state equality and the binding of index k+1 are
+        two clauses per pair; no gate the bound makes is x <-> y of a pair,
+        joins such gates, or joins one with a selector."""
+        schemes = set()
+        for target, psi, opts in self.instances(SCHEMES):
+            # fixpoint and general-buchi have no formula variables
+            cl = [] if opts.scheme in ("fixpoint", "general-buchi") else closure(psi)
+            for k in range(7):
+                prefix = TimedVarMap(CircuitBuilder(Solver()), d_max=opts.d_max)
+                unroll_model(target, k, prefix.b, prefix)
+                solver, vm = encode_bound(target, psi, k, opts, prefix)
+                made = solver.nvars
+                eqs = monolithic_guarded_equalities(vm, cl, target.vars, k)
+                assert solver.nvars == made
+                added = solver.db[len(prefix.b.solver.db) :]
+                for g, x, y in eqs:
+                    assert_two_clauses(added, g, x, y)
+                keys = {iff_key(x, y) for _, x, y in eqs}
+                cache = vm.b.cache
+                equalities = {abs(cache[key]) for key in keys if key in cache}
+                selectors = {vm.loop_sel(i) for i in range(1, k + 1)}
+                new_gates = cache.keys() - prefix.b.cache.keys()
+                assert not keys & new_gates
+                for op, ins in new_gates:
+                    ins = {abs(l) for l in ins}
+                    assert not (ins & selectors and ins & equalities), (op, ins)
+                    assert not (op == "and" and ins <= equalities), (op, ins)
+            schemes.add(opts.scheme)
+        assert schemes == set(SCHEMES)
 
     def test_a_retired_bound_leaves_only_satisfied_clauses(self):
         for inc in self.sessions():
