@@ -52,10 +52,6 @@ class Witness:
     labels: list  # per step, frozenset of true vars/defines
     display_vars: tuple = ()
 
-    @property
-    def k(self):
-        return len(self.states) - 1
-
 
 @dataclass
 class WitnessFound:

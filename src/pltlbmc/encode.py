@@ -7,32 +7,38 @@ to solver variables.  Requests for a formula variable above the subformula's
 unrolling cap alias down to the cap, which realises virtual unrolling.
 
 Monolithic encoders take ``(m, psi, k, b, vm)``, write their gates and
-clauses into the builder's solver, and return one literal whose assertion
-makes the solver search for a witness of bound k; the unrolling cap is
-``vm.d_max``.  Their clauses hold whether or not that literal is asserted,
-so a caller always asserts it (``check.encode_bound``).  Each begins with
-the model unrolling (``encode_model_k``), of which the map may already hold
-a prefix; the driver keeps one unrolling per run and encodes each bound on
-a copy.  The constraint-style schemes (pltl, eventuality, buchi,
-general-buchi) differ only in their chains: ``CONSTRAINT_SCHEMES`` maps
-each to its chain style, which gives a list of ``Chain`` records, and both
-the monolithic encoder and the incremental one iterate that list.  The
-incremental encoder keeps one growing solver and adds its clauses to it
-directly; constraints that mention the current bound are guarded by
-per-bound activation literals so that moving to a larger bound never
-deletes clauses, it just stops assuming the stale activators.
+clauses into the builder's solver, and return their witness literal, whose
+assertion makes the solver search for a witness of bound k: the root of
+the fixpoint circuit, or the goal of a constraint-style scheme.  The
+unrolling cap is ``vm.d_max``.  Their clauses hold whether or not that
+literal is asserted, so a caller always asserts it
+(``check.encode_bound``).  Each begins with the model unrolling
+(``unroll_model``), of which the map may already hold a prefix; the driver
+keeps one unrolling per run and encodes each bound on a copy.  The
+constraint-style schemes (pltl, eventuality, buchi, general-buchi) differ
+only in their chains: ``CONSTRAINT_SCHEMES`` maps each to its chain style,
+which gives a list of ``Chain`` records, and both the monolithic encoder
+and the incremental one iterate that list.  The incremental encoder keeps
+one growing solver and adds its clauses to it directly; constraints that
+mention the current bound are guarded by per-bound activation literals so
+that moving to a larger bound never deletes clauses, it just stops
+assuming the stale activators.
 
-Both kinds of encoder write an asserted implication a -> b as the clause
-[-a, b], and an asserted guarded equality g -> (x <-> y) as the clauses
-[-g, -x, y] and [-g, x, -y] per pair (``_guarded_equal``), through a
-clause sink ``add``, never as a gate (Plaisted and Greenbaum, 1986).  That
-covers the loop step, the binding of index k+1 and the chain ends in both,
-and the bindings of each bound and the loop proxies in the session, where a
-gate would also stay a free variable after its guard retires, for every
-later query to assign again.  The model unrolling (``unroll_model``) and
-the loop selector step (``_loop_step``) are the same for both kinds of
-encoder.  The simple path constraint of the termination check is added
-lazily, one pair of positions at a time, behind one guard literal.
+An asserted constraint is its clauses, never a gate (Plaisted and
+Greenbaum, 1986): an implication a -> b is the clause [-a, b], a
+definition v <-> x the clauses [-v, x] and [v, -x], and a guarded equality
+g -> (x <-> y) the clauses [-g, -x, y] and [-g, x, -y] (``_guarded_equal``).
+Only the subterms x of a definition are gates.  Every helper writes through
+a clause sink ``add`` and returns nothing: the model unrolling asserts each
+step, and the unrolling rules of the formula variables, the sticky
+accumulators, InLoop_i, LoopExists, the loop step, the binding of index k+1
+and the chain ends are all clauses, as are the bindings of each bound and
+the loop proxies in the session, where a gate would also stay a free
+variable after its guard retires, for every later query to assign again.
+The model unrolling (``unroll_model``) and the loop selector step
+(``_loop_step``) are the same for both kinds of encoder.  The simple path
+constraint of the termination check is added lazily, one pair of positions
+at a time, behind one guard literal.
 """
 
 from __future__ import annotations
@@ -197,65 +203,61 @@ def atom_lit(b, vm, m, name, i) -> int:
     raise UnresolvedAtomError(f"atom {name!r} is neither a variable nor a define")
 
 
-def unroll_model(m: SymbolicModel, k, b, vm) -> list:
-    """The literals of I(s_0) and T(s_{i-1}, s_i) for i = 1..k, in order.
-
-    The steps not yet in ``vm.steps`` are lowered after the ones that are,
-    so a map unrolled bound by bound holds the same gates, clauses and
-    variable numbers as one unrolled to k at once."""
-    steps = vm.steps
-    if not steps:
-        steps.append(_expr_lit(b, vm, m.init_program, 0))
-    for i in range(len(steps), k + 1):
-        steps.append(_expr_lit(b, vm, m.trans_program, i - 1, i))
-    return steps[: k + 1]
-
-
-def encode_model_k(m: SymbolicModel, k, b, vm) -> int:
-    """I(s_0) and the k-fold unrolling of the transition relation.
+def unroll_model(m: SymbolicModel, k, b, vm):
+    """Assert I(s_0) and T(s_{i-1}, s_i) for i = 1..k into the builder's
+    solver, each step as it is lowered; ``vm.steps`` keeps their literals.
 
     Every monolithic encoder calls this first, right after the builder's
-    TRUE variable, so the CNF of bound k begins with the unrolling
-    (``unroll_model``) up to k, and the steps already in ``vm`` are reused:
-    a copy of a map unrolled to k (``TimedVarMap.copy``) encodes bound k to
-    the same CNF as a fresh map."""
-    return b.and_(*unroll_model(m, k, b, vm))
+    TRUE variable.  The steps not yet in ``vm.steps`` are lowered after the
+    ones that are, so a map unrolled bound by bound holds the same gates,
+    clauses and variable numbers as one unrolled to k at once, and a copy
+    of a map unrolled to k (``TimedVarMap.copy``) encodes bound k to the
+    same CNF as a fresh map."""
+    steps, add = vm.steps, b.solver.add_clause
+    if not steps:
+        steps.append(_expr_lit(b, vm, m.init_program, 0))
+        add([steps[0]])
+    for i in range(len(steps), k + 1):
+        steps.append(_expr_lit(b, vm, m.trans_program, i - 1, i))
+        add([steps[i]])
 
 
 def _guarded_equal(add, g, xs, ys):
     """Add g -> (x <-> y) for each pair of ``xs`` and ``ys`` through the
     clause sink ``add``, as the two clauses [-g, -x, y] and [-g, x, -y]
     (Plaisted and Greenbaum, *A structure-preserving clause form
-    translation*, 1986): no gate variable, so a retired guard leaves no
-    free variable behind.  A pair with x == y needs no clause, and a
-    repeated pair is written once."""
+    translation*, 1986), or x <-> y itself, as [-x, y] and [x, -y], when
+    ``g`` is None: no gate variable, so a retired guard leaves no free
+    variable behind.  A pair with x == y needs no clause, and a repeated
+    pair is written once."""
+    guard = [] if g is None else [-g]
     for x, y in dict.fromkeys(zip(xs, ys)):
         if x != y:
-            add([-g, -x, y])
-            add([-g, x, -y])
+            add(guard + [-x, y])
+            add(guard + [x, -y])
 
 
-def _loop_step(add, b, vm, model_vars, i, end) -> int:
-    """The loop selector constraints of position i >= 1.  A true l_i
-    commits the path to a loop back to i by forcing s_{i-1} = s_end
-    bitwise, and no selector holds after the first one: both go to the
-    clause sink ``add``.  The literal returned, for the caller to assert,
-    defines InLoop_i as InLoop_{i-1} | l_i.  ``end`` is the bound itself
-    for monolithic encodings and the end proxy for the incremental one."""
+def _loop_step(add, b, vm, model_vars, i, end):
+    """The loop selector constraints of position i >= 1, through the clause
+    sink ``add``.  A true l_i commits the path to a loop back to i by
+    forcing s_{i-1} = s_end bitwise, no selector holds after the first one,
+    and InLoop_i <-> InLoop_{i-1} | l_i.  ``end`` is the bound itself for
+    monolithic encodings and the end proxy for the incremental one."""
     li = vm.loop_sel(i)
     _guarded_equal(add, li, [vm.state_bit(i - 1, n) for n in model_vars], [vm.state_bit(end, n) for n in model_vars])
     if i > 1:
         add([-vm.in_loop(i - 1), -li])
-    return b.iff(vm.in_loop(i), b.or_(vm.in_loop(i - 1), li))
+    _guarded_equal(add, None, [vm.in_loop(i)], [b.or_(vm.in_loop(i - 1), li)])
 
 
-def encode_loop_constraints(k, b, vm, model_vars) -> int:
-    """Loop selector machinery for bound k: the ``_loop_step`` of every
-    position 1..k, whose clauses go into the builder's solver, l_0 and
-    InLoop_0 false, and LoopExists mirroring InLoop_k."""
-    parts = [_loop_step(b.solver.add_clause, b, vm, model_vars, i, k) for i in range(1, k + 1)]
-    parts.append(b.iff(vm.loop_exists(), vm.in_loop(k)))
-    return b.and_(*parts)
+def encode_loop_constraints(k, b, vm, model_vars):
+    """Loop selector machinery for bound k, into the builder's solver: the
+    ``_loop_step`` of every position 1..k, l_0 and InLoop_0 false, and
+    LoopExists <-> InLoop_k."""
+    add = b.solver.add_clause
+    for i in range(1, k + 1):
+        _loop_step(add, b, vm, model_vars, i, k)
+    _guarded_equal(add, None, [vm.loop_exists()], [vm.in_loop(k)])
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +275,8 @@ def encode_ltl_fixpoint(m: SymbolicModel, psi: Formula, k, b, vm) -> int:
     on ``memoised``'s explicit stack, in the order of the plain recursion.
     """
     _reject_past(psi)
-    mlit = encode_model_k(m, k, b, vm)
-    llit = encode_loop_constraints(k, b, vm, m.vars)
+    unroll_model(m, k, b, vm)
+    encode_loop_constraints(k, b, vm, m.vars)
 
     def loop_dispatch(role, f):
         parts = []
@@ -320,7 +322,7 @@ def encode_ltl_fixpoint(m: SymbolicModel, psi: Formula, k, b, vm) -> int:
             return b.or_(right, b.and_(left, later))
         return b.and_(right, b.or_(left, later))
 
-    return b.and_(mlit, llit, memoised(rule, ("tr", psi, 0)))
+    return memoised(rule, ("tr", psi, 0))
 
 
 def _reject_past(psi):
@@ -365,10 +367,10 @@ class Chain(NamedTuple):
         return self.sign * self.var(vm, i)
 
 
-def _sticky_step(b, vm, c, i) -> int:
-    """acc_i <-> acc_{i-1} | (InLoop_i & hit(i)) of chain c; ``hit(i)`` is
-    lowered after acc_i exists."""
-    return b.iff(c.acc(vm, i), b.or_(c.acc(vm, i - 1), b.and_(vm.in_loop(i), c.hit(i))))
+def _sticky_step(add, b, vm, c, i):
+    """acc_i <-> acc_{i-1} | (InLoop_i & hit(i)) of chain c, through the
+    clause sink ``add``; ``hit(i)`` is lowered after acc_i exists."""
+    _guarded_equal(add, None, [c.acc(vm, i)], [b.or_(c.acc(vm, i - 1), b.and_(vm.in_loop(i), c.hit(i)))])
 
 
 def _chain_end(vm, c, end) -> list:
@@ -473,10 +475,11 @@ def encode_general_buchi(m: SymbolicModel, k, b, vm) -> int:
 def _encode_constraint_style(scheme, m, psi, k, b, vm):
     cl, chains, goal = _constraint_parts(scheme, b, vm, m, psi)
     add = b.solver.add_clause
-    cons = [encode_model_k(m, k, b, vm), encode_loop_constraints(k, b, vm, m.vars)]
+    unroll_model(m, k, b, vm)
+    encode_loop_constraints(k, b, vm, m.vars)
     for i in range(0, k + 1):
         for f in cl:
-            cons.extend(_step_constraints(m, b, vm, f, i, k))
+            _step_constraints(add, m, b, vm, f, i, k)
     # binding of index k+1 through the loop selectors
     levels = [(f, d) for f in cl for d in range(0, vm.dcap(f) + 1)]
     for f, d in levels:
@@ -489,81 +492,63 @@ def _encode_constraint_style(scheme, m, psi, k, b, vm):
             [vm.fvar(f, i, d + 1) for f, d in levels],
         )
     for c in {(c.role, c.key): c for c in chains}.values():
-        cons.append(-c.acc(vm, 0))
-        cons.extend(_sticky_step(b, vm, c, i) for i in range(1, k + 1))
+        add([-c.acc(vm, 0)])
+        for i in range(1, k + 1):
+            _sticky_step(add, b, vm, c, i)
     for c in chains:
         add(_chain_end(vm, c, k))
-    return b.and_(*cons, goal())
+    return goal()
 
 
-def _step_constraints(m, b, vm, f, i, end):
-    """Defining constraints of all unrollings of subformula f at time i.
+def _step_constraints(add, m, b, vm, f, i, end):
+    """Defining constraints of all unrollings of subformula f at time i,
+    through the clause sink ``add``.
 
     ``end`` is the index holding the values of the previous unrolling at the
     path end: the bound itself for monolithic encodings, the end proxy for
     the incremental one.
     """
-    out = []
     kk = f.kind
     dc = vm.dcap(f)
     stabilise = dc < past_depth(f)
     for d in range(0, dc + 1):
+        if kk in ("Y", "Z", "S", "T"):
+            _past_constraints(add, b, vm, f, i, d, end, stabilise and d == dc)
+            continue
         v = vm.fvar(f, i, d)
         if kk == "true":
-            out.append(v)
+            x = b.TRUE
         elif kk == "false":
-            out.append(-v)
+            x = b.FALSE
         elif kk == "atom":
-            out.append(b.iff(v, atom_lit(b, vm, m, f.name, i)))
+            x = atom_lit(b, vm, m, f.name, i)
         elif kk == "natom":
-            out.append(b.iff(v, -atom_lit(b, vm, m, f.name, i)))
+            x = -atom_lit(b, vm, m, f.name, i)
         elif kk == "&":
-            out.append(b.iff(v, b.and_(vm.fvar(f.left, i, d), vm.fvar(f.right, i, d))))
+            x = b.and_(vm.fvar(f.left, i, d), vm.fvar(f.right, i, d))
         elif kk == "|":
-            out.append(b.iff(v, b.or_(vm.fvar(f.left, i, d), vm.fvar(f.right, i, d))))
+            x = b.or_(vm.fvar(f.left, i, d), vm.fvar(f.right, i, d))
         elif kk == "X":
-            out.append(b.iff(v, vm.fvar(f.left, i + 1, d)))
+            x = vm.fvar(f.left, i + 1, d)
         elif kk == "U":
-            out.append(
-                b.iff(
-                    v,
-                    b.or_(
-                        vm.fvar(f.right, i, d),
-                        b.and_(vm.fvar(f.left, i, d), vm.fvar(f, i + 1, d)),
-                    ),
-                )
-            )
+            x = b.or_(vm.fvar(f.right, i, d), b.and_(vm.fvar(f.left, i, d), vm.fvar(f, i + 1, d)))
         elif kk == "R":
-            out.append(
-                b.iff(
-                    v,
-                    b.and_(
-                        vm.fvar(f.right, i, d),
-                        b.or_(vm.fvar(f.left, i, d), vm.fvar(f, i + 1, d)),
-                    ),
-                )
-            )
-        elif kk in ("Y", "Z", "S", "T"):
-            out.extend(
-                _past_constraints(b, vm, f, i, d, end, stabilise and d == dc)
-            )
+            x = b.and_(vm.fvar(f.right, i, d), b.or_(vm.fvar(f.left, i, d), vm.fvar(f, i + 1, d)))
         else:
             raise EncodeError(f"unknown kind {kk!r}")
-    return out
+        _guarded_equal(add, None, [v], [x])
 
 
-def _past_constraints(b, vm, f, i, d, end, stabilise_here):
+def _past_constraints(add, b, vm, f, i, d, end, stabilise_here):
     kk = f.kind
     v = vm.fvar(f, i, d)
-    out = []
     if i == 0:
-        if kk == "Y":
-            out.append(-v)
-        elif kk == "Z":
-            out.append(v)
-        else:  # S, T start from their right operand
-            out.append(b.iff(v, vm.fvar(f.right, 0, d)))
-        return out
+        if kk in ("S", "T"):  # they start from their right operand
+            x = vm.fvar(f.right, 0, d)
+        else:
+            x = b.TRUE if kk == "Z" else b.FALSE
+        _guarded_equal(add, None, [v], [x])
+        return
 
     def step(prev):
         if kk == "Y" or kk == "Z":
@@ -572,25 +557,14 @@ def _past_constraints(b, vm, f, i, d, end, stabilise_here):
             return b.or_(vm.fvar(f.right, i, d), b.and_(vm.fvar(f.left, i, d), prev(f)))
         return b.and_(vm.fvar(f.right, i, d), b.or_(vm.fvar(f.left, i, d), prev(f)))
 
+    li = vm.loop_sel(i)
     if d == 0:
-        out.append(b.iff(v, step(lambda g: vm.fvar(g, i - 1, 0))))
+        rules = [step(lambda g: vm.fvar(g, i - 1, 0))]
     else:
-        li = vm.loop_sel(i)
-        out.append(
-            b.iff(
-                v,
-                step(lambda g: b.ite(li, vm.fvar(g, end, d - 1), vm.fvar(g, i - 1, d))),
-            )
-        )
+        rules = [step(lambda g: b.ite(li, vm.fvar(g, end, d - 1), vm.fvar(g, i - 1, d)))]
     if stabilise_here:
-        li = vm.loop_sel(i)
-        out.append(
-            b.iff(
-                v,
-                step(lambda g: b.ite(li, vm.fvar(g, end, d), vm.fvar(g, i - 1, d))),
-            )
-        )
-    return out
+        rules.append(step(lambda g: b.ite(li, vm.fvar(g, end, d), vm.fvar(g, i - 1, d))))
+    _guarded_equal(add, None, [v] * len(rules), rules)
 
 
 def _class_lits(vm, cl, chains, model_vars, i):
@@ -704,14 +678,13 @@ class IncrementalEncoder:
         if k != self.k + 1:
             raise EncodeError(f"step({k}) out of order, expected {self.k + 1}")
         b, vm, m, add = self.b, self.vm, self.m, self.solver.add_clause
-        add([unroll_model(m, k, b, vm)[k]])
+        unroll_model(m, k, b, vm)
         if k == 0:
             self._emit_base()
         else:
-            add([_loop_step(add, b, vm, m.vars, k, E_INDEX)])
+            _loop_step(add, b, vm, m.vars, k, E_INDEX)
         for f in self.cl:
-            for lit in _step_constraints(m, b, vm, f, k, E_INDEX):
-                add([lit])
+            _step_constraints(add, m, b, vm, f, k, E_INDEX)
         # loop proxy: l_k selects index k as the loop point
         if k >= 1:
             _guarded_equal(
@@ -721,7 +694,7 @@ class IncrementalEncoder:
                 [vm.fvar(f, k, d) for f, d in self.levels],
             )
             for c in self.accumulators:
-                add([_sticky_step(b, vm, c, k)])
+                _sticky_step(add, b, vm, c, k)
         self._emit_k_dependent(k)
         self.k = k
 

@@ -179,9 +179,6 @@ class SymbolicModel:
     def define_map(self):
         return dict(self.defines)
 
-    def names(self):
-        return set(self.vars) | {n for n, _ in self.defines}
-
     @cached_property
     def define_order(self):
         """Define names, each after every define its body names.

@@ -56,21 +56,21 @@ SPECS = {
 }
 
 GOLDEN = {
-    "fixpoint": "28 00e165efe42892ae",
-    "eventuality": "28 3c483784ed6e4347",
-    "buchi": "28 28aaf99f3f5b2e2a",
-    "pltl": "56 482ce05df73dd584",
-    "pltl@d1": "56 3dde316defb10779",
-    "general-buchi": "56 18525ed8842f96c4",
-    "general-buchi@d1": "56 239bd0a0503177a8",
-    "incremental-sp0": "56 2b26192d58ff7486",
-    "incremental-sp0@d1": "56 d1f2d0b3ec1164d9",
-    "incremental-sp1": "56 e72610e8805da8d0",
-    "incremental-sp1@d1": "56 6d0578317b2be1b5",
-    "incremental-eventuality": "28 74ff16ddbdbc9610",
-    "incremental-buchi": "28 44ce62f95b221963",
-    "incremental-general-buchi": "56 9633bbaa0021bfea",
-    "incremental-general-buchi@d1": "56 f6574c77fb2a8499",
+    "fixpoint": "28 60f187c10b321305",
+    "eventuality": "28 73afea642bb79910",
+    "buchi": "28 55f3d97f8d5099fb",
+    "pltl": "56 145eb63b69087f9b",
+    "pltl@d1": "56 37fe2118ca3dc715",
+    "general-buchi": "56 803bc6e3cd01258a",
+    "general-buchi@d1": "56 8de6c7740079a807",
+    "incremental-sp0": "56 e2c43404c88b431e",
+    "incremental-sp0@d1": "56 07ad18268ac599c0",
+    "incremental-sp1": "56 76967b6d31ca5024",
+    "incremental-sp1@d1": "56 bc7bfeb237b32618",
+    "incremental-eventuality": "28 492099b7dc16c05d",
+    "incremental-buchi": "28 9a53b2bda71226de",
+    "incremental-general-buchi": "56 0bc9984045503aec",
+    "incremental-general-buchi@d1": "56 c0dad6fca1ca4b33",
 }
 
 MINTERM_SPECS = {
@@ -79,11 +79,11 @@ MINTERM_SPECS = {
 }
 
 MINTERM_GOLDEN = {
-    "minterm:fixpoint": "21 c930806ad6b3da27",
-    "minterm:pltl": "35 6c6049c86b82aafd",
-    "minterm:general-buchi": "35 97a6eba8d54265f9",
-    "minterm:incremental-sp1": "35 8c97bb30c0b14dd3",
-    "minterm:incremental-general-buchi": "35 53da257bcc2227bd",
+    "minterm:fixpoint": "21 7d2754c2218fffc3",
+    "minterm:pltl": "35 3243eda58d98d9c5",
+    "minterm:general-buchi": "35 0f0aad9160e04c8a",
+    "minterm:incremental-sp1": "35 53c42640ef790a02",
+    "minterm:incremental-general-buchi": "35 8bc2553497f3d8c5",
 }
 
 
@@ -95,15 +95,15 @@ SHARED_SPECS = [
 ]
 
 SHARED_GOLDEN = {
-    "shared:pltl": "28 acbfbc85eae4cc35",
-    "shared:eventuality": "28 acbfbc85eae4cc35",
-    "shared:buchi": "28 6744720c0c4560c6",
-    "shared:general-buchi": "28 8d40bacd6ca97179",
-    "shared:incremental-sp0": "28 6ede6baec23c069c",
-    "shared:incremental-sp1": "28 fefd58ad3eb8b2b0",
-    "shared:incremental-eventuality": "28 6ede6baec23c069c",
-    "shared:incremental-buchi": "28 946cfb8bbf397bc8",
-    "shared:incremental-general-buchi": "28 4f7e853b57bc73ee",
+    "shared:pltl": "28 8b1e925ac1798c5f",
+    "shared:eventuality": "28 8b1e925ac1798c5f",
+    "shared:buchi": "28 ccf6a47fead76421",
+    "shared:general-buchi": "28 c826580c2e3213a9",
+    "shared:incremental-sp0": "28 38546682050cf644",
+    "shared:incremental-sp1": "28 40fa213eac216006",
+    "shared:incremental-eventuality": "28 38546682050cf644",
+    "shared:incremental-buchi": "28 ccfaf9c0adb62b34",
+    "shared:incremental-general-buchi": "28 49011800cf758d29",
 }
 
 

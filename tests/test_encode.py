@@ -15,7 +15,6 @@ from pltlbmc.encode import (
     encode_general_buchi,
     encode_loop_constraints,
     encode_ltl_buchi,
-    encode_model_k,
     encode_pltl,
     unroll_model,
 )
@@ -48,13 +47,13 @@ def solve_scheme(scheme, m, psi, k, d_max=None):
 class TestModelUnrolling:
     def test_k0_is_init_only(self):
         s, b, vm = fresh()
-        s.add_clause([encode_model_k(COUNTER, 0, b, vm)])
+        unroll_model(COUNTER, 0, b, vm)
         assert s.solve() == SAT
         assert not any(s.model_value(vm.state_bit(0, n)) for n in COUNTER.vars)
 
     def test_k6_path_is_unique(self):
         s, b, vm = fresh()
-        s.add_clause([encode_model_k(COUNTER, 6, b, vm)])
+        unroll_model(COUNTER, 6, b, vm)
         assert s.solve() == SAT
         xs = []
         for i in range(7):
@@ -66,21 +65,21 @@ class TestModelUnrolling:
         m = parse_model("VAR a\nINIT false\nTRANS true\n")
         for k in range(4):
             s, b, vm = fresh()
-            s.add_clause([encode_model_k(m, k, b, vm)])
+            unroll_model(m, k, b, vm)
             assert s.solve() == UNSAT
 
 
 class TestLoopConstraints:
     def test_two_selectors_unsatisfiable(self):
         s, b, vm = fresh()
-        s.add_clause([encode_model_k(COUNTER, 6, b, vm)])
-        s.add_clause([encode_loop_constraints(6, b, vm, COUNTER.vars)])
+        unroll_model(COUNTER, 6, b, vm)
+        encode_loop_constraints(6, b, vm, COUNTER.vars)
         assert s.solve([vm.loop_sel(2), vm.loop_sel(3)]) == UNSAT
 
     def test_counter_l3_matches_the_repeated_state(self):
         s, b, vm = fresh()
-        s.add_clause([encode_model_k(COUNTER, 6, b, vm)])
-        s.add_clause([encode_loop_constraints(6, b, vm, COUNTER.vars)])
+        unroll_model(COUNTER, 6, b, vm)
+        encode_loop_constraints(6, b, vm, COUNTER.vars)
         assert s.solve([vm.loop_sel(3)]) == SAT
         # s_2 = s_6 both carrying x=2
         for n in COUNTER.vars:
@@ -91,8 +90,8 @@ class TestLoopConstraints:
 
     def test_no_selector_forces_loopexists_false(self):
         s, b, vm = fresh()
-        s.add_clause([encode_model_k(COUNTER, 3, b, vm)])
-        s.add_clause([encode_loop_constraints(3, b, vm, COUNTER.vars)])
+        unroll_model(COUNTER, 3, b, vm)
+        encode_loop_constraints(3, b, vm, COUNTER.vars)
         assumptions = [-vm.loop_sel(i) for i in range(1, 4)]
         assert s.solve(assumptions) == SAT
         assert s.model_value(vm.loop_exists()) is False
@@ -355,9 +354,56 @@ def iff_key(x, y):
 
 
 def assert_two_clauses(added, g, x, y):
-    """``added`` holds g -> (x <-> y) as exactly its two clauses."""
-    pair = [sorted(c) for c in added if {abs(l) for l in c} == {abs(g), abs(x), abs(y)}]
-    assert sorted(pair) == sorted([sorted([-g, -x, y]), sorted([-g, x, -y])])
+    """``added`` holds g -> (x <-> y), or x <-> y when g is None, as exactly
+    its two clauses."""
+    guard = [] if g is None else [-g]
+    pair = [sorted(c) for c in added if {abs(l) for l in c} == {abs(l) for l in guard + [x, y]}]
+    assert sorted(pair) == sorted([sorted(guard + [-x, y]), sorted(guard + [x, -y])])
+
+
+def defined_variables(vm, k, loop_exists):
+    """The variables an encoding up to bound k defines: the formula
+    variables at positions up to k, the accumulators and InLoop_i at
+    positions 1 to k, and, with ``loop_exists``, LoopExists (the session
+    binds it instead)."""
+    out = [v for (_, i, _), v in vm.fvars.items() if isinstance(i, int) and i <= k]
+    out.extend(v for (_, _, i), v in vm.aux.items() if isinstance(i, int) and 1 <= i <= k)
+    out.extend(v for i, v in vm.inloop.items() if i <= k)
+    if loop_exists:
+        out.append(vm.loop_exists())
+    return out
+
+
+def definitions(added, v):
+    """The literals x of every v <-> x that ``added`` holds as the clauses
+    [-v, x] and [v, -x]: v's own definitions, and those whose right side
+    is v."""
+    binary = {frozenset(c) for c in added if len(c) == 2}
+    return {x for c in binary if -v in c for x in c - {-v} if frozenset([v, -x]) in binary}
+
+
+def assert_definitions_are_clauses(b, vm, added, k, loop_exists, allowed_units):
+    """Each definition of a formula variable, accumulator, InLoop_i and
+    (with ``loop_exists``) LoopExists up to bound k is exactly its two
+    clauses in ``added``; no iff gate of the builder ``b`` has one of those
+    variables as an input; and no gate is asserted as a unit in ``added``
+    unless its variable is in ``allowed_units``."""
+    variables = set(defined_variables(vm, k, loop_exists))
+    mentions = {v: [] for v in variables}
+    for c in added:
+        for v in {abs(l) for l in c} & variables:
+            mentions[v].append(c)
+    for v in variables:
+        xs = definitions(mentions[v], v)
+        assert xs, v
+        for x in xs:
+            assert_two_clauses(mentions[v], None, v, x)
+            assert iff_key(v, x) not in b.cache
+    for op, ins in b.cache:
+        assert not (op == "iff" and variables & {abs(l) for l in ins}), (op, ins)
+    gates = {abs(g) for g in b.cache.values()}
+    units = {abs(c[0]) for c in added if len(c) == 1}
+    assert units & gates <= allowed_units
 
 
 def named_vars(vm):
@@ -446,6 +492,31 @@ class TestGuardedEqualities:
                     assert not (op == "and" and ins <= equalities), (op, ins)
             schemes.add(opts.scheme)
         assert schemes == set(SCHEMES)
+
+    def test_definitions_are_clauses_and_only_the_witness_is_a_unit(self):
+        """Both encoders write each asserted definition v <-> x as the
+        clauses [-v, x] and [v, -x], never as an iff gate, and assert no
+        gate as a unit but the unrolling steps and the witness literal:
+        the monolithic encoder returns its witness literal, the goal of a
+        constraint-style scheme, for ``encode_bound`` to assert."""
+        schemes = set()
+        for target, psi, opts in self.instances(SCHEMES):
+            for k in range(7):
+                s, b, vm = fresh(opts.d_max)
+                witness = SCHEMES[opts.scheme](target, psi, k, b, vm)
+                if opts.scheme != "fixpoint":
+                    assert witness == (vm.loop_exists() if opts.scheme == "general-buchi" else vm.fvar(psi, 0, 0))
+                steps = {abs(lit) for lit in vm.steps}
+                assert len(vm.steps) == k + 1
+                assert_definitions_are_clauses(b, vm, s.db, k, True, steps)
+            schemes.add(opts.scheme)
+        for inc in self.sessions():
+            for k in range(7):
+                inc.step(k)
+                allowed = {abs(lit) for lit in inc.vm.steps} | {abs(inc.goal())}
+                assert_definitions_are_clauses(inc.b, inc.vm, inc.solver.db, k, False, allowed)
+            schemes.add("incremental-" + inc.scheme)
+        assert schemes == set(SCHEMES) | {"incremental-" + s for s in INCREMENTAL_SCHEMES}
 
     def test_a_retired_bound_leaves_only_satisfied_clauses(self):
         for inc in self.sessions():
