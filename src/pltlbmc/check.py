@@ -151,7 +151,7 @@ def extract_witness(value_of, vm: TimedVarMap, m: SymbolicModel, k) -> Witness:
         states.append({n: value_of(vm.state_bit(i, n)) for n in m.vars})
     loop = None
     for i in range(1, k + 1):
-        if i in vm.loopsel and value_of(vm.loopsel[i]):
+        if value_of(vm.loop_sel(i)):
             if loop is not None:
                 raise WitnessValidationError("two loop selectors are true")
             loop = i
@@ -181,6 +181,10 @@ def extract_witness(value_of, vm: TimedVarMap, m: SymbolicModel, k) -> Witness:
 
 def run_bmc(m: SymbolicModel, spec, opts: RunOptions = None):
     """Check M |= spec by searching for bounded witnesses of its negation.
+
+    A ``spec`` given as text or as a ``SurfaceFormula`` is the property and
+    is negated into PNF; a PNF ``Formula`` is taken as psi itself, the
+    formula a witness satisfies, and is not negated.
 
     Every scheme in ``INCREMENTAL_SCHEMES`` runs as one incremental session
     (``_run_incremental``); fixpoint, ``incremental=False`` and an external
@@ -260,21 +264,15 @@ def _run_incremental(m, psi, opts):
     the first satisfiable bound is still the minimal witness length.  With
     larger increments the witness query runs bare, and a termination verdict
     additionally requires the bare witness query to fail at the same bound
-    (a witness at a skipped bound would persist to the current one).
-
-    Every query after bound j assumes bound j's activator false, so once the
-    session moves past j that literal becomes a level-0 unit; ``step()``
-    itself adds no such unit, so its clauses do not depend on the driver.
+    (a witness at a skipped bound would persist to the current one).  The
+    session steps up to the last bound it queries, not past it.
     """
     target = scheme_model(m, psi, opts)
     inc = IncrementalEncoder(target, psi, d_max=opts.d_max, scheme=opts.scheme)
     step_one = opts.increment == 1
-    query_at = set(_bounds(opts))
-    for k in range(0, opts.max_k + 1):
+    for k in range(0, _bounds(opts)[-1] + 1):
         inc.step(k)
-        if k > 0:
-            inc.solver.add_clause([-inc.vm.activation_lit(k - 1)])
-        if k not in query_at:
+        if k % opts.increment:
             continue
         proved = opts.completeness and inc.query_completeness() == UNSAT
         if proved and step_one:

@@ -53,7 +53,10 @@ def _spec_formula(args, m):
 def _dmax(value):
     if value is None or value == "full":
         return None
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"--dmax expects a non-negative integer or 'full', got {value!r}") from None
 
 
 def _add_common(p):
@@ -189,6 +192,19 @@ def _cmd_encode(args):
     return 0
 
 
+# The line of each role of the variable map, less the variable: the role,
+# the subformula or chain, the position, the depth and the state bit.
+MAP_LINES = {
+    "state": "state - {1} - {2}",
+    "loopsel": "loopsel - {1} - -",
+    "inloop": "inloop - {1} - -",
+    "loopexists": "loopexists - - - -",
+    "formula": "formula {1} {2} {3} -",
+    "aux": "aux_{1} {2} {3} - -",
+}
+MAP_ROLES = list(MAP_LINES)
+
+
 def _write_var_map(path, vm, psi):
     cl = closure(psi)
     pos = {f.fid: n for n, f in enumerate(cl)}
@@ -199,18 +215,10 @@ def _write_var_map(path, vm, psi):
         for n, f in enumerate(cl):
             start, end = spans[id(f)]
             fh.write(f"# phi {n} {text[start:end]}\n")
-        for (i, name), var in sorted(vm.state.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
-            fh.write(f"state - {i} - {name} {var}\n")
-        for i, var in sorted(vm.loopsel.items()):
-            fh.write(f"loopsel - {i} - - {var}\n")
-        for i, var in sorted(vm.inloop.items()):
-            fh.write(f"inloop - {i} - - {var}\n")
-        if vm._loopexists is not None:
-            fh.write(f"loopexists - - - - {vm._loopexists}\n")
-        for (fid, i, d), var in sorted(vm.fvars.items(), key=lambda kv: (kv[0][0], str(kv[0][1]), kv[0][2])):
-            fh.write(f"formula {pos.get(fid, fid)} {i} {d} - {var}\n")
-        for (role, key, i), var in sorted(vm.aux.items(), key=lambda kv: (kv[0][0], str(kv[0][1]), str(kv[0][2]))):
-            fh.write(f"aux_{role} {key} {i} - - {var}\n")
+        for key, var in sorted(vm.lits.items(), key=lambda kv: (MAP_ROLES.index(kv[0][0]), kv[0][1:])):
+            if key[0] == "formula":
+                key = (key[0], pos.get(key[1], key[1])) + key[2:]
+            fh.write(MAP_LINES[key[0]].format(*key) + f" {var}\n")
 
 
 def _cmd_l2s(args):

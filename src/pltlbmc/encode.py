@@ -21,8 +21,8 @@ which gives a list of ``Chain`` records, and both the monolithic encoder
 and the incremental one iterate that list.  The incremental encoder keeps
 one growing solver and adds its clauses to it directly; constraints that
 mention the current bound are guarded by per-bound activation literals so
-that moving to a larger bound never deletes clauses, it just stops
-assuming the stale activators.
+that moving to a larger bound never deletes clauses: it retires the stale
+activator with a negative unit.
 
 An asserted constraint is its clauses, never a gate (Plaisted and
 Greenbaum, 1986): an implication a -> b is the clause [-a, b], a
@@ -37,8 +37,8 @@ the loop proxies in the session, where a gate would also stay a free
 variable after its guard retires, for every later query to assign again.
 The model unrolling (``unroll_model``) and the loop selector step
 (``_loop_step``) are the same for both kinds of encoder.  The simple path
-constraint of the termination check is added lazily, one pair of positions
-at a time, behind one guard literal.
+constraint of the termination check belongs to the session alone, which
+adds it lazily, one pair of positions at a time, behind one guard literal.
 """
 
 from __future__ import annotations
@@ -66,7 +66,12 @@ class UnresolvedAtomError(EncodeError):
 
 
 class TimedVarMap:
-    """Bijection from (role, subformula, time, unrolling) to solver variables."""
+    """Bijection from (role, subformula, time, unrolling) to solver variables.
+
+    ``lits`` is the registry, keyed by role tuples: ("state", i, name),
+    ("loopsel", i), ("inloop", i), ("loopexists",), ("formula", fid, i, d),
+    ("aux", role, key, i) and ("activation", k).  Each accessor makes its
+    variable on first request; l_0 and InLoop_0 are constant false."""
 
     def __init__(self, builder: CircuitBuilder, d_max=None):
         if d_max is not None and d_max < 0:
@@ -75,24 +80,16 @@ class TimedVarMap:
             )
         self.b = builder
         self.d_max = d_max
-        self.state = {}  # (i, varname) -> lit
-        self.loopsel = {}  # i -> lit (l_0 is constant false)
-        self.inloop = {}  # i -> lit (InLoop_0 is constant false)
-        self._loopexists = None
-        self.fvars = {}  # (fid, i, d) -> lit
-        self.aux = {}  # (role, key, i) -> lit
-        self.activation = {}  # k -> lit
-        self.classes = {}  # i -> simple path class literals of position i
+        self.lits = {}
         self.steps = []  # literals of I(s_0), T(s_0, s_1), ... (``unroll_model``)
 
     def copy(self) -> "TimedVarMap":
         """The same map over a copy of its builder and solver
         (``CircuitBuilder.copy``); what either adds leaves the other as it
         was."""
-        c = TimedVarMap.__new__(TimedVarMap)
-        for name, value in self.__dict__.items():
-            setattr(c, name, value.copy() if isinstance(value, (dict, list)) else value)
-        c.b = self.b.copy()
+        c = TimedVarMap(self.b.copy(), self.d_max)
+        c.lits = self.lits.copy()
+        c.steps = self.steps.copy()
         return c
 
     def dcap(self, f: Formula) -> int:
@@ -100,60 +97,37 @@ class TimedVarMap:
             return past_depth(f)
         return min(self.d_max, past_depth(f))
 
-    def state_bit(self, i, name) -> int:
-        key = (i, name)
-        v = self.state.get(key)
+    def _lit(self, key) -> int:
+        v = self.lits.get(key)
         if v is None:
             v = self.b.var()
-            self.state[key] = v
+            self.lits[key] = v
         return v
+
+    def state_bit(self, i, name) -> int:
+        return self._lit(("state", i, name))
 
     def loop_sel(self, i) -> int:
         if i == 0:
             return self.b.FALSE
-        v = self.loopsel.get(i)
-        if v is None:
-            v = self.b.var()
-            self.loopsel[i] = v
-        return v
+        return self._lit(("loopsel", i))
 
     def in_loop(self, i) -> int:
         if i == 0:
             return self.b.FALSE
-        v = self.inloop.get(i)
-        if v is None:
-            v = self.b.var()
-            self.inloop[i] = v
-        return v
+        return self._lit(("inloop", i))
 
     def loop_exists(self) -> int:
-        if self._loopexists is None:
-            self._loopexists = self.b.var()
-        return self._loopexists
+        return self._lit(("loopexists",))
 
     def fvar(self, f: Formula, i, d) -> int:
-        d = min(d, self.dcap(f))
-        key = (f.fid, i, d)
-        v = self.fvars.get(key)
-        if v is None:
-            v = self.b.var()
-            self.fvars[key] = v
-        return v
+        return self._lit(("formula", f.fid, i, min(d, self.dcap(f))))
 
     def aux_var(self, role, key, i) -> int:
-        k = (role, key, i)
-        v = self.aux.get(k)
-        if v is None:
-            v = self.b.var()
-            self.aux[k] = v
-        return v
+        return self._lit(("aux", role, key, i))
 
     def activation_lit(self, k) -> int:
-        v = self.activation.get(k)
-        if v is None:
-            v = self.b.var()
-            self.activation[k] = v
-        return v
+        return self._lit(("activation", k))
 
 
 # ---------------------------------------------------------------------------
@@ -567,48 +541,6 @@ def _past_constraints(add, b, vm, f, i, d, end, stabilise_here):
     _guarded_equal(add, None, [v] * len(rules), rules)
 
 
-def _class_lits(vm, cl, chains, model_vars, i):
-    """The literals of position i that make up its simple path class: those
-    every position compares (the model state, the in-loop flag and the
-    depth-0 formula values of the closure ``cl``), and those compared only
-    when both positions are inside the loop (every formula unrolling and
-    each accumulator of ``chains``, once however many entries share it).
-
-    A variable map serves one model, one closure and one chain list, and a
-    position's literals never change once it is encoded, so they are built
-    once and kept in ``vm.classes``."""
-    lits = vm.classes.get(i)
-    if lits is None:
-        shared = [vm.state_bit(i, n) for n in model_vars]
-        shared.append(vm.in_loop(i))
-        shared.extend(vm.fvar(f, i, 0) for f in cl)
-        in_loop = [vm.fvar(f, i, d) for f in cl for d in range(0, vm.dcap(f) + 1)]
-        in_loop.extend(dict.fromkeys(c.acc(vm, i) for c in chains))
-        lits = vm.classes[i] = (shared, shared + in_loop, in_loop)
-    return lits
-
-
-def simple_path_pair(b, vm, cl, chains, model_vars, i, j) -> int:
-    """Literal that holds when positions i and j of the path differ.
-
-    Two positions clash when they agree on the model state, the in-loop
-    flag, the depth-0 formula values, and, when both are inside the loop,
-    on every formula unrolling and chain accumulator.
-    """
-    shared_i, _, loop_i = _class_lits(vm, cl, chains, model_vars, i)
-    shared_j, _, loop_j = _class_lits(vm, cl, chains, model_vars, j)
-    diff_loop = b.and_(vm.in_loop(i), vm.in_loop(j), b.or_(*map(b.xor, loop_i, loop_j)))
-    return b.or_(*map(b.xor, shared_i, shared_j), diff_loop)
-
-
-def simple_path_class(value_of, vm, cl, chains, model_vars, i) -> tuple:
-    """The values of position i's class in the model ``value_of`` reads:
-    ``simple_path_pair(i, j)`` is false exactly when the classes of i and j
-    are equal."""
-    shared, whole, _ = _class_lits(vm, cl, chains, model_vars, i)
-    return tuple(map(value_of, whole if value_of(vm.in_loop(i)) else shared))
-
-
 # ---------------------------------------------------------------------------
 # Incremental encoding
 # ---------------------------------------------------------------------------
@@ -630,16 +562,14 @@ class IncrementalEncoder:
 
     ``step(k)`` adds the constraints for bound k: the stable part directly,
     the bound-dependent ones (end proxy binding, LoopExists, the index k+1
-    hook into the loop proxy) guarded by an activation literal.  The
-    bindings, the loop proxies (l_k -> L = k) and the loop step (l_k ->
+    hook into the loop proxy) guarded by the activation literal act(k).
+    The bindings, the loop proxies (l_k -> L = k) and the loop step (l_k ->
     s_{k-1} = s_E) are guarded equalities, written as clauses by
     ``_guarded_equal``, so a retired bound leaves no gate variable behind.
-    ``query_witness`` solves under the current bound's activator; earlier
-    activators are assumed negatively, which retires their constraints
-    while keeping every learned clause sound.  The driver
-    (``check.run_bmc``) also adds each past activator as a negative unit,
-    outside ``step()``; an assumption true at level 0 then opens no
-    decision level in the solver.
+    ``step(k)`` ends by retiring bound k-1: the unit -act(k-1) keeps every
+    learned clause sound, and the solver propagates it once instead of
+    taking it as an assumption at every later query.  A query assumes the
+    one literal act(k), for a witness, or -act(k), for completeness.
 
     The simple path constraint of the termination check is added lazily
     (Een and Soerensson, *Temporal induction by incremental SAT solving*,
@@ -671,6 +601,7 @@ class IncrementalEncoder:
         # made by the first simple path query, so that step() numbers its
         # variables the same whether or not simple paths are ever asked for
         self.sp_guard = None
+        self.classes = {}  # i -> the simple path class literals of position i
 
     # -- constraint emission -------------------------------------------------
 
@@ -696,6 +627,8 @@ class IncrementalEncoder:
             for c in self.accumulators:
                 _sticky_step(add, b, vm, c, k)
         self._emit_k_dependent(k)
+        if k >= 1:
+            add([-vm.activation_lit(k - 1)])
         self.k = k
 
     def _emit_base(self):
@@ -720,16 +653,14 @@ class IncrementalEncoder:
 
     # -- queries ---------------------------------------------------------------
 
-    def _assumptions(self, witness):
-        act = self.vm.activation_lit
-        return [act(j) if witness and j == self.k else -act(j) for j in range(0, self.k + 1)]
-
-    def _solve(self, assumptions, simple_path, conflict_budget):
-        """Solve under the assumptions; with ``simple_path``, run the lazy
-        refinement, all of whose rounds share ``conflict_budget``."""
+    def _solve(self, witness, simple_path, conflict_budget):
+        """Solve under act(k), or -act(k) without ``witness``; with
+        ``simple_path``, run the lazy refinement, all of whose rounds share
+        ``conflict_budget``."""
         if self.k < 0:
             raise EncodeError("step(0) must run before queries")
-        solver = self.solver
+        solver, act = self.solver, self.vm.activation_lit(self.k)
+        assumptions = [act if witness else -act]
         if not simple_path:
             return solver.solve(assumptions, conflict_budget=conflict_budget)
         if self.sp_guard is None:
@@ -745,24 +676,62 @@ class IncrementalEncoder:
             if not pairs:
                 return SAT
             for i, j in pairs:
-                pair = simple_path_pair(self.b, self.vm, self.cl, self.chains, self.m.vars, i, j)
-                solver.add_clause([-self.sp_guard, pair])
+                solver.add_clause([-self.sp_guard, self.simple_path_pair(i, j)])
+
+    def _class_lits(self, i):
+        """The literals of position i that make up its simple path class: those
+        every position compares (the model state, the in-loop flag and the
+        depth-0 formula values of the closure), and those compared only when
+        both positions are inside the loop (every formula unrolling and each
+        accumulator, once however many chain entries share it).  A
+        position's literals never change once it is encoded, so they are
+        built once and kept in ``classes``."""
+        lits = self.classes.get(i)
+        if lits is None:
+            vm = self.vm
+            shared = [vm.state_bit(i, n) for n in self.m.vars]
+            shared.append(vm.in_loop(i))
+            shared.extend(vm.fvar(f, i, 0) for f in self.cl)
+            in_loop = [vm.fvar(f, i, d) for f, d in self.levels]
+            in_loop.extend(c.acc(vm, i) for c in self.accumulators)
+            lits = self.classes[i] = (shared, shared + in_loop, in_loop)
+        return lits
+
+    def simple_path_pair(self, i, j) -> int:
+        """Literal that holds when positions i and j of the path differ.
+
+        Two positions clash when they agree on the model state, the in-loop
+        flag, the depth-0 formula values, and, when both are inside the loop,
+        on every formula unrolling and chain accumulator.
+        """
+        b, in_loop = self.b, self.vm.in_loop
+        shared_i, _, loop_i = self._class_lits(i)
+        shared_j, _, loop_j = self._class_lits(j)
+        diff_loop = b.and_(in_loop(i), in_loop(j), b.or_(*map(b.xor, loop_i, loop_j)))
+        return b.or_(*map(b.xor, shared_i, shared_j), diff_loop)
+
+    def simple_path_class(self, i) -> tuple:
+        """The values of position i's class in the solver's model:
+        ``simple_path_pair(i, j)`` is false exactly when the classes of i and
+        j are equal."""
+        value_of = self.solver.model_value
+        shared, whole, _ = self._class_lits(i)
+        return tuple(map(value_of, whole if value_of(self.vm.in_loop(i)) else shared))
 
     def _clashing_pairs(self):
         """The pairs i < j of positions whose classes are equal in the
         solver's model, grouped by class in order of first position."""
         groups = {}
         for i in range(0, self.k + 1):
-            key = simple_path_class(self.solver.model_value, self.vm, self.cl, self.chains, self.m.vars, i)
-            groups.setdefault(key, []).append(i)
+            groups.setdefault(self.simple_path_class(i), []).append(i)
         return [(i, j) for g in groups.values() for n, j in enumerate(g) for i in g[:n]]
 
     def query_witness(self, simple_path=False, conflict_budget=None) -> str:
         """Solve the full encoding at the current bound, with
         ``simple_path`` conjoined with the simple path constraint."""
-        return self._solve(self._assumptions(True), simple_path, conflict_budget)
+        return self._solve(True, simple_path, conflict_budget)
 
     def query_completeness(self, conflict_budget=None) -> str:
         """Solve with every bound-dependent constraint retired, plus the
         simple path constraint; UNSAT proves no witness at any larger bound."""
-        return self._solve(self._assumptions(False), True, conflict_budget)
+        return self._solve(False, True, conflict_budget)

@@ -24,9 +24,10 @@ short, propagation-bound queries over one growing database:
   ``add_definition``, which skips the duplicate and tautology checks that
   ``add_clause`` runs, and attaches a clause with no assigned literal as it
   is; both record the same database.
-- An assumption already true at level 0 opens no decision level, so a
-  retired activation literal, added as a negative unit once its bound is
-  past (see ``check``), costs nothing at later queries.
+- An assumption already true at level 0 opens no decision level.  A
+  session retires a past bound's activation literal as a negative unit
+  (``encode.IncrementalEncoder.step``), not as an assumption of every
+  later query.
 
 Clauses are never deleted; constraint retraction is modelled by guarding
 clauses with activation literals that are simply not assumed.

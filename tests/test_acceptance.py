@@ -195,11 +195,13 @@ def test_criterion_4_unique_model_property(grid):
             pin.append(v if s.model_value(v) else -v)
         assert s.solve(pin) == SAT
         blocking = []
-        for (fid, i, d), var in vm.fvars.items():
-            if d > 0 and (loop is None or i < loop):
-                continue  # light nodes stay free
-            blocking.append(-var if s.model_value(var) else var)
-        for key, var in vm.aux.items():
+        for (role, *key), var in vm.lits.items():
+            if role == "formula":
+                _, i, d = key
+                if d > 0 and (loop is None or i < loop):
+                    continue  # light nodes stay free
+            elif role != "aux":
+                continue
             blocking.append(-var if s.model_value(var) else var)
         s.add_clause(blocking)
         assert s.solve(pin) == UNSAT, f"model not unique: {psi} k={k}"

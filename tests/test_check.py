@@ -10,7 +10,7 @@ from pltlbmc import check
 from pltlbmc.model import parse_model, eval_expr, explicit_expand
 from pltlbmc.pltl import parse_formula, past_depth, s_not, to_pnf, closure
 from pltlbmc.sat import INTERRUPTED, SAT, UNSAT, Solver, CircuitBuilder, export_dimacs, run_external_solver
-from pltlbmc.encode import IncrementalEncoder, TimedVarMap, encode_pltl, eventuality_style, simple_path_pair
+from pltlbmc.encode import IncrementalEncoder, TimedVarMap, encode_pltl
 from pltlbmc.check import (
     BoundExhausted,
     CheckError,
@@ -162,23 +162,18 @@ class TestRunBmc:
         assert verdict_line(BoundExhausted(max_k=9)) == "VERDICT UNKNOWN max_k=9"
 
 
-def build_simple_path(k, vm, b, cl, chains, model_vars):
-    """Pairwise distinctness over 0 <= i < j <= k."""
-    return b.and_(
-        *[simple_path_pair(b, vm, cl, chains, model_vars, i, j) for j in range(1, k + 1) for i in range(j)]
-    )
+def build_simple_path(inc):
+    """Pairwise distinctness over 0 <= i < j <= k of the session ``inc`` at
+    bound k."""
+    return inc.b.and_(*[inc.simple_path_pair(i, j) for j in range(1, inc.k + 1) for i in range(j)])
 
 
 def pinned_to_model(src, dst):
     """Literals of session ``dst`` that give every timed variable the value
     its namesake has in the last model of session ``src``; both sessions
     ran the same steps."""
-    value = src.solver.model_value
-    out = []
-    for role in ("state", "loopsel", "inloop", "fvars", "aux"):
-        theirs = getattr(src.vm, role)
-        out += [lit if value(theirs[key]) else -lit for key, lit in getattr(dst.vm, role).items()]
-    return out
+    value, theirs = src.solver.model_value, src.vm.lits
+    return [lit if value(theirs[key]) else -lit for key, lit in dst.vm.lits.items()]
 
 
 # A two-bit counter that holds its value while the input ``stall`` is set:
@@ -279,32 +274,29 @@ class TestConflictBudget:
 
 class TestSimplePath:
     def test_k0_is_vacuous(self):
-        s = Solver()
-        b = CircuitBuilder(s)
-        vm = TimedVarMap(b)
-        psi = pnf("F x4")
-        encode_pltl(COUNTER, psi, 0, b, vm)
-        cl, chains, _ = eventuality_style(b, vm, COUNTER, psi)
-        assert build_simple_path(0, vm, b, cl, chains, COUNTER.vars) == b.TRUE
+        inc = IncrementalEncoder(COUNTER, pnf("F x4"))
+        inc.step(0)
+        assert build_simple_path(inc) == inc.b.TRUE
         # a position never differs from itself
-        assert simple_path_pair(b, vm, cl, chains, COUNTER.vars, 0, 0) == b.FALSE
+        assert inc.simple_path_pair(0, 0) == inc.b.FALSE
 
     def test_identical_positions_violate_the_constraint(self):
         m = parse_model("VAR a b\nINIT true\nTRANS true\n")
-        s = Solver()
-        b = CircuitBuilder(s)
-        vm = TimedVarMap(b)
         psi = pnf("F a")
-        s.add_clause([encode_pltl(m, psi, 2, b, vm)])
-        sp = build_simple_path(2, vm, b, *eventuality_style(b, vm, m, psi)[:2], m.vars)
-        assert s.solve() == SAT
+        inc = IncrementalEncoder(m, psi)
+        for k in range(3):
+            inc.step(k)
+        s, b, vm = inc.solver, inc.b, inc.vm
+        sp = build_simple_path(inc)
+        act = vm.activation_lit(2)
+        assert s.solve([act]) == SAT
         # two identical stem positions with equal formula bits are allowed
         # without the constraint but contradict it
         pins = [b.iff(vm.fvar(f, 0, 0), vm.fvar(f, 1, 0)) for f in closure(psi)]
         eq_state = b.and_(*[b.iff(vm.state_bit(0, n), vm.state_bit(1, n)) for n in m.vars])
         eq_inloop = b.iff(vm.in_loop(0), vm.in_loop(1))
-        assert s.solve([eq_state, eq_inloop] + pins) == SAT
-        assert s.solve([sp, eq_state, eq_inloop] + pins) == UNSAT
+        assert s.solve([act, eq_state, eq_inloop] + pins) == SAT
+        assert s.solve([act, sp, eq_state, eq_inloop] + pins) == UNSAT
 
     def test_lazy_pairs_agree_with_every_pair_up_front(self):
         """At every bound, both simple path queries answer as a reference
@@ -323,7 +315,7 @@ class TestSimplePath:
             for k in range(7):
                 lazy.step(k)
                 ref.step(k)
-                sp = build_simple_path(k, ref.vm, ref.b, ref.cl, ref.chains, m.vars)
+                sp = build_simple_path(ref)
                 for witness in (False, True):
                     act = ref.vm.activation_lit
                     assumptions = [act(j) if witness and j == k else -act(j) for j in range(k + 1)]
@@ -477,7 +469,7 @@ RETIRED_SPECS = [
 
 
 class TestRetiredActivators:
-    """Once bound j is past, the driver fixes activation_lit(j) false at
+    """Once bound j is past, ``step`` fixes activation_lit(j) false at
     level 0; the verdicts stay those of the monolithic encoding."""
 
     @pytest.mark.parametrize("increment", [1, 2])
@@ -508,6 +500,13 @@ class TestRetiredActivators:
                 if isinstance(v, WitnessFound):
                     assert v.k == ref.k
         assert retired > 20
+
+    def test_the_session_steps_to_the_last_bound_it_queries(self, monkeypatch):
+        sessions = record_sessions(monkeypatch)
+        v = run_bmc(COUNTER, "G !p7", RunOptions(increment=2, max_k=5))
+        assert v == BoundExhausted(max_k=5)
+        (inc,) = sessions
+        assert inc.k == 4
 
     def test_every_scheme_but_fixpoint_runs_one_session(self, monkeypatch):
         sessions = record_sessions(monkeypatch)
@@ -678,12 +677,12 @@ class TestMonolithicPrefix:
                 fresh, fresh_vm = encode_bound(target, psi, k, opts)
                 assert solver_state(s) == solver_state(fresh)
                 assert vars(vm).keys() == vars(fresh_vm).keys()
-                assert vm.state == fresh_vm.state and vm.fvars == fresh_vm.fvars
-                unrolled = copy.deepcopy((solver_state(prefix.b.solver), prefix.steps, prefix.state))
+                assert vm.lits == fresh_vm.lits
+                unrolled = copy.deepcopy((solver_state(prefix.b.solver), prefix.steps, prefix.lits))
                 assert s.solve() == fresh.solve()
                 s.add_clause([s.nvars])
                 s.solve()
-                assert (solver_state(prefix.b.solver), prefix.steps, prefix.state) == unrolled
+                assert (solver_state(prefix.b.solver), prefix.steps, prefix.lits) == unrolled
                 assert len(prefix.steps) == k + 1 and len(prefix.b.solver.db) < len(s.db)
         with pytest.raises(CheckError, match="past bound 2"):
             encode_bound(target, psi, 2, opts, prefix)

@@ -337,6 +337,34 @@ class TestEncode:
         code, _, err = run(capsys, ["tightba", "F (p & Y q)", "--dmax", "-1"])
         assert code == 3 and "d_max" in err
 
+    def test_map_lists_positions_in_numeric_order(self, capsys, tmp_path):
+        out_cnf = str(tmp_path / "out.cnf")
+        code, _, err = run(capsys, ["encode", COUNTER, "--spec", "G !p7", "-k", "11", "-o", out_cnf])
+        assert code == 0, err
+        # a line is: role, subformula or chain, position, depth, state bit, variable
+        groups = {}
+        for line in open(out_cnf + ".map"):
+            row = line.split()
+            if row[0] not in ("#", "loopexists"):
+                groups.setdefault((row[0], row[1]), []).append(int(row[2]))
+        assert {role for role, _ in groups} >= {"state", "loopsel", "inloop", "formula", "aux_F"}
+        for positions in groups.values():
+            assert positions == sorted(positions)
+        assert list(dict.fromkeys(groups["state", "-"])) == list(range(12))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", COUNTER, "--dmax", "abc"],
+            ["encode", COUNTER, "--dmax", "abc", "-k", "3", "-o", "unused.cnf"],
+            ["tightba", "F (p & Y q)", "--dmax", "abc"],
+        ],
+    )
+    def test_malformed_dmax_names_the_flag(self, capsys, argv):
+        code, _, err = run(capsys, argv)
+        assert code == 3
+        assert err == "error: --dmax expects a non-negative integer or 'full', got 'abc'\n"
+
 
 class TestDeepExpressions:
     """Fairness lines and define chains far deeper than the recursion limit."""

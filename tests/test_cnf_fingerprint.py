@@ -63,14 +63,14 @@ GOLDEN = {
     "pltl@d1": "56 37fe2118ca3dc715",
     "general-buchi": "56 803bc6e3cd01258a",
     "general-buchi@d1": "56 8de6c7740079a807",
-    "incremental-sp0": "56 e2c43404c88b431e",
-    "incremental-sp0@d1": "56 07ad18268ac599c0",
-    "incremental-sp1": "56 76967b6d31ca5024",
-    "incremental-sp1@d1": "56 bc7bfeb237b32618",
-    "incremental-eventuality": "28 492099b7dc16c05d",
-    "incremental-buchi": "28 9a53b2bda71226de",
-    "incremental-general-buchi": "56 0bc9984045503aec",
-    "incremental-general-buchi@d1": "56 c0dad6fca1ca4b33",
+    "incremental-sp0": "56 40b1180df52b8770",
+    "incremental-sp0@d1": "56 57dc751f448b3cb5",
+    "incremental-sp1": "56 4214518858ffb7ea",
+    "incremental-sp1@d1": "56 04268796ede7774c",
+    "incremental-eventuality": "28 79b49de77aa2177f",
+    "incremental-buchi": "28 480361f0c9db5a68",
+    "incremental-general-buchi": "56 dfd9a72bed909523",
+    "incremental-general-buchi@d1": "56 368677bd84419614",
 }
 
 MINTERM_SPECS = {
@@ -82,8 +82,8 @@ MINTERM_GOLDEN = {
     "minterm:fixpoint": "21 7d2754c2218fffc3",
     "minterm:pltl": "35 3243eda58d98d9c5",
     "minterm:general-buchi": "35 0f0aad9160e04c8a",
-    "minterm:incremental-sp1": "35 53c42640ef790a02",
-    "minterm:incremental-general-buchi": "35 8bc2553497f3d8c5",
+    "minterm:incremental-sp1": "35 6f676079d06b11f7",
+    "minterm:incremental-general-buchi": "35 e2ae6ff01fffc01d",
 }
 
 
@@ -99,11 +99,11 @@ SHARED_GOLDEN = {
     "shared:eventuality": "28 8b1e925ac1798c5f",
     "shared:buchi": "28 ccf6a47fead76421",
     "shared:general-buchi": "28 c826580c2e3213a9",
-    "shared:incremental-sp0": "28 38546682050cf644",
-    "shared:incremental-sp1": "28 40fa213eac216006",
-    "shared:incremental-eventuality": "28 38546682050cf644",
-    "shared:incremental-buchi": "28 ccfaf9c0adb62b34",
-    "shared:incremental-general-buchi": "28 49011800cf758d29",
+    "shared:incremental-sp0": "28 736b22dc425d178d",
+    "shared:incremental-sp1": "28 5a658265b7f0ca3f",
+    "shared:incremental-eventuality": "28 736b22dc425d178d",
+    "shared:incremental-buchi": "28 8b36c40ef0f143be",
+    "shared:incremental-general-buchi": "28 ba7727619ce330c9",
 }
 
 

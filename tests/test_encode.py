@@ -135,10 +135,9 @@ class TestLtlSchemes:
         s.add_clause([encode_ltl_buchi(m, psi, 1, b, vm)])
         assert s.solve([vm.loop_sel(1)]) == SAT
         blocking = []
-        for (fid, i, d), var in vm.fvars.items():
-            blocking.append(-var if s.model_value(var) else var)
-        for (role, key, i), var in vm.aux.items():
-            blocking.append(-var if s.model_value(var) else var)
+        for (role, *_), var in vm.lits.items():
+            if role in ("formula", "aux"):
+                blocking.append(-var if s.model_value(var) else var)
         s.add_clause(blocking)
         assert s.solve([vm.loop_sel(1)]) == UNSAT
 
@@ -212,11 +211,13 @@ class TestPltlEncoding:
                 pin.append(v if s.model_value(v) else -v)
             assert s.solve(pin) == SAT
             blocking = []
-            for (fid, i, d), var in vm.fvars.items():
-                if d > 0 and (loop is None or (isinstance(i, int) and i < loop)):
-                    continue  # light nodes are unconstrained
-                blocking.append(-var if s.model_value(var) else var)
-            for (role, key, i), var in vm.aux.items():
+            for (role, *key), var in vm.lits.items():
+                if role == "formula":
+                    _, i, d = key
+                    if d > 0 and (loop is None or (isinstance(i, int) and i < loop)):
+                        continue  # light nodes are unconstrained
+                elif role != "aux":
+                    continue
                 blocking.append(-var if s.model_value(var) else var)
             s.add_clause(blocking)
             assert s.solve(pin) == UNSAT
@@ -366,9 +367,16 @@ def defined_variables(vm, k, loop_exists):
     variables at positions up to k, the accumulators and InLoop_i at
     positions 1 to k, and, with ``loop_exists``, LoopExists (the session
     binds it instead)."""
-    out = [v for (_, i, _), v in vm.fvars.items() if isinstance(i, int) and i <= k]
-    out.extend(v for (_, _, i), v in vm.aux.items() if isinstance(i, int) and 1 <= i <= k)
-    out.extend(v for i, v in vm.inloop.items() if i <= k)
+    out = []
+    for (role, *key), v in vm.lits.items():
+        if role == "formula":
+            i, low = key[1], 0
+        elif role in ("aux", "inloop"):
+            i, low = key[-1], 1
+        else:
+            continue
+        if isinstance(i, int) and low <= i <= k:
+            out.append(v)
     if loop_exists:
         out.append(vm.loop_exists())
     return out
@@ -408,8 +416,7 @@ def assert_definitions_are_clauses(b, vm, added, k, loop_exists, allowed_units):
 
 def named_vars(vm):
     """The number of variables the map has made for a timed role."""
-    roles = (vm.state, vm.loopsel, vm.inloop, vm.fvars, vm.aux, vm.activation)
-    return sum(map(len, roles)) + (vm._loopexists is not None)
+    return len(vm.lits)
 
 
 class TestGuardedEqualities:
@@ -523,8 +530,6 @@ class TestGuardedEqualities:
             solver = inc.solver
             for k in range(6):
                 inc.step(k)
-                if k > 0:
-                    solver.add_clause([-inc.vm.activation_lit(k - 1)])
                 inc.query_witness()
             assert not solver.trail_lim
             for j in range(5):
@@ -533,3 +538,13 @@ class TestGuardedEqualities:
                 assert mentions
                 for c in mentions:
                     assert any(solver.value(l) == 1 and solver.level[abs(l)] == 0 for l in c), c
+
+    def test_a_bare_session_retires_each_earlier_bound(self):
+        """With no driver and no query, ``step(k)`` leaves every activator
+        below k false at level 0."""
+        for inc in self.sessions():
+            solver, act = inc.solver, inc.vm.activation_lit
+            for k in range(6):
+                inc.step(k)
+                for j in range(k):
+                    assert solver.value(act(j)) == -1 and solver.level[abs(act(j))] == 0
