@@ -16,17 +16,19 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
-from .pltl import SurfaceFormula, atoms_of, parse_formula, to_pnf, s_not
+from .pltl import SurfaceFormula, atoms_of, parse_formula, past_depth, to_pnf, s_not
 from .model import SymbolicModel, eval_expr
-from .sat import Solver, CircuitBuilder, SAT, UNSAT, export_dimacs, run_external_solver
+from .sat import Solver, SAT, UNSAT, export_dimacs, run_external_solver
 from .encode import (
-    CONSTRAINT_SCHEMES,
     TimedVarMap,
     IncrementalEncoder,
+    PastOperatorError,
     UnresolvedAtomError,
+    buchi_style,
     eventuality_style,
+    fairness_style,
     unroll_model,
     encode_ltl_fixpoint,
     encode_ltl_eventuality,
@@ -80,33 +82,46 @@ class RunOptions:
     external_solver: Optional[tuple] = None
 
 
-# Scheme name -> encoder.  Every encoder takes (model, psi, k, b, vm), lowers
-# the bound-k encoding into the builder ``b`` over ``vm`` (which carries the
-# unrolling cap d_max) and returns the literal whose assertion asks for a
-# witness of bound k.  The general-buchi encoder ignores psi: its model is
-# already the product with psi's automaton (see ``scheme_model``).  The
-# lambdas look the encoders up in this module's globals at call time.
-SCHEMES = {
-    "fixpoint": lambda m, psi, k, b, vm: encode_ltl_fixpoint(m, psi, k, b, vm),
-    "eventuality": lambda m, psi, k, b, vm: encode_ltl_eventuality(m, psi, k, b, vm),
-    "buchi": lambda m, psi, k, b, vm: encode_ltl_buchi(m, psi, k, b, vm),
-    "pltl": lambda m, psi, k, b, vm: encode_pltl(m, psi, k, b, vm),
-    "general-buchi": lambda m, psi, k, b, vm: encode_general_buchi(m, k, b, vm),
-}
+class Scheme(NamedTuple):
+    """Every fact about one scheme.
 
-# The schemes that also run as one incremental session: the constraint-style
-# ones, all but fixpoint, whose loop dispatch depends on k.
-INCREMENTAL_SCHEMES = frozenset(CONSTRAINT_SCHEMES)
+    ``encode`` takes (model, psi, k, vm), lowers the bound-k encoding into
+    the map ``vm`` (which carries the unrolling cap d_max) and returns the
+    literal whose assertion asks for a witness of bound k; it looks the
+    encoder up in this module's globals at call time.  ``style`` is the
+    chain style of a constraint-style scheme, which then also runs as one
+    incremental session, and None for fixpoint, whose loop dispatch depends
+    on k.  A ``future_only`` scheme rejects past operators, and an
+    ``automaton`` scheme unrolls the product of the model with psi's tight
+    automaton (``scheme_model``)."""
+
+    encode: Callable
+    style: Optional[Callable]
+    future_only: bool
+    automaton: bool
+
+
+SCHEMES = {
+    "fixpoint": Scheme(lambda m, psi, k, vm: encode_ltl_fixpoint(m, psi, k, vm), None, True, False),
+    "eventuality": Scheme(lambda m, psi, k, vm: encode_ltl_eventuality(m, psi, k, vm), eventuality_style, True, False),
+    "buchi": Scheme(lambda m, psi, k, vm: encode_ltl_buchi(m, psi, k, vm), buchi_style, True, False),
+    "pltl": Scheme(lambda m, psi, k, vm: encode_pltl(m, psi, k, vm), eventuality_style, False, False),
+    "general-buchi": Scheme(lambda m, psi, k, vm: encode_general_buchi(m, psi, k, vm), fairness_style, False, True),
+}
 
 
 def scheme_model(m: SymbolicModel, psi, opts: RunOptions) -> SymbolicModel:
-    """The model the scheme unrolls: for general-buchi the product of m with
-    the tight automaton of psi, otherwise m itself.  Every atom of psi must
-    be a variable or define of m, whether or not the encoding reaches it."""
+    """The model the scheme unrolls: for an automaton scheme the product of
+    m with the tight automaton of psi, otherwise m itself.  Every atom of
+    psi must be a variable or define of m, whether or not the encoding
+    reaches it, and a future-only scheme takes no past operator."""
     for name in sorted(atoms_of(psi)):
         if name not in m.vars and name not in m.define_map:
             raise UnresolvedAtomError(f"atom {name!r} is neither a variable nor a define")
-    if opts.scheme == "general-buchi":
+    scheme = SCHEMES[opts.scheme]
+    if scheme.future_only and past_depth(psi) > 0:
+        raise PastOperatorError("formula contains past operators; this scheme handles future formulas only, use pltl")
+    if scheme.automaton:
         return product(m, build_tight_ba(psi, d_max=opts.d_max))
     return m
 
@@ -123,14 +138,14 @@ def encode_bound(target: SymbolicModel, psi, k, opts: RunOptions, prefix: TimedV
     if k < 0:
         raise CheckError(f"k must be non-negative, got {k}")
     if prefix is None:
-        vm = TimedVarMap(CircuitBuilder(Solver()), d_max=opts.d_max)
+        vm = TimedVarMap(Solver(), d_max=opts.d_max)
     else:
         if len(prefix.steps) > k + 1:
             raise CheckError(f"the prefix is unrolled past bound {k}")
-        unroll_model(target, k, prefix.b, prefix)
+        unroll_model(target, k, prefix)
         vm = prefix.copy()
-    vm.b.solver.add_clause([SCHEMES[opts.scheme](target, psi, k, vm.b, vm)])
-    return vm.b.solver, vm
+    vm.solver.add_clause([SCHEMES[opts.scheme].encode(target, psi, k, vm)])
+    return vm.solver, vm
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +201,7 @@ def run_bmc(m: SymbolicModel, spec, opts: RunOptions = None):
     is negated into PNF; a PNF ``Formula`` is taken as psi itself, the
     formula a witness satisfies, and is not negated.
 
-    Every scheme in ``INCREMENTAL_SCHEMES`` runs as one incremental session
+    Every scheme with a chain style runs as one incremental session
     (``_run_incremental``); fixpoint, ``incremental=False`` and an external
     solver encode each bound into a solver of its own (``_run_monolithic``).
     That driver lowers the model unrolling once per run, each TRANS step
@@ -205,12 +220,11 @@ def run_bmc(m: SymbolicModel, spec, opts: RunOptions = None):
     if opts.completeness:
         # the termination argument is made for the eventuality chains only:
         # cutting a loop segment may drop the only visit to an acceptance set
-        _, style = CONSTRAINT_SCHEMES.get(opts.scheme, (None, None))
-        if style is not eventuality_style or not opts.incremental:
+        if SCHEMES[opts.scheme].style is not eventuality_style or not opts.incremental:
             raise CheckError("completeness needs an incremental session with eventuality chains")
         if opts.external_solver:
             raise CheckError("completeness cannot use an external solver")
-    if opts.scheme in INCREMENTAL_SCHEMES and opts.incremental and not opts.external_solver:
+    if SCHEMES[opts.scheme].style and opts.incremental and not opts.external_solver:
         return _run_incremental(m, psi, opts)
     return _run_monolithic(m, psi, opts)
 
@@ -224,7 +238,7 @@ def _run_monolithic(m, psi, opts):
     with the model unrolling, so one prefix map holds it for the whole run,
     each TRANS step lowered once, and each bound is encoded on a copy."""
     target = scheme_model(m, psi, opts)
-    prefix = TimedVarMap(CircuitBuilder(Solver()), d_max=opts.d_max)
+    prefix = TimedVarMap(Solver(), d_max=opts.d_max)
     for k in _bounds(opts):
         found = _solve_bound(m, target, psi, k, opts, prefix)
         if found is not None:
@@ -268,7 +282,7 @@ def _run_incremental(m, psi, opts):
     session steps up to the last bound it queries, not past it.
     """
     target = scheme_model(m, psi, opts)
-    inc = IncrementalEncoder(target, psi, d_max=opts.d_max, scheme=opts.scheme)
+    inc = IncrementalEncoder(target, psi, d_max=opts.d_max, style=SCHEMES[opts.scheme].style)
     step_one = opts.increment == 1
     for k in range(0, _bounds(opts)[-1] + 1):
         inc.step(k)

@@ -53,10 +53,9 @@ def _spec_formula(args, m):
 def _dmax(value):
     if value is None or value == "full":
         return None
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"--dmax expects a non-negative integer or 'full', got {value!r}") from None
+    if not value.isdecimal():
+        raise ValueError(f"--dmax expects a non-negative integer or 'full', got {value!r}")
+    return int(value)
 
 
 def _add_common(p):
@@ -172,7 +171,7 @@ def _verdict_record(verdict):
             "verdict": "witness",
             "k": verdict.k,
             "loop_start": w.loop_start,
-            "trace": [{n: bool(v) for n, v in st.items()} for st in w.states],
+            "trace": [{n: bool(st[n]) for n in w.display_vars} for st in w.states],
         }
     if isinstance(verdict, checker.Proved):
         return {"verdict": "proved", "k": verdict.k}

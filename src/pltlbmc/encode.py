@@ -1,27 +1,27 @@
 """Bounded model checking encodings.
 
-All encoders share a :class:`TimedVarMap`, the registry from timed roles
-(state bits s_i, loop selectors l_i, InLoop_i, LoopExists, formula variables
-indexed by subformula, time and unrolling depth, and the auxiliary chains)
-to solver variables.  Requests for a formula variable above the subformula's
-unrolling cap alias down to the cap, which realises virtual unrolling.
+Every encoder writes into one :class:`TimedVarMap`: the circuit builder of
+one solver, and the registry from timed roles (state bits s_i, loop
+selectors l_i, InLoop_i, LoopExists, formula variables indexed by
+subformula, time and unrolling depth, and the auxiliary chains) to its
+variables.  Requests for a formula variable above the subformula's
+unrolling cap ``vm.d_max`` alias down to the cap, which realises virtual
+unrolling.
 
-Monolithic encoders take ``(m, psi, k, b, vm)``, write their gates and
-clauses into the builder's solver, and return their witness literal, whose
-assertion makes the solver search for a witness of bound k: the root of
-the fixpoint circuit, or the goal of a constraint-style scheme.  The
-unrolling cap is ``vm.d_max``.  Their clauses hold whether or not that
-literal is asserted, so a caller always asserts it
-(``check.encode_bound``).  Each begins with the model unrolling
-(``unroll_model``), of which the map may already hold a prefix; the driver
-keeps one unrolling per run and encodes each bound on a copy.  The
-constraint-style schemes (pltl, eventuality, buchi, general-buchi) differ
-only in their chains: ``CONSTRAINT_SCHEMES`` maps each to its chain style,
-which gives a list of ``Chain`` records, and both the monolithic encoder
-and the incremental one iterate that list.  The incremental encoder keeps
-one growing solver and adds its clauses to it directly; constraints that
-mention the current bound are guarded by per-bound activation literals so
-that moving to a larger bound never deletes clauses: it retires the stale
+Monolithic encoders take ``(m, psi, k, vm)`` and return their witness
+literal, whose assertion makes the solver search for a witness of bound
+k: the root of the fixpoint circuit, or the goal of a constraint-style
+scheme.  Their clauses hold whether or not that literal is asserted, so a
+caller always asserts it (``check.encode_bound``).  Each begins with the
+model unrolling (``unroll_model``), of which the map may already hold a
+prefix; the driver keeps one unrolling per run and encodes each bound on a
+copy.  The constraint-style schemes differ only in their chain style
+(``check.SCHEMES``), which gives a list of ``Chain`` records; both the
+monolithic encoder and the incremental one iterate that list.  No encoder
+checks which formulas its scheme admits (``check.scheme_model``).  The
+incremental encoder keeps one growing solver; constraints that mention
+the current bound are guarded by per-bound activation literals, so that
+moving to a larger bound never deletes clauses: it retires the stale
 activator with a negative unit.
 
 An asserted constraint is its clauses, never a gate (Plaisted and
@@ -65,32 +65,34 @@ class UnresolvedAtomError(EncodeError):
     pass
 
 
-class TimedVarMap:
-    """Bijection from (role, subformula, time, unrolling) to solver variables.
+class TimedVarMap(CircuitBuilder):
+    """The circuit builder of one encoding, and its bijection from (role,
+    subformula, time, unrolling) to solver variables.
 
     ``lits`` is the registry, keyed by role tuples: ("state", i, name),
     ("loopsel", i), ("inloop", i), ("loopexists",), ("formula", fid, i, d),
     ("aux", role, key, i) and ("activation", k).  Each accessor makes its
     variable on first request; l_0 and InLoop_0 are constant false."""
 
-    def __init__(self, builder: CircuitBuilder, d_max=None):
+    def __init__(self, solver: Solver, d_max=None, template: "TimedVarMap" = None):
         if d_max is not None and d_max < 0:
             raise EncodeError(
                 f"d_max must be a non-negative integer or None for full unrolling, got {d_max}"
             )
-        self.b = builder
+        super().__init__(solver, template)
         self.d_max = d_max
-        self.lits = {}
-        self.steps = []  # literals of I(s_0), T(s_0, s_1), ... (``unroll_model``)
+        if template is None:
+            self.lits = {}
+            self.steps = []  # literals of I(s_0), T(s_0, s_1), ... (``unroll_model``)
+        else:
+            self.lits = template.lits.copy()
+            self.steps = template.steps.copy()
 
     def copy(self) -> "TimedVarMap":
-        """The same map over a copy of its builder and solver
-        (``CircuitBuilder.copy``); what either adds leaves the other as it
-        was."""
-        c = TimedVarMap(self.b.copy(), self.d_max)
-        c.lits = self.lits.copy()
-        c.steps = self.steps.copy()
-        return c
+        """The same map over a copy of its solver, made through ``__init__``
+        with this map as the template; what either adds leaves the other as
+        it was."""
+        return TimedVarMap(self.solver.copy(), self.d_max, self)
 
     def dcap(self, f: Formula) -> int:
         if self.d_max is None:
@@ -100,7 +102,7 @@ class TimedVarMap:
     def _lit(self, key) -> int:
         v = self.lits.get(key)
         if v is None:
-            v = self.b.var()
+            v = self.var()
             self.lits[key] = v
         return v
 
@@ -109,12 +111,12 @@ class TimedVarMap:
 
     def loop_sel(self, i) -> int:
         if i == 0:
-            return self.b.FALSE
+            return self.FALSE
         return self._lit(("loopsel", i))
 
     def in_loop(self, i) -> int:
         if i == 0:
-            return self.b.FALSE
+            return self.FALSE
         return self._lit(("inloop", i))
 
     def loop_exists(self) -> int:
@@ -135,7 +137,7 @@ class TimedVarMap:
 # ---------------------------------------------------------------------------
 
 
-def _expr_lit(b, vm, prog, i, j=None):
+def _expr_lit(vm, prog, i, j=None):
     """Replay a model expression's n-ary gate program
     (``model.nary_program``) at time i; next() refers to time j.  Each step
     makes at most one builder call: a merged ``&`` or ``|`` chain is one
@@ -146,7 +148,7 @@ def _expr_lit(b, vm, prog, i, j=None):
     push = vals.append
     for op, x, y in prog:
         if op == "&":
-            push(b.and_(vals[x], vals[y]) if y is not None else b.and_(*[vals[s] for s in x]))
+            push(vm.and_(vals[x], vals[y]) if y is not None else vm.and_(*[vals[s] for s in x]))
         elif op == "!":
             push(-vals[x])
         elif op == "var":
@@ -156,43 +158,43 @@ def _expr_lit(b, vm, prog, i, j=None):
                 raise ModelError("next() outside a transition expression")
             push(state_bit(j, x))
         elif op == "|":
-            push(b.or_(vals[x], vals[y]) if y is not None else b.or_(*[vals[s] for s in x]))
+            push(vm.or_(vals[x], vals[y]) if y is not None else vm.or_(*[vals[s] for s in x]))
         elif op == "->":
-            push(b.or_(-vals[x], vals[y]))
+            push(vm.or_(-vals[x], vals[y]))
         elif op == "<->":
-            push(b.iff(vals[x], vals[y]))
+            push(vm.iff(vals[x], vals[y]))
         elif op == "true":
-            push(b.TRUE)
+            push(vm.TRUE)
         else:
-            push(b.FALSE)
+            push(vm.FALSE)
     return vals[-1]
 
 
-def atom_lit(b, vm, m, name, i) -> int:
+def atom_lit(vm, m, name, i) -> int:
     """Literal for an atomic proposition at time i (variable or define)."""
     if name in m.define_map:
-        return _expr_lit(b, vm, m.define_program(name), i)
+        return _expr_lit(vm, m.define_program(name), i)
     if name in m.vars:
         return vm.state_bit(i, name)
     raise UnresolvedAtomError(f"atom {name!r} is neither a variable nor a define")
 
 
-def unroll_model(m: SymbolicModel, k, b, vm):
-    """Assert I(s_0) and T(s_{i-1}, s_i) for i = 1..k into the builder's
+def unroll_model(m: SymbolicModel, k, vm):
+    """Assert I(s_0) and T(s_{i-1}, s_i) for i = 1..k into the map's
     solver, each step as it is lowered; ``vm.steps`` keeps their literals.
 
-    Every monolithic encoder calls this first, right after the builder's
-    TRUE variable.  The steps not yet in ``vm.steps`` are lowered after the
+    Every monolithic encoder calls this first, right after the map's TRUE
+    variable.  The steps not yet in ``vm.steps`` are lowered after the
     ones that are, so a map unrolled bound by bound holds the same gates,
     clauses and variable numbers as one unrolled to k at once, and a copy
     of a map unrolled to k (``TimedVarMap.copy``) encodes bound k to the
     same CNF as a fresh map."""
-    steps, add = vm.steps, b.solver.add_clause
+    steps, add = vm.steps, vm.solver.add_clause
     if not steps:
-        steps.append(_expr_lit(b, vm, m.init_program, 0))
+        steps.append(_expr_lit(vm, m.init_program, 0))
         add([steps[0]])
     for i in range(len(steps), k + 1):
-        steps.append(_expr_lit(b, vm, m.trans_program, i - 1, i))
+        steps.append(_expr_lit(vm, m.trans_program, i - 1, i))
         add([steps[i]])
 
 
@@ -211,7 +213,7 @@ def _guarded_equal(add, g, xs, ys):
             add(guard + [x, -y])
 
 
-def _loop_step(add, b, vm, model_vars, i, end):
+def _loop_step(add, vm, model_vars, i, end):
     """The loop selector constraints of position i >= 1, through the clause
     sink ``add``.  A true l_i commits the path to a loop back to i by
     forcing s_{i-1} = s_end bitwise, no selector holds after the first one,
@@ -221,16 +223,16 @@ def _loop_step(add, b, vm, model_vars, i, end):
     _guarded_equal(add, li, [vm.state_bit(i - 1, n) for n in model_vars], [vm.state_bit(end, n) for n in model_vars])
     if i > 1:
         add([-vm.in_loop(i - 1), -li])
-    _guarded_equal(add, None, [vm.in_loop(i)], [b.or_(vm.in_loop(i - 1), li)])
+    _guarded_equal(add, None, [vm.in_loop(i)], [vm.or_(vm.in_loop(i - 1), li)])
 
 
-def encode_loop_constraints(k, b, vm, model_vars):
-    """Loop selector machinery for bound k, into the builder's solver: the
+def encode_loop_constraints(k, vm, model_vars):
+    """Loop selector machinery for bound k, into the map's solver: the
     ``_loop_step`` of every position 1..k, l_0 and InLoop_0 false, and
     LoopExists <-> InLoop_k."""
-    add = b.solver.add_clause
+    add = vm.solver.add_clause
     for i in range(1, k + 1):
-        _loop_step(add, b, vm, model_vars, i, k)
+        _loop_step(add, vm, model_vars, i, k)
     _guarded_equal(add, None, [vm.loop_exists()], [vm.in_loop(k)])
 
 
@@ -239,7 +241,7 @@ def encode_loop_constraints(k, b, vm, model_vars):
 # ---------------------------------------------------------------------------
 
 
-def encode_ltl_fixpoint(m: SymbolicModel, psi: Formula, k, b, vm) -> int:
+def encode_ltl_fixpoint(m: SymbolicModel, psi: Formula, k, vm) -> int:
     """Recursive circuit translation with auxiliary fixpoint approximations.
 
     Until and release at the last position dispatch through the loop
@@ -248,16 +250,15 @@ def encode_ltl_fixpoint(m: SymbolicModel, psi: Formula, k, b, vm) -> int:
     the loop point.  The translation of (subformula, position) pairs runs
     on ``memoised``'s explicit stack, in the order of the plain recursion.
     """
-    _reject_past(psi)
-    unroll_model(m, k, b, vm)
-    encode_loop_constraints(k, b, vm, m.vars)
+    unroll_model(m, k, vm)
+    encode_loop_constraints(k, vm, m.vars)
 
     def loop_dispatch(role, f):
         parts = []
         for j in range(1, k + 1):
             sel = vm.loop_sel(j)
-            parts.append(b.and_(sel, (yield role, f, j)))
-        return b.or_(*parts)
+            parts.append(vm.and_(sel, (yield role, f, j)))
+        return vm.or_(*parts)
 
     def rule(key):
         """("tr", f, i): f at position i; ("aux", f, i): the auxiliary
@@ -267,17 +268,17 @@ def encode_ltl_fixpoint(m: SymbolicModel, psi: Formula, k, b, vm) -> int:
             return (yield "tr", f.right, k)
         kk = f.kind
         if kk == "true":
-            return b.TRUE
+            return vm.TRUE
         if kk == "false":
-            return b.FALSE
+            return vm.FALSE
         if kk == "atom":
-            return atom_lit(b, vm, m, f.name, i)
+            return atom_lit(vm, m, f.name, i)
         if kk == "natom":
-            return -atom_lit(b, vm, m, f.name, i)
+            return -atom_lit(vm, m, f.name, i)
         if kk in ("&", "|"):
             left = yield "tr", f.left, i
             right = yield "tr", f.right, i
-            return b.and_(left, right) if kk == "&" else b.or_(left, right)
+            return vm.and_(left, right) if kk == "&" else vm.or_(left, right)
         if kk == "X":
             if i < k:
                 return (yield "tr", f.left, i + 1)
@@ -293,17 +294,10 @@ def encode_ltl_fixpoint(m: SymbolicModel, psi: Formula, k, b, vm) -> int:
         else:
             later = yield from loop_dispatch("aux", f)
         if kk == "U":
-            return b.or_(right, b.and_(left, later))
-        return b.and_(right, b.or_(left, later))
+            return vm.or_(right, vm.and_(left, later))
+        return vm.and_(right, vm.or_(left, later))
 
     return memoised(rule, ("tr", psi, 0))
-
-
-def _reject_past(psi):
-    if past_depth(psi) > 0:
-        raise PastOperatorError(
-            "formula contains past operators; this scheme handles future formulas only, use pltl"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +335,10 @@ class Chain(NamedTuple):
         return self.sign * self.var(vm, i)
 
 
-def _sticky_step(add, b, vm, c, i):
+def _sticky_step(add, vm, c, i):
     """acc_i <-> acc_{i-1} | (InLoop_i & hit(i)) of chain c, through the
     clause sink ``add``; ``hit(i)`` is lowered after acc_i exists."""
-    _guarded_equal(add, None, [c.acc(vm, i)], [b.or_(c.acc(vm, i - 1), b.and_(vm.in_loop(i), c.hit(i)))])
+    _guarded_equal(add, None, [c.acc(vm, i)], [vm.or_(c.acc(vm, i - 1), vm.and_(vm.in_loop(i), c.hit(i)))])
 
 
 def _chain_end(vm, c, end) -> list:
@@ -356,15 +350,15 @@ def _chain_end(vm, c, end) -> list:
     return [-vm.loop_exists(), -c.sign * vm.fvar(c.member, end, vm.dcap(c.member)), c.acc(vm, end)]
 
 
-def _acceptance_hit(b, vm, f, i) -> int:
+def _acceptance_hit(vm, f, i) -> int:
     """Position i fulfils the until a U c (c | !(a U c)), respectively
     witnesses the release a R c (!c | (a R c))."""
     c = vm.fvar(f.right, i, vm.dcap(f.right))
     whole = vm.fvar(f, i, vm.dcap(f))
-    return b.or_(c, -whole) if f.kind == "U" else b.or_(-c, whole)
+    return vm.or_(c, -whole) if f.kind == "U" else vm.or_(-c, whole)
 
 
-def eventuality_style(b, vm, m, psi):
+def eventuality_style(vm, m, psi):
     """The eventuality chains: an until a U c has <<F c>>, "c held at an
     in-loop position"; a release a R c has the complement of <<G c>>, "!c
     held at an in-loop position".  Untils (releases) with the same right
@@ -379,81 +373,64 @@ def eventuality_style(b, vm, m, psi):
     return cl, chains, lambda: vm.fvar(psi, 0, 0)
 
 
-def buchi_style(b, vm, m, psi):
+def buchi_style(vm, m, psi):
     """One acceptance chain per until and release (``_acceptance_hit``)."""
     cl = closure(psi)
     chains = [
-        Chain("ACC", f.fid, 1, lambda i, f=f: _acceptance_hit(b, vm, f, i), None)
+        Chain("ACC", f.fid, 1, lambda i, f=f: _acceptance_hit(vm, f, i), None)
         for f in cl
         if f.kind in ("U", "R")
     ]
     return cl, chains, lambda: vm.fvar(psi, 0, 0)
 
 
-def fairness_style(b, vm, m, psi):
+def fairness_style(vm, m, psi):
     """One acceptance chain per fairness program of m, which is already the
     product with the automaton of psi (``check.scheme_model``): no formula
     variables, and the goal is a fair loop."""
     chains = [
-        Chain("ACCSET", mi, 1, lambda i, prog=prog: _expr_lit(b, vm, prog, i), None)
+        Chain("ACCSET", mi, 1, lambda i, prog=prog: _expr_lit(vm, prog, i), None)
         for mi, prog in enumerate(m.fairness_programs)
     ]
     return [], chains, vm.loop_exists
 
 
-# Constraint-style scheme -> (future formulas only, chain style).  A chain
-# style takes (b, vm, m, psi) and returns the closure whose formula
-# variables the scheme encodes, its chain list in closure order, and the
-# goal, a function giving the literal asserted at the start.  The schemes
-# share everything else: the monolithic encoder (``_encode_constraint_style``)
-# and the incremental session (``IncrementalEncoder``) both read this table.
-CONSTRAINT_SCHEMES = {
-    "pltl": (False, eventuality_style),
-    "eventuality": (True, eventuality_style),
-    "buchi": (True, buchi_style),
-    "general-buchi": (False, fairness_style),
-}
+def encode_ltl_eventuality(m, psi, k, vm) -> int:
+    return _encode_constraint_style(eventuality_style, m, psi, k, vm)
 
 
-def _constraint_parts(scheme, b, vm, m, psi):
-    """The closure, chain list and goal of ``scheme`` (its chain style)."""
-    future_only, style = CONSTRAINT_SCHEMES[scheme]
-    if future_only:
-        _reject_past(psi)
-    return style(b, vm, m, psi)
+def encode_ltl_buchi(m, psi, k, vm) -> int:
+    return _encode_constraint_style(buchi_style, m, psi, k, vm)
 
 
-def encode_ltl_eventuality(m, psi, k, b, vm) -> int:
-    return _encode_constraint_style("eventuality", m, psi, k, b, vm)
-
-
-def encode_ltl_buchi(m, psi, k, b, vm) -> int:
-    return _encode_constraint_style("buchi", m, psi, k, b, vm)
-
-
-def encode_pltl(m, psi, k, b, vm) -> int:
+def encode_pltl(m, psi, k, vm) -> int:
     """Eventuality encoding with virtually unrolled formula variables.
 
     ``vm.d_max`` caps the unrolling depth of every subformula (None = full);
     past subformulas whose depth is capped below their past depth receive
     stabilisation forcing constraints at their top unrolling.
     """
-    return _encode_constraint_style("pltl", m, psi, k, b, vm)
+    return _encode_constraint_style(eventuality_style, m, psi, k, vm)
 
 
-def encode_general_buchi(m: SymbolicModel, k, b, vm) -> int:
-    """Satisfiable iff the model has an initialised fair (k,l)-loop."""
-    return _encode_constraint_style("general-buchi", m, None, k, b, vm)
+def encode_general_buchi(m, psi, k, vm) -> int:
+    """Satisfiable iff the model has an initialised fair (k,l)-loop.  The
+    driver passes the product with psi's automaton, so psi is unused."""
+    return _encode_constraint_style(fairness_style, m, psi, k, vm)
 
 
-def _encode_constraint_style(scheme, m, psi, k, b, vm):
-    cl, chains, goal = _constraint_parts(scheme, b, vm, m, psi)
-    add = b.solver.add_clause
-    unroll_model(m, k, b, vm)
-    encode_loop_constraints(k, b, vm, m.vars)
+def _encode_constraint_style(style, m, psi, k, vm):
+    """The encoding of bound k by a chain ``style``: a function of (vm, m,
+    psi) that gives the closure whose formula variables the scheme encodes,
+    its chain list in closure order, and the goal, a function giving the
+    literal asserted at the start."""
+    cl, chains, goal = style(vm, m, psi)
+    add = vm.solver.add_clause
+    unroll_model(m, k, vm)
+    encode_loop_constraints(k, vm, m.vars)
     for i in range(0, k + 1):
         for f in cl:
-            _step_constraints(add, m, b, vm, f, i, k)
+            _step_constraints(add, m, vm, f, i, k)
     # binding of index k+1 through the loop selectors
     levels = [(f, d) for f in cl for d in range(0, vm.dcap(f) + 1)]
     for f, d in levels:
@@ -468,13 +445,13 @@ def _encode_constraint_style(scheme, m, psi, k, b, vm):
     for c in {(c.role, c.key): c for c in chains}.values():
         add([-c.acc(vm, 0)])
         for i in range(1, k + 1):
-            _sticky_step(add, b, vm, c, i)
+            _sticky_step(add, vm, c, i)
     for c in chains:
         add(_chain_end(vm, c, k))
     return goal()
 
 
-def _step_constraints(add, m, b, vm, f, i, end):
+def _step_constraints(add, m, vm, f, i, end):
     """Defining constraints of all unrollings of subformula f at time i,
     through the clause sink ``add``.
 
@@ -487,40 +464,40 @@ def _step_constraints(add, m, b, vm, f, i, end):
     stabilise = dc < past_depth(f)
     for d in range(0, dc + 1):
         if kk in ("Y", "Z", "S", "T"):
-            _past_constraints(add, b, vm, f, i, d, end, stabilise and d == dc)
+            _past_constraints(add, vm, f, i, d, end, stabilise and d == dc)
             continue
         v = vm.fvar(f, i, d)
         if kk == "true":
-            x = b.TRUE
+            x = vm.TRUE
         elif kk == "false":
-            x = b.FALSE
+            x = vm.FALSE
         elif kk == "atom":
-            x = atom_lit(b, vm, m, f.name, i)
+            x = atom_lit(vm, m, f.name, i)
         elif kk == "natom":
-            x = -atom_lit(b, vm, m, f.name, i)
+            x = -atom_lit(vm, m, f.name, i)
         elif kk == "&":
-            x = b.and_(vm.fvar(f.left, i, d), vm.fvar(f.right, i, d))
+            x = vm.and_(vm.fvar(f.left, i, d), vm.fvar(f.right, i, d))
         elif kk == "|":
-            x = b.or_(vm.fvar(f.left, i, d), vm.fvar(f.right, i, d))
+            x = vm.or_(vm.fvar(f.left, i, d), vm.fvar(f.right, i, d))
         elif kk == "X":
             x = vm.fvar(f.left, i + 1, d)
         elif kk == "U":
-            x = b.or_(vm.fvar(f.right, i, d), b.and_(vm.fvar(f.left, i, d), vm.fvar(f, i + 1, d)))
+            x = vm.or_(vm.fvar(f.right, i, d), vm.and_(vm.fvar(f.left, i, d), vm.fvar(f, i + 1, d)))
         elif kk == "R":
-            x = b.and_(vm.fvar(f.right, i, d), b.or_(vm.fvar(f.left, i, d), vm.fvar(f, i + 1, d)))
+            x = vm.and_(vm.fvar(f.right, i, d), vm.or_(vm.fvar(f.left, i, d), vm.fvar(f, i + 1, d)))
         else:
             raise EncodeError(f"unknown kind {kk!r}")
         _guarded_equal(add, None, [v], [x])
 
 
-def _past_constraints(add, b, vm, f, i, d, end, stabilise_here):
+def _past_constraints(add, vm, f, i, d, end, stabilise_here):
     kk = f.kind
     v = vm.fvar(f, i, d)
     if i == 0:
         if kk in ("S", "T"):  # they start from their right operand
             x = vm.fvar(f.right, 0, d)
         else:
-            x = b.TRUE if kk == "Z" else b.FALSE
+            x = vm.TRUE if kk == "Z" else vm.FALSE
         _guarded_equal(add, None, [v], [x])
         return
 
@@ -528,16 +505,16 @@ def _past_constraints(add, b, vm, f, i, d, end, stabilise_here):
         if kk == "Y" or kk == "Z":
             return prev(f.left)
         if kk == "S":
-            return b.or_(vm.fvar(f.right, i, d), b.and_(vm.fvar(f.left, i, d), prev(f)))
-        return b.and_(vm.fvar(f.right, i, d), b.or_(vm.fvar(f.left, i, d), prev(f)))
+            return vm.or_(vm.fvar(f.right, i, d), vm.and_(vm.fvar(f.left, i, d), prev(f)))
+        return vm.and_(vm.fvar(f.right, i, d), vm.or_(vm.fvar(f.left, i, d), prev(f)))
 
     li = vm.loop_sel(i)
     if d == 0:
         rules = [step(lambda g: vm.fvar(g, i - 1, 0))]
     else:
-        rules = [step(lambda g: b.ite(li, vm.fvar(g, end, d - 1), vm.fvar(g, i - 1, d)))]
+        rules = [step(lambda g: vm.ite(li, vm.fvar(g, end, d - 1), vm.fvar(g, i - 1, d)))]
     if stabilise_here:
-        rules.append(step(lambda g: b.ite(li, vm.fvar(g, end, d), vm.fvar(g, i - 1, d))))
+        rules.append(step(lambda g: vm.ite(li, vm.fvar(g, end, d), vm.fvar(g, i - 1, d))))
     _guarded_equal(add, None, [v] * len(rules), rules)
 
 
@@ -550,13 +527,13 @@ class IncrementalEncoder:
     """Bound-by-bound encoding of one constraint-style scheme over one
     growing solver.
 
-    ``scheme`` picks the closure, chain list and goal through its chain
-    style in ``CONSTRAINT_SCHEMES``; everything else is shared with the
-    other schemes and with the monolithic encoding.  Each accumulator gets
+    The chain ``style`` (``check.SCHEMES``) gives the closure, chain list
+    and goal; everything else is shared with the other schemes and with
+    the monolithic encoding.  Each accumulator gets
     its start at bound 0 and its step at every bound, and each ``Chain``
     entry its end condition, once, at the end proxy E; the bound's
     activator binds the accumulator's copy at E to index k like the formula
-    variables.  For ``general-buchi``, ``m`` is the product with the
+    variables.  With ``fairness_style``, ``m`` is the product with the
     automaton of ``psi`` (``check.scheme_model``), so the session has no
     formula variables and asserts LoopExists instead.
 
@@ -584,15 +561,12 @@ class IncrementalEncoder:
     every later query.
     """
 
-    def __init__(self, m: SymbolicModel, psi: Formula, d_max=None, scheme="pltl"):
-        if scheme not in CONSTRAINT_SCHEMES:
-            raise EncodeError(f"scheme {scheme!r} has no incremental session")
+    def __init__(self, m: SymbolicModel, psi: Formula, d_max=None, style=eventuality_style):
         self.m = m
-        self.scheme = scheme
-        self.solver = Solver()
-        self.b = CircuitBuilder(self.solver)
-        self.vm = TimedVarMap(self.b, d_max=d_max)
-        self.cl, self.chains, self.goal = _constraint_parts(scheme, self.b, self.vm, m, psi)
+        self.style = style
+        self.vm = TimedVarMap(Solver(), d_max=d_max)
+        self.solver = self.vm.solver
+        self.cl, self.chains, self.goal = style(self.vm, m, psi)
         self.levels = [(f, d) for f in self.cl for d in range(0, self.vm.dcap(f) + 1)]
         # one entry per accumulator: its start, steps and binding to the
         # bound are written once, however many entries share it
@@ -608,14 +582,14 @@ class IncrementalEncoder:
     def step(self, k):
         if k != self.k + 1:
             raise EncodeError(f"step({k}) out of order, expected {self.k + 1}")
-        b, vm, m, add = self.b, self.vm, self.m, self.solver.add_clause
-        unroll_model(m, k, b, vm)
+        vm, m, add = self.vm, self.m, self.solver.add_clause
+        unroll_model(m, k, vm)
         if k == 0:
             self._emit_base()
         else:
-            _loop_step(add, b, vm, m.vars, k, E_INDEX)
+            _loop_step(add, vm, m.vars, k, E_INDEX)
         for f in self.cl:
-            _step_constraints(add, m, b, vm, f, k, E_INDEX)
+            _step_constraints(add, m, vm, f, k, E_INDEX)
         # loop proxy: l_k selects index k as the loop point
         if k >= 1:
             _guarded_equal(
@@ -625,7 +599,7 @@ class IncrementalEncoder:
                 [vm.fvar(f, k, d) for f, d in self.levels],
             )
             for c in self.accumulators:
-                _sticky_step(add, b, vm, c, k)
+                _sticky_step(add, vm, c, k)
         self._emit_k_dependent(k)
         if k >= 1:
             add([-vm.activation_lit(k - 1)])
@@ -664,7 +638,7 @@ class IncrementalEncoder:
         if not simple_path:
             return solver.solve(assumptions, conflict_budget=conflict_budget)
         if self.sp_guard is None:
-            self.sp_guard = self.b.var()
+            self.sp_guard = self.vm.var()
         assumptions.append(self.sp_guard)
         start = solver.conflicts
         while True:
@@ -704,11 +678,11 @@ class IncrementalEncoder:
         flag, the depth-0 formula values, and, when both are inside the loop,
         on every formula unrolling and chain accumulator.
         """
-        b, in_loop = self.b, self.vm.in_loop
+        vm = self.vm
         shared_i, _, loop_i = self._class_lits(i)
         shared_j, _, loop_j = self._class_lits(j)
-        diff_loop = b.and_(in_loop(i), in_loop(j), b.or_(*map(b.xor, loop_i, loop_j)))
-        return b.or_(*map(b.xor, shared_i, shared_j), diff_loop)
+        diff_loop = vm.and_(vm.in_loop(i), vm.in_loop(j), vm.or_(*map(vm.xor, loop_i, loop_j)))
+        return vm.or_(*map(vm.xor, shared_i, shared_j), diff_loop)
 
     def simple_path_class(self, i) -> tuple:
         """The values of position i's class in the solver's model:

@@ -249,7 +249,8 @@ class SymbolicModel:
 # A name, or an operator or parenthesis.  Blanks and newlines separate
 # tokens; ``_VALID`` reads tokens and blanks as far as it can, so where it
 # stops there is a character that starts no token.
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_=]*|<->|->|[!&|()]")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_=]*")
+_TOKEN = re.compile(rf"{_NAME.pattern}|<->|->|[!&|()]")
 _VALID = re.compile(rf"(?:{_TOKEN.pattern}|[ \t\r\n])*")
 _PUNCT = frozenset(["<->", "->", "!", "&", "|", "(", ")"])
 
@@ -463,6 +464,8 @@ def parse_model(text) -> SymbolicModel:
                     raise ModelError(f"line {line_no}: duplicate name {name!r}")
                 if name in ("next", "true", "false"):
                     raise ModelError(f"line {line_no}: {name!r} is reserved")
+                if not _NAME.fullmatch(name):
+                    raise ModelError(f"line {line_no}: bad VAR name {name!r}")
                 vars_.append(name)
         elif head == "INPUT":
             inputs.extend(rest.split())
@@ -479,7 +482,7 @@ def parse_model(text) -> SymbolicModel:
                 raise ModelError(f"line {line_no}: DEFINE needs 'name := expr'")
             if name in define_names or name in vars_:
                 raise ModelError(f"line {line_no}: duplicate name {name!r}")
-            if not name or name in ("next", "true", "false"):
+            if name in ("next", "true", "false") or not _NAME.fullmatch(name):
                 raise ModelError(f"line {line_no}: bad DEFINE name {name!r}")
             define_names.add(name)
             defines.append((name, _EXPR.parse(code, line_no, len(code) - len(body))))

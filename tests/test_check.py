@@ -9,8 +9,8 @@ import pytest
 from pltlbmc import check
 from pltlbmc.model import parse_model, eval_expr, explicit_expand
 from pltlbmc.pltl import parse_formula, past_depth, s_not, to_pnf, closure
-from pltlbmc.sat import INTERRUPTED, SAT, UNSAT, Solver, CircuitBuilder, export_dimacs, run_external_solver
-from pltlbmc.encode import IncrementalEncoder, TimedVarMap, encode_pltl
+from pltlbmc.sat import INTERRUPTED, SAT, UNSAT, Solver, export_dimacs, run_external_solver
+from pltlbmc.encode import IncrementalEncoder, PastOperatorError, TimedVarMap, encode_pltl, eventuality_style
 from pltlbmc.check import (
     BoundExhausted,
     CheckError,
@@ -165,7 +165,7 @@ class TestRunBmc:
 def build_simple_path(inc):
     """Pairwise distinctness over 0 <= i < j <= k of the session ``inc`` at
     bound k."""
-    return inc.b.and_(*[inc.simple_path_pair(i, j) for j in range(1, inc.k + 1) for i in range(j)])
+    return inc.vm.and_(*[inc.simple_path_pair(i, j) for j in range(1, inc.k + 1) for i in range(j)])
 
 
 def pinned_to_model(src, dst):
@@ -221,7 +221,7 @@ class TestEventualityCompleteness:
         for _ in range(12):
             m = random_symbolic_model(rng, bits=rng.choice([2, 3]))
             psi = random_pnf_formula(rng, list(m.vars), max_cl=6, allow_past=False)
-            pltl, ev = (IncrementalEncoder(m, psi, scheme=s) for s in ("pltl", "eventuality"))
+            pltl, ev = (IncrementalEncoder(m, psi, style=check.SCHEMES[s].style) for s in ("pltl", "eventuality"))
             for k in range(6):
                 for inc in (pltl, ev):
                     inc.step(k)
@@ -276,9 +276,9 @@ class TestSimplePath:
     def test_k0_is_vacuous(self):
         inc = IncrementalEncoder(COUNTER, pnf("F x4"))
         inc.step(0)
-        assert build_simple_path(inc) == inc.b.TRUE
+        assert build_simple_path(inc) == inc.vm.TRUE
         # a position never differs from itself
-        assert inc.simple_path_pair(0, 0) == inc.b.FALSE
+        assert inc.simple_path_pair(0, 0) == inc.vm.FALSE
 
     def test_identical_positions_violate_the_constraint(self):
         m = parse_model("VAR a b\nINIT true\nTRANS true\n")
@@ -286,15 +286,15 @@ class TestSimplePath:
         inc = IncrementalEncoder(m, psi)
         for k in range(3):
             inc.step(k)
-        s, b, vm = inc.solver, inc.b, inc.vm
+        s, vm = inc.solver, inc.vm
         sp = build_simple_path(inc)
         act = vm.activation_lit(2)
         assert s.solve([act]) == SAT
         # two identical stem positions with equal formula bits are allowed
         # without the constraint but contradict it
-        pins = [b.iff(vm.fvar(f, 0, 0), vm.fvar(f, 1, 0)) for f in closure(psi)]
-        eq_state = b.and_(*[b.iff(vm.state_bit(0, n), vm.state_bit(1, n)) for n in m.vars])
-        eq_inloop = b.iff(vm.in_loop(0), vm.in_loop(1))
+        pins = [vm.iff(vm.fvar(f, 0, 0), vm.fvar(f, 1, 0)) for f in closure(psi)]
+        eq_state = vm.and_(*[vm.iff(vm.state_bit(0, n), vm.state_bit(1, n)) for n in m.vars])
+        eq_inloop = vm.iff(vm.in_loop(0), vm.in_loop(1))
         assert s.solve([act, eq_state, eq_inloop] + pins) == SAT
         assert s.solve([act, sp, eq_state, eq_inloop] + pins) == UNSAT
 
@@ -378,12 +378,10 @@ class TestProofBounds:
 
 class TestWitnessExtraction:
     def _solve_pltl(self, m, psi, k):
-        s = Solver()
-        b = CircuitBuilder(s)
-        vm = TimedVarMap(b)
-        s.add_clause([encode_pltl(m, psi, k, b, vm)])
-        assert s.solve() == SAT
-        return s, vm
+        vm = TimedVarMap(Solver())
+        vm.solver.add_clause([encode_pltl(m, psi, k, vm)])
+        assert vm.solver.solve() == SAT
+        return vm.solver, vm
 
     def test_counter_loop_witness(self):
         s, vm = self._solve_pltl(COUNTER, pnf("G F x4"), 6)
@@ -515,7 +513,7 @@ class TestRetiredActivators:
         for scheme in check.SCHEMES:
             opts = RunOptions(scheme=scheme, max_k=3)
             run_bmc(m, "G F v0", opts)
-            assert [inc.scheme for inc in sessions] == ([] if scheme == "fixpoint" else [scheme])
+            assert [inc.style for inc in sessions] == ([] if scheme == "fixpoint" else [check.SCHEMES[scheme].style])
             sessions.clear()
             for monolithic in (
                 dataclasses.replace(opts, incremental=False),
@@ -523,6 +521,46 @@ class TestRetiredActivators:
             ):
                 run_bmc(m, "G F v0", monolithic)
                 assert sessions == []
+
+
+class TestSchemeRecords:
+    @pytest.mark.parametrize("name", sorted(check.SCHEMES))
+    def test_each_field_has_its_effect(self, monkeypatch, name):
+        """``encode`` is what the monolithic driver asserts at each bound;
+        a ``style`` makes the scheme run as a session of that style, which
+        admits completeness with the eventuality chains only; a
+        ``future_only`` scheme rejects past operators in either driver; an
+        ``automaton`` scheme unrolls a product of the model."""
+        scheme = check.SCHEMES[name]
+        bounds = []
+
+        def encode(m, psi, k, vm):
+            bounds.append(k)
+            return scheme.encode(m, psi, k, vm)
+
+        monkeypatch.setitem(check.SCHEMES, name, scheme._replace(encode=encode))
+        sessions = record_sessions(monkeypatch)
+        psi = pnf("G F x4")
+        assert run_bmc(COUNTER, psi, RunOptions(scheme=name, incremental=False, max_k=8)).k == 6
+        assert bounds == list(range(7)) and sessions == []
+        assert run_bmc(COUNTER, psi, RunOptions(scheme=name, max_k=8)).k == 6
+        assert [inc.style for inc in sessions] == ([scheme.style] if scheme.style else [])
+        complete = RunOptions(scheme=name, completeness=True, max_k=30)
+        if scheme.style is eventuality_style:
+            assert run_bmc(COUNTER, "G !p7", complete) == Proved(k=10)
+        else:
+            with pytest.raises(CheckError, match="completeness"):
+                run_bmc(COUNTER, "G !p7", complete)
+        for incremental in (True, False):
+            opts = RunOptions(scheme=name, incremental=incremental, max_k=8)
+            if scheme.future_only:
+                with pytest.raises(PastOperatorError):
+                    run_bmc(COUNTER, pnf("F (x3 & Y x2)"), opts)
+            else:
+                assert isinstance(run_bmc(COUNTER, pnf("F (x3 & Y x2)"), opts), WitnessFound)
+        target = scheme_model(COUNTER, psi, RunOptions(scheme=name))
+        assert (target is not COUNTER) == scheme.automaton
+        assert set(COUNTER.vars) <= set(target.vars)
 
 
 def record_sessions(monkeypatch):
@@ -599,7 +637,7 @@ class TestIncrementalSessions:
         for m, psi in self.instances(173 + self.CASES.index((scheme, d_max)), scheme, 6):
             opts = RunOptions(scheme=scheme, d_max=d_max)
             target = scheme_model(m, psi, opts)
-            inc = IncrementalEncoder(target, psi, d_max=d_max, scheme=scheme)
+            inc = IncrementalEncoder(target, psi, d_max=d_max, style=check.SCHEMES[scheme].style)
             for k in range(7):
                 inc.step(k)
                 s, _ = encode_bound(target, psi, k, opts)
@@ -671,19 +709,19 @@ class TestMonolithicPrefix:
         for m, psi in self.instances(197, scheme, 3):
             opts = RunOptions(scheme=scheme, d_max=1)
             target = scheme_model(m, psi, opts)
-            prefix = TimedVarMap(CircuitBuilder(Solver()), d_max=1)
+            prefix = TimedVarMap(Solver(), d_max=1)
             for k in range(6):
                 s, vm = encode_bound(target, psi, k, opts, prefix)
                 fresh, fresh_vm = encode_bound(target, psi, k, opts)
                 assert solver_state(s) == solver_state(fresh)
                 assert vars(vm).keys() == vars(fresh_vm).keys()
                 assert vm.lits == fresh_vm.lits
-                unrolled = copy.deepcopy((solver_state(prefix.b.solver), prefix.steps, prefix.lits))
+                unrolled = copy.deepcopy((solver_state(prefix.solver), prefix.steps, prefix.lits))
                 assert s.solve() == fresh.solve()
                 s.add_clause([s.nvars])
                 s.solve()
-                assert (solver_state(prefix.b.solver), prefix.steps, prefix.lits) == unrolled
-                assert len(prefix.steps) == k + 1 and len(prefix.b.solver.db) < len(s.db)
+                assert (solver_state(prefix.solver), prefix.steps, prefix.lits) == unrolled
+                assert len(prefix.steps) == k + 1 and len(prefix.solver.db) < len(s.db)
         with pytest.raises(CheckError, match="past bound 2"):
             encode_bound(target, psi, 2, opts, prefix)
 

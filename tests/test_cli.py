@@ -12,7 +12,7 @@ from pltlbmc.cli import _write_var_map, main
 from pltlbmc.encode import TimedVarMap
 from pltlbmc.model import model_to_text, parse_model
 from pltlbmc.pltl import closure, format_formula, parse_formula, s_not, to_pnf
-from pltlbmc.sat import CircuitBuilder, Solver, parse_dimacs, run_external_solver
+from pltlbmc.sat import Solver, parse_dimacs, run_external_solver
 
 from _fixtures import FIXTURES
 from _grid import random_pnf_formula
@@ -115,6 +115,21 @@ class TestCheck:
         assert record["verdict"] == "witness" and record["k"] == 4
         assert record["loop_start"] is None
 
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
+    def test_json_trace_shows_the_model_variables(self, capsys, scheme):
+        """The JSON trace names the model's variables, as the ``state i:``
+        lines do, also where the scheme unrolls a product with an
+        automaton, and holds the same values."""
+        argv = ["check", COUNTER, "--spec", "!(G F x4)", "--scheme", scheme, "--max-k", "10", "--emit-json"]
+        code, out, _ = run(capsys, argv)
+        lines = out.splitlines()
+        trace = json.loads(lines[-1])["trace"]
+        states = [line for line in lines if line.startswith("state ")]
+        assert code == 1 and len(states) == len(trace) == 7
+        for i, (line, state) in enumerate(zip(states, trace)):
+            assert list(state) == ["b0", "b1", "b2"]
+            assert line == f"state {i}: " + " ".join(f"{n}={int(v)}" for n, v in state.items())
+
     def test_external_solver(self, capsys, tmp_path):
         code, out, _ = run(
             capsys,
@@ -212,9 +227,6 @@ class TestCheck:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--dmax", "-1"], "d_max"),
-            (["--dmax", "-1", "--no-incremental"], "d_max"),
-            (["--dmax", "-1", "--scheme", "general-buchi"], "d_max"),
             (["--max-k", "-1"], "max_k"),
             (["--increment", "0"], "increment"),
             (["--increment", "-2"], "increment"),
@@ -323,19 +335,9 @@ class TestEncode:
         m = parse_model(open(COUNTER).read())
         psi = to_pnf(s_not(parse_formula(spec)))
         opts = RunOptions(scheme=scheme)
-        s = Solver()
-        b = CircuitBuilder(s)
-        vm = TimedVarMap(b)
-        s.add_clause([SCHEMES[scheme](scheme_model(m, psi, opts), psi, 3, b, vm)])
-        assert parse_dimacs(open(out_cnf).read()) == (s.nvars, s.db)
-
-    def test_negative_dmax_is_an_error(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, ["encode", COUNTER, "--dmax", "-1", "-k", "3", "-o", str(tmp_path / "o.cnf")]
-        )
-        assert code == 3 and "d_max" in err
-        code, _, err = run(capsys, ["tightba", "F (p & Y q)", "--dmax", "-1"])
-        assert code == 3 and "d_max" in err
+        vm = TimedVarMap(Solver())
+        vm.solver.add_clause([SCHEMES[scheme].encode(scheme_model(m, psi, opts), psi, 3, vm)])
+        assert parse_dimacs(open(out_cnf).read()) == (vm.solver.nvars, vm.solver.db)
 
     def test_map_lists_positions_in_numeric_order(self, capsys, tmp_path):
         out_cnf = str(tmp_path / "out.cnf")
@@ -358,12 +360,18 @@ class TestEncode:
             ["check", COUNTER, "--dmax", "abc"],
             ["encode", COUNTER, "--dmax", "abc", "-k", "3", "-o", "unused.cnf"],
             ["tightba", "F (p & Y q)", "--dmax", "abc"],
+            ["check", COUNTER, "--dmax", "-1"],
+            ["check", COUNTER, "--dmax", "-1", "--no-incremental"],
+            ["check", COUNTER, "--dmax", "-1", "--scheme", "general-buchi"],
+            ["encode", COUNTER, "--dmax", "-1", "-k", "3", "-o", "unused.cnf"],
+            ["tightba", "F (p & Y q)", "--dmax", "-1"],
         ],
     )
     def test_malformed_dmax_names_the_flag(self, capsys, argv):
-        code, _, err = run(capsys, argv)
-        assert code == 3
-        assert err == "error: --dmax expects a non-negative integer or 'full', got 'abc'\n"
+        code, out, err = run(capsys, argv)
+        value = argv[argv.index("--dmax") + 1]
+        assert code == 3 and "VERDICT" not in out
+        assert err == f"error: --dmax expects a non-negative integer or 'full', got {value!r}\n"
 
 
 class TestDeepExpressions:
@@ -473,7 +481,7 @@ class TestDeepSpecs:
         path = tmp_path / "f.map"
         for _ in range(60):
             psi = random_pnf_formula(rng, ["a", "b", "c"], max_cl=12)
-            _write_var_map(path, TimedVarMap(CircuitBuilder(Solver())), psi)
+            _write_var_map(path, TimedVarMap(Solver()), psi)
             phis = [line for line in path.read_text().splitlines() if line.startswith("# phi ")]
             assert phis == [f"# phi {n} {format_formula(f)}" for n, f in enumerate(closure(psi))]
 

@@ -31,12 +31,12 @@ import random
 
 import pytest
 
-from pltlbmc.check import INCREMENTAL_SCHEMES, SCHEMES, RunOptions, encode_bound, scheme_model
+from pltlbmc.check import SCHEMES, RunOptions, encode_bound, scheme_model
 from pltlbmc.encode import IncrementalEncoder
 from pltlbmc.model import parse_model
 from pltlbmc.pltl import parse_formula, past_depth, s_not, to_pnf
 
-from _fixtures import FIXTURES
+from _fixtures import FIXTURES, INCREMENTAL_SCHEMES
 from _grid import random_symbolic_model
 
 MAX_K = 6
@@ -156,7 +156,7 @@ def fingerprint(tag):
         opts = RunOptions(scheme=scheme, d_max=d_max)
         target = scheme_model(m, psi, opts)
         if session:
-            inc = IncrementalEncoder(target, psi, d_max=d_max, scheme=scheme)
+            inc = IncrementalEncoder(target, psi, d_max=d_max, style=SCHEMES[scheme].style)
             for k in range(MAX_K + 1):
                 inc.step(k)
                 if kind.endswith("sp1"):

@@ -4,8 +4,8 @@ import pytest
 
 from pltlbmc.model import parse_model, explicit_expand
 from pltlbmc.pltl import parse_formula, to_pnf, closure, past_depth, s_not
-from pltlbmc.sat import SAT, UNSAT, Solver, CircuitBuilder
-from pltlbmc.check import INCREMENTAL_SCHEMES, SCHEMES, RunOptions, encode_bound, scheme_model
+from pltlbmc.sat import SAT, UNSAT, Solver
+from pltlbmc.check import SCHEMES, RunOptions, encode_bound, run_bmc, scheme_model
 from pltlbmc.encode import (
     E_INDEX,
     L_INDEX,
@@ -20,7 +20,7 @@ from pltlbmc.encode import (
 )
 from pltlbmc.oracle import Budget, exists_witness_bounded, fair_lasso_search
 
-from _fixtures import FIXTURES
+from _fixtures import FIXTURES, INCREMENTAL_SCHEMES
 from _grid import random_pnf_formula, random_symbolic_model
 
 
@@ -33,27 +33,26 @@ COUNTER_FAIR = parse_model((FIXTURES / "counter_fair.mod").read_text())
 
 
 def fresh(d_max=None):
-    s = Solver()
-    b = CircuitBuilder(s)
-    return s, b, TimedVarMap(b, d_max=d_max)
+    vm = TimedVarMap(Solver(), d_max=d_max)
+    return vm.solver, vm
 
 
 def solve_scheme(scheme, m, psi, k, d_max=None):
-    s, b, vm = fresh(d_max)
-    s.add_clause([SCHEMES[scheme](m, psi, k, b, vm)])
+    s, vm = fresh(d_max)
+    s.add_clause([SCHEMES[scheme].encode(m, psi, k, vm)])
     return s.solve(), s, vm
 
 
 class TestModelUnrolling:
     def test_k0_is_init_only(self):
-        s, b, vm = fresh()
-        unroll_model(COUNTER, 0, b, vm)
+        s, vm = fresh()
+        unroll_model(COUNTER, 0, vm)
         assert s.solve() == SAT
         assert not any(s.model_value(vm.state_bit(0, n)) for n in COUNTER.vars)
 
     def test_k6_path_is_unique(self):
-        s, b, vm = fresh()
-        unroll_model(COUNTER, 6, b, vm)
+        s, vm = fresh()
+        unroll_model(COUNTER, 6, vm)
         assert s.solve() == SAT
         xs = []
         for i in range(7):
@@ -64,22 +63,22 @@ class TestModelUnrolling:
     def test_false_init_is_unsat_at_every_k(self):
         m = parse_model("VAR a\nINIT false\nTRANS true\n")
         for k in range(4):
-            s, b, vm = fresh()
-            unroll_model(m, k, b, vm)
+            s, vm = fresh()
+            unroll_model(m, k, vm)
             assert s.solve() == UNSAT
 
 
 class TestLoopConstraints:
     def test_two_selectors_unsatisfiable(self):
-        s, b, vm = fresh()
-        unroll_model(COUNTER, 6, b, vm)
-        encode_loop_constraints(6, b, vm, COUNTER.vars)
+        s, vm = fresh()
+        unroll_model(COUNTER, 6, vm)
+        encode_loop_constraints(6, vm, COUNTER.vars)
         assert s.solve([vm.loop_sel(2), vm.loop_sel(3)]) == UNSAT
 
     def test_counter_l3_matches_the_repeated_state(self):
-        s, b, vm = fresh()
-        unroll_model(COUNTER, 6, b, vm)
-        encode_loop_constraints(6, b, vm, COUNTER.vars)
+        s, vm = fresh()
+        unroll_model(COUNTER, 6, vm)
+        encode_loop_constraints(6, vm, COUNTER.vars)
         assert s.solve([vm.loop_sel(3)]) == SAT
         # s_2 = s_6 both carrying x=2
         for n in COUNTER.vars:
@@ -89,9 +88,9 @@ class TestLoopConstraints:
             assert s.solve([vm.loop_sel(j)]) == UNSAT
 
     def test_no_selector_forces_loopexists_false(self):
-        s, b, vm = fresh()
-        unroll_model(COUNTER, 3, b, vm)
-        encode_loop_constraints(3, b, vm, COUNTER.vars)
+        s, vm = fresh()
+        unroll_model(COUNTER, 3, vm)
+        encode_loop_constraints(3, vm, COUNTER.vars)
         assumptions = [-vm.loop_sel(i) for i in range(1, 4)]
         assert s.solve(assumptions) == SAT
         assert s.model_value(vm.loop_exists()) is False
@@ -114,8 +113,9 @@ class TestLtlSchemes:
 
     @pytest.mark.parametrize("scheme", ["fixpoint", "eventuality", "buchi"])
     def test_past_operators_rejected(self, scheme):
-        with pytest.raises(PastOperatorError):
-            solve_scheme(scheme, COUNTER, pnf("Y x0"), 2)
+        for incremental in (True, False):
+            with pytest.raises(PastOperatorError):
+                run_bmc(COUNTER, pnf("Y x0"), RunOptions(scheme=scheme, incremental=incremental, max_k=2))
 
     def test_no_loop_witness(self):
         res, s, vm = solve_scheme("eventuality", COUNTER, pnf("F x2"), 2)
@@ -131,8 +131,8 @@ class TestLtlSchemes:
         """With the release chain present, formula values are forced."""
         m = parse_model("VAR a\nINIT a\nTRANS next(a)\n")
         psi = pnf("false R a")  # G a
-        s, b, vm = fresh()
-        s.add_clause([encode_ltl_buchi(m, psi, 1, b, vm)])
+        s, vm = fresh()
+        s.add_clause([encode_ltl_buchi(m, psi, 1, vm)])
         assert s.solve([vm.loop_sel(1)]) == SAT
         blocking = []
         for (role, *_), var in vm.lits.items():
@@ -177,9 +177,9 @@ class TestPltlEncoding:
         assert results.index(SAT) in (6, 7, 8, 9, 10, 11)
 
     def test_d_alias_returns_identical_literal(self):
-        s, b, vm = fresh()
+        s, vm = fresh()
         psi = pnf(self.REX)
-        encode_pltl(COUNTER, psi, 3, b, vm)
+        encode_pltl(COUNTER, psi, 3, vm)
         for f in closure(psi):
             dc = past_depth(f)
             for i in range(0, 4):
@@ -226,8 +226,8 @@ class TestPltlEncoding:
 class TestGeneralBuchi:
     def test_counter_fair_loop_bounds(self):
         for k, expected in ((5, UNSAT), (6, SAT)):
-            s, b, vm = fresh()
-            s.add_clause([encode_general_buchi(COUNTER_FAIR, k, b, vm)])
+            s, vm = fresh()
+            s.add_clause([encode_general_buchi(COUNTER_FAIR, None, k, vm)])
             assert s.solve() == expected
 
     def test_no_fair_sets_needs_a_closed_cycle(self):
@@ -235,8 +235,8 @@ class TestGeneralBuchi:
         em = explicit_expand(m)
         k_min = fair_lasso_search(em)[0]
         for k in range(0, 4):
-            s, b, vm = fresh()
-            s.add_clause([encode_general_buchi(m, k, b, vm)])
+            s, vm = fresh()
+            s.add_clause([encode_general_buchi(m, None, k, vm)])
             assert (s.solve() == SAT) == (k >= k_min)
 
     def test_cycle_avoiding_the_fair_set(self):
@@ -244,8 +244,8 @@ class TestGeneralBuchi:
             "VAR a\nINIT !a\nTRANS next(a) <-> a\nDEFINE hit := a\nFAIRNESS hit\n"
         )
         for k in range(0, 5):
-            s, b, vm = fresh()
-            s.add_clause([encode_general_buchi(m, k, b, vm)])
+            s, vm = fresh()
+            s.add_clause([encode_general_buchi(m, None, k, vm)])
             assert s.solve() == UNSAT
 
     def test_matches_explicit_fair_search(self):
@@ -255,8 +255,8 @@ class TestGeneralBuchi:
             em = explicit_expand(m)
             found = fair_lasso_search(em)
             for k in range(0, 5):
-                s, b, vm = fresh()
-                s.add_clause([encode_general_buchi(m, k, b, vm)])
+                s, vm = fresh()
+                s.add_clause([encode_general_buchi(m, None, k, vm)])
                 expected = found is not None and found[0] <= k
                 assert (s.solve() == SAT) == expected
 
@@ -390,10 +390,10 @@ def definitions(added, v):
     return {x for c in binary if -v in c for x in c - {-v} if frozenset([v, -x]) in binary}
 
 
-def assert_definitions_are_clauses(b, vm, added, k, loop_exists, allowed_units):
+def assert_definitions_are_clauses(vm, added, k, loop_exists, allowed_units):
     """Each definition of a formula variable, accumulator, InLoop_i and
     (with ``loop_exists``) LoopExists up to bound k is exactly its two
-    clauses in ``added``; no iff gate of the builder ``b`` has one of those
+    clauses in ``added``; no iff gate of the map ``vm`` has one of those
     variables as an input; and no gate is asserted as a unit in ``added``
     unless its variable is in ``allowed_units``."""
     variables = set(defined_variables(vm, k, loop_exists))
@@ -406,10 +406,10 @@ def assert_definitions_are_clauses(b, vm, added, k, loop_exists, allowed_units):
         assert xs, v
         for x in xs:
             assert_two_clauses(mentions[v], None, v, x)
-            assert iff_key(v, x) not in b.cache
-    for op, ins in b.cache:
+            assert iff_key(v, x) not in vm.cache
+    for op, ins in vm.cache:
         assert not (op == "iff" and variables & {abs(l) for l in ins}), (op, ins)
-    gates = {abs(g) for g in b.cache.values()}
+    gates = {abs(g) for g in vm.cache.values()}
     units = {abs(c[0]) for c in added if len(c) == 1}
     assert units & gates <= allowed_units
 
@@ -441,17 +441,17 @@ class TestGuardedEqualities:
     @staticmethod
     def sessions():
         for target, psi, opts in TestGuardedEqualities.instances(INCREMENTAL_SCHEMES):
-            yield IncrementalEncoder(target, psi, d_max=opts.d_max, scheme=opts.scheme)
+            yield IncrementalEncoder(target, psi, d_max=opts.d_max, style=SCHEMES[opts.scheme].style)
 
     def test_step_writes_each_guarded_equality_as_two_clauses(self):
-        schemes = set()
+        styles = set()
         for inc in self.sessions():
             solver, vm = inc.solver, inc.vm
             for k in range(6):
                 nvars, nclauses, named = solver.nvars, len(solver.db), named_vars(vm)
-                gates = set(inc.b.cache)
+                gates = set(vm.cache)
                 inc.step(k)
-                new_gates = set(inc.b.cache) - gates
+                new_gates = set(vm.cache) - gates
                 # every variable step(k) makes is a timed role or a gate
                 assert solver.nvars - nvars == named_vars(vm) - named + len(new_gates)
                 made = solver.nvars
@@ -466,8 +466,8 @@ class TestGuardedEqualities:
                     assert abs(act) not in map(abs, key)
                 behind_act = [c for c in added if -act in c]
                 assert len(behind_act) == 2 * sum(g == act for g, _, _ in eqs)
-            schemes.add(inc.scheme)
-        assert schemes == INCREMENTAL_SCHEMES
+            styles.add(inc.style)
+        assert styles == {SCHEMES[s].style for s in INCREMENTAL_SCHEMES}
 
     def test_monolithic_bound_writes_each_guarded_equality_as_two_clauses(self):
         """The loop step's state equality and the binding of index k+1 are
@@ -478,20 +478,20 @@ class TestGuardedEqualities:
             # fixpoint and general-buchi have no formula variables
             cl = [] if opts.scheme in ("fixpoint", "general-buchi") else closure(psi)
             for k in range(7):
-                prefix = TimedVarMap(CircuitBuilder(Solver()), d_max=opts.d_max)
-                unroll_model(target, k, prefix.b, prefix)
+                prefix = TimedVarMap(Solver(), d_max=opts.d_max)
+                unroll_model(target, k, prefix)
                 solver, vm = encode_bound(target, psi, k, opts, prefix)
                 made = solver.nvars
                 eqs = monolithic_guarded_equalities(vm, cl, target.vars, k)
                 assert solver.nvars == made
-                added = solver.db[len(prefix.b.solver.db) :]
+                added = solver.db[len(prefix.solver.db) :]
                 for g, x, y in eqs:
                     assert_two_clauses(added, g, x, y)
                 keys = {iff_key(x, y) for _, x, y in eqs}
-                cache = vm.b.cache
+                cache = vm.cache
                 equalities = {abs(cache[key]) for key in keys if key in cache}
                 selectors = {vm.loop_sel(i) for i in range(1, k + 1)}
-                new_gates = cache.keys() - prefix.b.cache.keys()
+                new_gates = cache.keys() - prefix.cache.keys()
                 assert not keys & new_gates
                 for op, ins in new_gates:
                     ins = {abs(l) for l in ins}
@@ -509,21 +509,23 @@ class TestGuardedEqualities:
         schemes = set()
         for target, psi, opts in self.instances(SCHEMES):
             for k in range(7):
-                s, b, vm = fresh(opts.d_max)
-                witness = SCHEMES[opts.scheme](target, psi, k, b, vm)
+                s, vm = fresh(opts.d_max)
+                witness = SCHEMES[opts.scheme].encode(target, psi, k, vm)
                 if opts.scheme != "fixpoint":
                     assert witness == (vm.loop_exists() if opts.scheme == "general-buchi" else vm.fvar(psi, 0, 0))
                 steps = {abs(lit) for lit in vm.steps}
                 assert len(vm.steps) == k + 1
-                assert_definitions_are_clauses(b, vm, s.db, k, True, steps)
+                assert_definitions_are_clauses(vm, s.db, k, True, steps)
             schemes.add(opts.scheme)
+        assert schemes == set(SCHEMES)
+        styles = set()
         for inc in self.sessions():
             for k in range(7):
                 inc.step(k)
                 allowed = {abs(lit) for lit in inc.vm.steps} | {abs(inc.goal())}
-                assert_definitions_are_clauses(inc.b, inc.vm, inc.solver.db, k, False, allowed)
-            schemes.add("incremental-" + inc.scheme)
-        assert schemes == set(SCHEMES) | {"incremental-" + s for s in INCREMENTAL_SCHEMES}
+                assert_definitions_are_clauses(inc.vm, inc.solver.db, k, False, allowed)
+            styles.add(inc.style)
+        assert styles == {SCHEMES[s].style for s in INCREMENTAL_SCHEMES}
 
     def test_a_retired_bound_leaves_only_satisfied_clauses(self):
         for inc in self.sessions():

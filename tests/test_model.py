@@ -29,7 +29,7 @@ from pltlbmc.model import (
     successors,
 )
 from pltlbmc.encode import TimedVarMap, _expr_lit, unroll_model
-from pltlbmc.sat import SAT, CircuitBuilder, Solver
+from pltlbmc.sat import SAT, Solver
 
 from _fixtures import FIXTURES
 from _grid import random_symbolic_model
@@ -86,6 +86,27 @@ class TestParsing:
     def test_input_must_be_declared(self):
         with pytest.raises(ModelError):
             parse_model("VAR a\nINPUT b\nINIT true\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("VAR a 1x\nINIT a\n", "line 1: bad VAR name '1x'"),
+            ("VAR a\nVAR b-c\n", "line 2: bad VAR name 'b-c'"),
+            ("VAR a\nDEFINE d e := a\n", "line 2: bad DEFINE name 'd e'"),
+            ("VAR a\n\nDEFINE n(a) := a\n", "line 3: bad DEFINE name 'n(a)'"),
+            ("VAR a\nDEFINE := a\n", "line 2: bad DEFINE name ''"),
+        ],
+    )
+    def test_a_declared_name_must_be_a_name_token(self, text, message):
+        """Every declared name is one name token, so expressions, the l2s
+        output and the tight automaton can all refer to it."""
+        with pytest.raises(ModelError) as err:
+            parse_model(text)
+        assert str(err.value) == message
+
+    def test_names_with_digits_underscores_and_equals_parse(self):
+        m = parse_model("VAR _a a1 b=1\nDEFINE d_2 := a1 & b=1\nINIT _a | d_2\n")
+        assert m.vars == ("_a", "a1", "b=1") and m.define_map["d_2"] is not None
 
     def test_duplicate_init_rejected(self):
         with pytest.raises(ModelError, match="duplicate INIT"):
@@ -375,17 +396,16 @@ class TestGatePrograms:
     @given(BOOL_EXPRS)
     @settings(max_examples=150, deadline=None)
     def test_the_lowered_root_is_the_value_of_the_expression(self, e):
-        b = CircuitBuilder(Solver())
-        vm = TimedVarMap(b)
+        vm = TimedVarMap(Solver())
         bits = {(i, n): vm.state_bit(i, n) for i, names in ((0, "abc"), (1, "ab")) for n in names}
-        root = _expr_lit(b, vm, nary_program(compile_expr(e, {})), 0, 1)
+        root = _expr_lit(vm, nary_program(compile_expr(e, {})), 0, 1)
         for values in itertools.product((False, True), repeat=len(bits)):
             point = dict(zip(bits, values))
             assumptions = [lit if point[key] else -lit for key, lit in bits.items()]
-            assert b.solver.solve(assumptions) == SAT
+            assert vm.solver.solve(assumptions) == SAT
             cur = {n: point[0, n] for n in "abc"}
             nxt = {n: point[1, n] for n in "ab"}
-            assert b.solver.model_value(root) == eval_expr(e, cur, nxt)
+            assert vm.solver.model_value(root) == eval_expr(e, cur, nxt)
 
     @given(BOOL_EXPRS)
     @settings(max_examples=300, deadline=None)
@@ -420,20 +440,19 @@ class TestGatePrograms:
         terms = [t for n in names for t in (n, f"next({n})")]
         m = parse_model(f"VAR {' '.join(names)}\nINIT true\nTRANS {' | '.join(terms)}\n")
         assert len(m.trans_program) == 3001
-        b = CircuitBuilder(Solver())
-        unroll_model(m, 1, b, TimedVarMap(b))
-        assert len(b.cache) == 1
+        vm = TimedVarMap(Solver())
+        unroll_model(m, 1, vm)
+        assert len(vm.cache) == 1
 
     def test_a_subterm_used_twice_stays_one_gate(self):
         m = parse_model("VAR a b c d\nINIT true\nTRANS (a & b) & c & ((a & b) | d)\n")
         assert [k for k, _, _ in m.trans_program if k in ("&", "|")] == ["&", "|", "&"]
-        b = CircuitBuilder(Solver())
-        vm = TimedVarMap(b)
-        unroll_model(m, 1, b, vm)
-        a, bb = vm.state_bit(0, "a"), vm.state_bit(0, "b")
+        vm = TimedVarMap(Solver())
+        unroll_model(m, 1, vm)
+        a, b = vm.state_bit(0, "a"), vm.state_bit(0, "b")
         # a & b, (a & b) | d, and one gate over a & b, c and the disjunction
-        assert len(b.cache) == 3 and ("and", (a, bb)) in b.cache
-        assert sorted(len(ins) for _, ins in b.cache) == [2, 2, 3]
+        assert len(vm.cache) == 3 and ("and", (a, b)) in vm.cache
+        assert sorted(len(ins) for _, ins in vm.cache) == [2, 2, 3]
 
     def test_unknown_kinds_are_rejected(self):
         with pytest.raises(ModelError, match="unknown expression kind 'xor'"):

@@ -4,7 +4,7 @@ import pytest
 
 from pltlbmc.model import parse_model, explicit_expand, model_to_text
 from pltlbmc.pltl import parse_formula, to_pnf, past_depth, closure
-from pltlbmc.sat import SAT, UNSAT, Solver, CircuitBuilder
+from pltlbmc.sat import SAT, UNSAT, Solver
 from pltlbmc.encode import TimedVarMap, encode_general_buchi, encode_pltl
 from pltlbmc.tightba import TightBAError, build_tight_ba, product
 from pltlbmc.oracle import eval_lasso, fair_lasso_exists, make_lasso
@@ -107,11 +107,9 @@ class TestConstruction:
 
     @staticmethod
     def _buchi_sat(prod, k):
-        s = Solver()
-        b = CircuitBuilder(s)
-        vm = TimedVarMap(b)
-        s.add_clause([encode_general_buchi(prod, k, b, vm)])
-        return s.solve()
+        vm = TimedVarMap(Solver())
+        vm.solver.add_clause([encode_general_buchi(prod, None, k, vm)])
+        return vm.solver.solve()
 
     def test_atom_name_clash_rejected(self):
         with pytest.raises(TightBAError, match="collide"):
@@ -160,11 +158,9 @@ class TestProduct:
         psi = pnf("F (x3 & O (x4 & O x5))")
         prod = product(COUNTER, build_tight_ba(psi))
         for k, expected in ((5, UNSAT), (6, SAT)):
-            s = Solver()
-            b = CircuitBuilder(s)
-            vm = TimedVarMap(b)
-            s.add_clause([encode_general_buchi(prod, k, b, vm)])
-            assert s.solve() == expected
+            vm = TimedVarMap(Solver())
+            vm.solver.add_clause([encode_general_buchi(prod, psi, k, vm)])
+            assert vm.solver.solve() == expected
 
     def test_emptiness_matches_direct_encoding(self):
         """Loop witnesses of the product are bounded witnesses of the model,
@@ -181,14 +177,12 @@ class TestProduct:
             checked += 1
 
             def sat_at(encode, k):
-                s = Solver()
-                b = CircuitBuilder(s)
-                vm = TimedVarMap(b)
-                s.add_clause([encode(k, b, vm)])
-                return s.solve() == SAT
+                vm = TimedVarMap(Solver())
+                vm.solver.add_clause([encode(k, vm)])
+                return vm.solver.solve() == SAT
 
-            buchi = [sat_at(lambda k, b, vm: encode_general_buchi(prod, k, b, vm), k) for k in range(7)]
-            pltl = [sat_at(lambda k, b, vm: encode_pltl(m, psi, k, b, vm), k) for k in range(7)]
+            buchi = [sat_at(lambda k, vm: encode_general_buchi(prod, psi, k, vm), k) for k in range(7)]
+            pltl = [sat_at(lambda k, vm: encode_pltl(m, psi, k, vm), k) for k in range(7)]
             nonempty = fair_lasso_exists(explicit_expand(prod, max_bits=12, require_total=False))
             for k in range(7):
                 if buchi[k]:
