@@ -52,7 +52,7 @@ class Witness:
     states: list  # per step, dict var -> bool (of the encoded model)
     loop_start: Optional[int]
     labels: list  # per step, frozenset of true vars/defines
-    display_vars: tuple = ()
+    display_vars: tuple = ()  # what the state lines and the JSON trace show: the model's variables
 
 
 @dataclass
@@ -315,11 +315,10 @@ def verdict_line(verdict) -> str:
 
 def trace_lines(w: Witness):
     out = []
-    show = w.display_vars or sorted(w.states[0])
     for i, st in enumerate(w.states):
         if w.loop_start is not None and i == w.loop_start:
             out.append("-- loop starts here --")
-        vals = " ".join(f"{n}={int(st[n])}" for n in show)
+        vals = " ".join(f"{n}={int(st[n])}" for n in w.display_vars)
         out.append(f"state {i}: {vals}")
     return out
 
