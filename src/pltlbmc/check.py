@@ -171,21 +171,22 @@ def extract_witness(value_of, vm: TimedVarMap, m: SymbolicModel, k) -> Witness:
                 raise WitnessValidationError("two loop selectors are true")
             loop = i
     define_map = m.define_map
-    if not eval_expr(m.init, states[0], None, define_map):
+    values = []
+    for st in states:
+        # each define once, after the defines it names, which it then reads
+        # from ``vals`` instead of evaluating them again
+        vals = dict(st)
+        for n in m.define_order:
+            vals[n] = eval_expr(define_map[n], vals)
+        values.append(vals)
+    if not eval_expr(m.init, values[0]):
         raise WitnessValidationError("decoded path does not start in an initial state")
     for i in range(1, k + 1):
-        if not eval_expr(m.trans, states[i - 1], states[i], define_map):
+        if not eval_expr(m.trans, values[i - 1], values[i]):
             raise WitnessValidationError(f"decoded step {i - 1} -> {i} is not a transition")
     if loop is not None and states[loop - 1] != states[k]:
         raise WitnessValidationError("loop selector does not match the state bits")
-    labels = []
-    for st in states:
-        # each define once, after the defines it names, which it then reads
-        # from ``values`` instead of evaluating them again
-        values = dict(st)
-        for n in m.define_order:
-            values[n] = eval_expr(define_map[n], values)
-        labels.append(frozenset(n for n, v in values.items() if v))
+    labels = [frozenset(n for n, v in vals.items() if v) for vals in values]
     return Witness(states=states, loop_start=loop, labels=labels, display_vars=m.vars)
 
 

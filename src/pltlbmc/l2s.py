@@ -84,20 +84,16 @@ class Unreachable:
 def l2s_transform(m: SymbolicModel, optimise=False) -> L2SModel:
     """Build the safety model whose LoopClosed states witness fair paths."""
     define_map = m.define_map
-    reserved = {SAVE_VAR, INLOOP_VAR, TARGET}
-    reserved |= {f"{ACC_PREFIX}{i}" for i in range(len(m.fairness))}
+    dropped = input_vars_irrelevant_for_fairness(m) if optimise else frozenset()
+    copied = tuple(v for v in m.vars if v not in dropped)
+    copies = {v: COPY_PREFIX + v for v in copied}
+    acc_vars = [f"{ACC_PREFIX}{i}" for i in range(len(m.fairness))]
+    # every name the transform writes besides the model's own
+    reserved = {SAVE_VAR, INLOOP_VAR, TARGET, *acc_vars, *copies.values()}
     clash = reserved & (set(m.vars) | set(define_map))
     if clash:
         raise L2SError(f"model already uses reserved names: {sorted(clash)}")
 
-    dropped = input_vars_irrelevant_for_fairness(m) if optimise else frozenset()
-    copied = tuple(v for v in m.vars if v not in dropped)
-    copies = {v: COPY_PREFIX + v for v in copied}
-    clash = set(copies.values()) & (set(m.vars) | set(define_map))
-    if clash:
-        raise L2SError(f"model already uses reserved names: {sorted(clash)}")
-
-    acc_vars = [f"{ACC_PREFIX}{i}" for i in range(len(m.fairness))]
     new_vars = tuple(m.vars) + tuple(copies[v] for v in copied) + (SAVE_VAR, INLOOP_VAR) + tuple(acc_vars)
 
     init = band_all(

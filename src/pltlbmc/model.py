@@ -253,6 +253,8 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_=]*")
 _TOKEN = re.compile(rf"{_NAME.pattern}|<->|->|[!&|()]")
 _VALID = re.compile(rf"(?:{_TOKEN.pattern}|[ \t\r\n])*")
 _PUNCT = frozenset(["<->", "->", "!", "&", "|", "(", ")"])
+# Words of the expression grammar that no VAR or DEFINE may take as its name.
+RESERVED_NAMES = frozenset(["next", "true", "false"])
 
 # Binary operator -> (its precedence, the least precedence of an operand
 # written without parentheses on its left, the same on its right).  ``&``
@@ -462,7 +464,7 @@ def parse_model(text) -> SymbolicModel:
             for name in names:
                 if name in vars_ or name in define_names:
                     raise ModelError(f"line {line_no}: duplicate name {name!r}")
-                if name in ("next", "true", "false"):
+                if name in RESERVED_NAMES:
                     raise ModelError(f"line {line_no}: {name!r} is reserved")
                 if not _NAME.fullmatch(name):
                     raise ModelError(f"line {line_no}: bad VAR name {name!r}")
@@ -482,7 +484,7 @@ def parse_model(text) -> SymbolicModel:
                 raise ModelError(f"line {line_no}: DEFINE needs 'name := expr'")
             if name in define_names or name in vars_:
                 raise ModelError(f"line {line_no}: duplicate name {name!r}")
-            if name in ("next", "true", "false") or not _NAME.fullmatch(name):
+            if name in RESERVED_NAMES or not _NAME.fullmatch(name):
                 raise ModelError(f"line {line_no}: bad DEFINE name {name!r}")
             define_names.add(name)
             defines.append((name, _EXPR.parse(code, line_no, len(code) - len(body))))
@@ -491,6 +493,9 @@ def parse_model(text) -> SymbolicModel:
         elif head == "SPEC":
             if spec_text is not None:
                 raise ModelError(f"line {line_no}: duplicate SPEC section")
+            from .pltl import parse_formula  # imported here because pltl imports this module
+
+            parse_formula(code, line_no, at)  # so a malformed SPEC is reported at its place in the file
             spec_text = rest
         else:
             raise ModelError(f"line {line_no}: unknown section {head!r}")

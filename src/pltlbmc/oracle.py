@@ -283,16 +283,10 @@ def eval_lasso_scan(word: LassoWord, f: Formula, pos: int, names=None) -> bool:
 
 
 def _height(f):
-    h = 0
-    stack = [(f, 1)]
-    while stack:
-        g, d = stack.pop()
-        h = max(h, d)
-        if g.left is not None:
-            stack.append((g.left, d + 1))
-        if g.right is not None:
-            stack.append((g.right, d + 1))
-    return h
+    height = {}  # fid -> nodes on the longest path down from it
+    for g in closure(f):
+        height[g.fid] = 1 + max((height[c.fid] for c in (g.left, g.right) if c is not None), default=0)
+    return height[f.fid]
 
 
 # ---------------------------------------------------------------------------

@@ -201,9 +201,10 @@ _FORMULA = Grammar(
 )
 
 
-def parse_formula(text):
-    """Parse the ASCII formula grammar into a :class:`SurfaceFormula`."""
-    return _FORMULA.parse(text)
+def parse_formula(text, line=1, start=0):
+    """Parse the ASCII formula grammar into a :class:`SurfaceFormula`; the
+    text from ``start`` on is read, and ``text[start]`` is on line ``line``."""
+    return _FORMULA.parse(text, line, start)
 
 
 def format_formula(f, spans=None) -> str:
@@ -286,20 +287,31 @@ def _pnf_rule(f, neg):
 def _pnf(f, neg):
     """Post-order walk with an explicit stack, so formulas of any depth
     rewrite; operands are rewritten left to right before their node is
-    built, so nodes are interned in the order of the recursive definition."""
+    built, so nodes are interned in the order of the recursive definition.
+
+    Each (surface node, polarity) pair is rewritten once: ``<->`` rewrites
+    both its operands in both polarities, which without the memo costs
+    time exponential in the nesting of ``<->``.  A second rewrite would
+    only intern nodes that already exist, so the memo keeps every fid."""
+    done = {}  # (id of a surface node, negated) -> its PNF node
     results = []
-    stack = [(f, neg)]  # (node, negated) to rewrite, or (build, arity) to run
+    stack = [(f, neg)]  # (node, negated) to rewrite, or (build, arity, key) to run
     while stack:
         item = stack.pop()
         if isinstance(item[0], SurfaceFormula):
+            key = (id(item[0]), item[1])
+            if key in done:
+                results.append(done[key])
+                continue
             operands, build = _pnf_rule(*item)
-            stack.append((build, len(operands)))
+            stack.append((build, len(operands), key))
             stack.extend(reversed(operands))
             continue
-        build, arity = item
+        build, arity, key = item
         args = results[len(results) - arity :]
         del results[len(results) - arity :]
-        results.append(build(*args))
+        done[key] = build(*args)
+        results.append(done[key])
     return results[0]
 
 
@@ -375,18 +387,6 @@ def memoised(rule, root):
             value = None
 
 
-def atoms_of(f) -> set:
-    """Atom names referenced by a formula (surface or PNF)."""
-    out = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g is None:
-            continue
-        if g.kind in ("atom", "natom"):
-            out.add(g.name)
-            continue
-        stack.append(g.left)
-        if g.right is not None:
-            stack.append(g.right)
-    return out
+def atoms_of(f: Formula) -> set:
+    """Atom names referenced by a PNF formula."""
+    return {g.name for g in closure(f) if g.kind in ("atom", "natom")}

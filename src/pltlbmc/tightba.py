@@ -36,6 +36,7 @@ from .model import (
     BTRUE,
     BFALSE,
     ModelError,
+    RESERVED_NAMES,
 )
 
 INLOOP_VAR = "ba_inloop"
@@ -54,36 +55,29 @@ class TightBA:
 
 
 def build_tight_ba(psi: Formula, d_max=None) -> TightBA:
-    """Construct the automaton accepting exactly the words satisfying psi."""
+    """Construct the automaton accepting exactly the words satisfying psi.
+
+    One pass over the closure, children first, writes each temporal
+    node's state variables, transition rules, initial condition and
+    acceptance set.  Every name the automaton writes, a state variable or
+    an and/or define, is reserved against the atoms of psi."""
     if d_max is not None and d_max < 0:
         raise TightBAError(
             f"d_max must be a non-negative integer or None for full unrolling, got {d_max}"
         )
     cl = closure(psi)
     atoms = tuple(sorted(atoms_of(psi)))
+    index = {f.fid: n for n, f in enumerate(cl)}
 
     def dcap(f):
         return past_depth(f) if d_max is None else min(d_max, past_depth(f))
 
-    index = {f.fid: n for n, f in enumerate(cl)}
-    temporal = [f for f in cl if f.kind in ("X", "U", "R", "Y", "Z", "S", "T")]
-    names = {}
-    for f in temporal:
-        for d in range(dcap(f) + 1):
-            names[(f.fid, d)] = f"{VAR_PREFIX}{index[f.fid]}d{d}"
-
-    reserved = set(names.values()) | {INLOOP_VAR, LE_VAR}
-    clash = reserved & set(atoms)
-    if clash:
-        raise TightBAError(f"atom names collide with automaton variables: {sorted(clash)}")
-
-    defines = []
-    define_map = {}
+    def name(f, d):
+        """The state variable of a temporal node, or the define of an
+        and/or node, at unrolling d capped at the node's depth."""
+        return f"{VAR_PREFIX}{index[f.fid]}d{min(d, dcap(f))}"
 
     def expr(f, d) -> BoolExpr:
-        """f at unrolling d (capped at f's depth); an and/or node is named
-        by its define."""
-        d = min(d, dcap(f))
         k = f.kind
         if k == "true":
             return BTRUE
@@ -93,9 +87,9 @@ def build_tight_ba(psi: Formula, d_max=None) -> TightBA:
             return bvar(f.name)
         if k == "natom":
             return bnot(bvar(f.name))
-        if k in ("&", "|"):
-            return bvar(f"{VAR_PREFIX}{index[f.fid]}d{d}")
-        return bvar(names[(f.fid, d)])
+        return bvar(name(f, d))
+
+    defines = {}  # define name -> body, in the order the bodies were written
 
     def ref(f, d) -> BoolExpr:
         """``expr(f, d)``, once every and/or node it reaches below the
@@ -106,40 +100,38 @@ def build_tight_ba(psi: Formula, d_max=None) -> TightBA:
             g, e, ready = stack.pop()
             if g.kind not in ("&", "|"):
                 continue
-            e = min(e, dcap(g))
-            dn = f"{VAR_PREFIX}{index[g.fid]}d{e}"
-            if dn in define_map:
+            n = name(g, e)
+            if n in defines:
                 continue
             if ready:
                 sub = band if g.kind == "&" else bor
-                body = sub(expr(g.left, e), expr(g.right, e))
-                defines.append((dn, body))
-                define_map[dn] = body
+                defines[n] = sub(expr(g.left, e), expr(g.right, e))
             else:
                 stack += [(g, e, True), (g.right, e, False), (g.left, e, False)]
         return expr(f, d)
 
     def nref(f, d) -> BoolExpr:
         # macros expand before shifting; next() may only hit state variables
-        return shift(ref(f, d), define_map)
+        return shift(ref(f, d), defines)
 
     inloop = bvar(INLOOP_VAR)
     le = bvar(LE_VAR)
     inloop_n = bnext(INLOOP_VAR)
     le_n = bnext(LE_VAR)
 
-    trans = [bimp(inloop, inloop_n)]
-    init = []
-
-    state_inv = bimp(le, inloop)
-    init.append(state_inv)
-    trans.append(bimp(le_n, inloop_n))
-
-    for f in temporal:
+    state = []
+    init = [bimp(le, inloop)]
+    trans = [bimp(inloop, inloop_n), bimp(le_n, inloop_n)]
+    fairness = []
+    for f in cl:
         k = f.kind
+        if k not in ("X", "U", "R", "Y", "Z", "S", "T"):
+            continue
+        top = dcap(f)
         # U and S are R and T with the roles of & and | swapped
         outer, inner = (bor, band) if k in ("U", "S") else (band, bor)
-        for d in range(dcap(f) + 1):
+        for d in range(top + 1):
+            state.append(name(f, d))
             stay = bnot(le)
             if d > 0:
                 stay = band(stay, bnot(band(bnot(inloop), inloop_n)))
@@ -147,48 +139,36 @@ def build_tight_ba(psi: Formula, d_max=None) -> TightBA:
             # last state the next unrolling d + 1
             for guard, e in ((stay, d), (le, d + 1)):
                 if k == "X":
-                    trans.append(bimp(guard, biff(ref(f, d), nref(f.left, e))))
+                    rule = biff(ref(f, d), nref(f.left, e))
                 elif k in ("U", "R"):
-                    trans.append(
-                        bimp(guard, biff(ref(f, d), outer(ref(f.right, d), inner(ref(f.left, d), nref(f, e)))))
-                    )
+                    rule = biff(ref(f, d), outer(ref(f.right, d), inner(ref(f.left, d), nref(f, e))))
                 elif k in ("Y", "Z"):
-                    trans.append(bimp(guard, biff(nref(f, e), ref(f.left, d))))
+                    rule = biff(nref(f, e), ref(f.left, d))
                 else:
-                    trans.append(
-                        bimp(guard, biff(nref(f, e), outer(nref(f.right, e), inner(nref(f.left, e), ref(f, d)))))
-                    )
-
-    for f in temporal:
-        if f.kind == "Y":
+                    rule = biff(nref(f, e), outer(nref(f.right, e), inner(nref(f.left, e), ref(f, d))))
+                trans.append(bimp(guard, rule))
+        if k == "Y":
             init.append(bnot(ref(f, 0)))
-        elif f.kind == "Z":
+        elif k == "Z":
             init.append(ref(f, 0))
-        elif f.kind in ("S", "T"):
+        elif k in ("S", "T"):
             init.append(biff(ref(f, 0), ref(f.right, 0)))
-
+        elif k == "U":
+            fairness.append(bor(bnot(ref(f, top)), ref(f.right, top)))
+        elif k == "R":
+            fairness.append(bor(ref(f, top), bnot(ref(f.right, top))))
     init.append(ref(psi, 0))
-
-    fairness = []
-    for f in cl:
-        if f.kind == "U":
-            fairness.append(bor(bnot(ref(f, dcap(f))), ref(f.right, dcap(f))))
-        elif f.kind == "R":
-            fairness.append(bor(ref(f, dcap(f)), bnot(ref(f.right, dcap(f)))))
     fairness.append(le)
 
-    var_list = list(atoms)
-    for f in temporal:
-        for d in range(dcap(f) + 1):
-            var_list.append(names[(f.fid, d)])
-    var_list.extend([INLOOP_VAR, LE_VAR])
-
-    # order defines children-first so references resolve
+    own = state + [INLOOP_VAR, LE_VAR]
+    clash = set(atoms) & (set(own) | set(defines) | RESERVED_NAMES)
+    if clash:
+        raise TightBAError(f"atom names collide with automaton or reserved names: {sorted(clash)}")
     model = SymbolicModel(
-        vars=tuple(var_list),
+        vars=atoms + tuple(own),
         init=band_all(init),
         trans=band_all(trans),
-        defines=tuple(defines),
+        defines=tuple(defines.items()),
         fairness=tuple(fairness),
         inputs=frozenset(),
         spec_text=None,
@@ -208,12 +188,9 @@ def product(m: SymbolicModel, b: TightBA) -> SymbolicModel:
         if a not in model_names:
             raise TightBAError(f"unresolved atom {a!r}: not a model variable or define")
     ba_own = [v for v in b.model.vars if v not in b.atom_names]
-    clash = set(ba_own) & model_names
+    clash = (set(ba_own) | set(b.model.define_map)) & model_names
     if clash:
         raise TightBAError(f"name clash between model and automaton: {sorted(clash)}")
-    clash = {n for n, _ in b.model.defines} & (model_names | set(ba_own))
-    if clash:
-        raise TightBAError(f"define name clash: {sorted(clash)}")
 
     define_map = m.define_map
 

@@ -3,6 +3,7 @@ import dataclasses
 import os
 import random
 import sys
+import time
 
 import pytest
 
@@ -444,6 +445,16 @@ class TestWitnessExtraction:
             want |= {n for n, e in m.defines if eval_expr(e, st, None, m.define_map)}
             assert labels == want
         assert len({labels for labels in v.witness.labels}) > 2
+
+    def test_validation_evaluates_each_define_once(self):
+        # d21 names d20 twice, d20 names d19 twice, and so on
+        defines = ["DEFINE d0 := a & b"] + [f"DEFINE d{i} := d{i - 1} <-> (b | d{i - 1})" for i in range(1, 22)]
+        m = parse_model("\n".join(["VAR a b", "TRANS next(a) <-> !d21"] + defines))
+        start = time.perf_counter()
+        v = run_bmc(m, "X false", RunOptions(max_k=3))
+        elapsed = time.perf_counter() - start
+        assert isinstance(v, WitnessFound) and v.k == 1
+        assert elapsed < 0.5
 
     def test_trace_lines_mark_the_loop(self):
         s, vm = self._solve_pltl(COUNTER, pnf("G F x4"), 6)

@@ -97,6 +97,13 @@ class TestCheck:
         code, _, err = run(capsys, ["check", str(FIXTURES / "nope.mod"), "--spec", "G true"])
         assert code == 3
 
+    def test_a_malformed_spec_line_gives_its_place_in_the_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.mod"
+        path.write_text("VAR a\nINIT a\nTRANS next(a) <-> a\nSPEC G (a &)\n")
+        code, _, err = run(capsys, ["check", str(path)])
+        assert code == 3
+        assert "expected a formula, got ')' (line 4, column 12)" in err
+
     def test_a_model_with_thousands_of_trans_lines(self, capsys, tmp_path):
         """TRANS lines conjoin left-deep; lowering them and validating the
         witness walk the chain without recursion."""
@@ -532,6 +539,14 @@ class TestPipelines:
         ba = parse_model(open(out_mod).read())
         assert len(ba.fairness) >= 1
         assert "ba_inloop" in ba.vars and "ba_le" in ba.vars
+
+    # an atom named like an and/or define of the automaton, and a word of
+    # the model grammar, would give a model file that does not parse
+    @pytest.mark.parametrize("formula, atom", [("F (ba3d0 & q)", "ba3d0"), ("F next", "next")])
+    def test_tightba_rejects_an_atom_it_cannot_write(self, capsys, formula, atom):
+        code, out, err = run(capsys, ["tightba", formula])
+        assert code == 3 and out == ""
+        assert f"'{atom}'" in err
 
     def test_l2s_to_stdout(self, capsys):
         code, out, _ = run(capsys, ["l2s", COUNTER_FAIR])

@@ -66,6 +66,11 @@ class TestTransform:
         with pytest.raises(L2SError, match="reserved"):
             l2s_transform(m)
 
+    def test_copy_name_clash_rejected(self):
+        m = parse_model("VAR a l2s_copy_a\nINIT true\nTRANS true\n")
+        with pytest.raises(L2SError, match="reserved.*'l2s_copy_a'"):
+            l2s_transform(m)
+
     def test_transformed_model_is_total(self):
         rng = random.Random(79)
         for _ in range(5):

@@ -114,3 +114,8 @@ def fingerprint(tag):
 @pytest.mark.parametrize("tag", sorted(GOLDEN))
 def test_model_text_fingerprint(tag):
     assert fingerprint(tag) == GOLDEN[tag]
+
+
+def test_every_automaton_is_a_model_file_that_prints_back_the_same():
+    for text in texts("tightba"):
+        assert model_to_text(parse_model(text)) == text

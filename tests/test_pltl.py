@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,6 +166,18 @@ class TestDeepFormulas:
             leaf = "SurfaceFormula(kind='atom', name='x0', left=None, right=None)"
             node = f"SurfaceFormula(kind='{op}', name=None, left={leaf}, right="
             assert repr(f) == node * 1499 + leaf + ")" * 1499
+
+    def test_nested_equivalences_rewrite_each_node_once(self):
+        # each <-> rewrites both its operands in both polarities
+        text = "a0"
+        for i in range(1, 22):
+            text = f"({text} <-> a{i})"
+        start = time.perf_counter()
+        psi = to_pnf(s_not(parse_formula(text)))
+        atoms = pltl.atoms_of(psi)
+        elapsed = time.perf_counter() - start
+        assert len(closure(psi)) == 167 and atoms == {f"a{i}" for i in range(22)}
+        assert elapsed < 0.5
 
     def test_pnf_formula(self):
         g = pltl.mk_atom("p")

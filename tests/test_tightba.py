@@ -111,9 +111,12 @@ class TestConstruction:
         vm.solver.add_clause([encode_general_buchi(prod, None, k, vm)])
         return vm.solver.solve()
 
-    def test_atom_name_clash_rejected(self):
-        with pytest.raises(TightBAError, match="collide"):
-            build_tight_ba(pnf("F ba_le"))
+    # an oracle variable, the define of the and/or node ``ba3d0 & q``, and
+    # a word of the model grammar
+    @pytest.mark.parametrize("spec, atom", [("F ba_le", "ba_le"), ("F (ba3d0 & q)", "ba3d0"), ("F next", "next")])
+    def test_atom_name_clash_rejected(self, spec, atom):
+        with pytest.raises(TightBAError, match=f"collide.*'{atom}'"):
+            build_tight_ba(pnf(spec))
 
 
 class TestLanguage:
@@ -191,6 +194,14 @@ class TestProduct:
                 assert nonempty, str(psi)
             if not nonempty:
                 assert not any(buchi) and not any(pltl), str(psi)
+
+    # the state variable of X q and the define of p & X q in the automaton
+    # of F (p & X q)
+    @pytest.mark.parametrize("taken", ["ba3d0", "ba4d0"])
+    def test_model_names_clashing_with_the_automaton_rejected(self, taken):
+        m = parse_model(f"VAR p q\nDEFINE {taken} := p\nINIT true\nTRANS true\n")
+        with pytest.raises(TightBAError, match=f"clash.*'{taken}'"):
+            product(m, build_tight_ba(pnf("F (p & X q)")))
 
     def test_unresolved_atom(self):
         with pytest.raises(TightBAError, match="unresolved"):
