@@ -24,13 +24,21 @@ The front end here serves both model expressions and PLTL formulas
 operator-precedence parser and one printer, all on explicit stacks, so
 inputs of any depth parse and print.  A ``Grammar`` supplies a language's
 operator table, node builders and error words.
+
+Expressions are hash-consed per parse (after Filliatre and Conchon,
+*Type-safe modular hash-consing*, ML Workshop 2006): ``parse_model``
+builds each distinct subexpression of a model once, so a subterm written
+on several lines is one node, and models share no node.  The walkers
+(``_names``, ``compile_expr``, ``eval_expr``, ``eval_expr_np``) visit each
+distinct node once, so a DAG, parsed or returned by ``shift``, costs its
+size and not the size of the tree it stands for.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from itertools import accumulate
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
@@ -288,7 +296,7 @@ class Grammar(NamedTuple):
     binary: dict  # binary operators, as in ``BINARY``
     unary: frozenset  # prefix operators
     leaf: Callable  # (grammar, tokens, i, where) -> (leaf tokens[i] starts, index after it)
-    node: Callable  # (kind, operands) -> operator node
+    node: Callable  # (kind, operands) -> operator node; the model grammars get one per parse
     operands: Callable  # operator node -> its operands
     error: Callable  # (message, line, column) -> the exception to raise
     missing: str  # message for a missing operand
@@ -407,7 +415,9 @@ def _expr_leaf(grammar, tokens, i, where, allow_next=False):
     the index of the token after it."""
     token = tokens[i]
     if token != "next":
-        return _CONSTANTS.get(token) or bvar(token), i + 1
+        if token in _CONSTANTS:
+            return grammar.node(token, ()), i + 1
+        return grammar.node("var", (), token), i + 1
     if tokens[i + 1] != "(":
         raise grammar.expected("expected '(' after next", tokens[i + 1], where(i + 1))
     if not allow_next:
@@ -416,15 +426,36 @@ def _expr_leaf(grammar, tokens, i, where, allow_next=False):
         raise grammar.expected("expected a variable name inside next()", tokens[i + 2], where(i + 2))
     if tokens[i + 3] != ")":
         raise grammar.expected("expected ')' after next(name", tokens[i + 3], where(i + 3))
-    return bnext(tokens[i + 2]), i + 4
+    return grammar.node("next", (), tokens[i + 2]), i + 4
 
 
-_CONSTANTS = {"true": BTRUE, "false": BFALSE}
+def _hash_cons():
+    """A node builder ``(kind, operands, name=None) -> BoolExpr`` that
+    returns one node per distinct kind, name and operands: a subterm built
+    twice is one object.  Each parse makes its own, so parsed models share
+    no node and a dropped model is freed.  The keys hold the operands' ids;
+    the table keeps every node it built, the operands among them, alive as
+    long as it is in use, so no id in a key is reused while it is."""
+    table = {}
+
+    def node(kind, operands, name=None):
+        # a leaf has no operand, an operator no name and one or two operands
+        key = (kind, id(operands[0]), id(operands[-1])) if operands else (kind, name)
+        e = table.get(key)
+        if e is None:
+            e = table[key] = BoolExpr(kind, name, operands)
+        return e
+
+    return node
+
+
+_CONSTANTS = frozenset(["true", "false"])
+# ``node`` is set per parse to a table of its own (``_hash_cons``).
 _EXPR = Grammar(
     binary=BINARY,
     unary=frozenset("!"),
     leaf=_expr_leaf,
-    node=lambda kind, operands: BoolExpr(kind, None, operands),
+    node=None,
     operands=attrgetter("args"),
     error=lambda message, line, col: ModelError(f"line {line}, column {col}: {message}"),
     missing="expected an expression",
@@ -435,11 +466,18 @@ _TRANS_EXPR = _EXPR._replace(leaf=partial(_expr_leaf, allow_next=True))
 
 
 def parse_expr(text, line_no=1, allow_next=False):
-    return (_TRANS_EXPR if allow_next else _EXPR).parse(text, line_no)
+    """The expression of ``text``, each distinct subterm one node."""
+    return (_TRANS_EXPR if allow_next else _EXPR)._replace(node=_hash_cons()).parse(text, line_no)
 
 
 def parse_model(text) -> SymbolicModel:
-    """Parse the model file format; see the module docstring for the grammar."""
+    """Parse the model file format; see the module docstring for the grammar.
+
+    Every expression node of the model, the conjunction of its TRANS lines
+    included, is built in one hash-consing table (``_hash_cons``), so a
+    subterm written twice anywhere in the model is one node."""
+    node = _hash_cons()
+    expr, trans_expr = _EXPR._replace(node=node), _TRANS_EXPR._replace(node=node)
     vars_, inputs = [], []
     init_expr = None
     trans_exprs = []
@@ -474,9 +512,9 @@ def parse_model(text) -> SymbolicModel:
         elif head == "INIT":
             if init_expr is not None:
                 raise ModelError(f"line {line_no}: duplicate INIT section")
-            init_expr = _EXPR.parse(code, line_no, at)
+            init_expr = expr.parse(code, line_no, at)
         elif head == "TRANS":
-            trans_exprs.append(_TRANS_EXPR.parse(code, line_no, at))
+            trans_exprs.append(trans_expr.parse(code, line_no, at))
         elif head == "DEFINE":
             name, sep, body = rest.partition(":=")
             name = name.strip()
@@ -487,9 +525,9 @@ def parse_model(text) -> SymbolicModel:
             if name in RESERVED_NAMES or not _NAME.fullmatch(name):
                 raise ModelError(f"line {line_no}: bad DEFINE name {name!r}")
             define_names.add(name)
-            defines.append((name, _EXPR.parse(code, line_no, len(code) - len(body))))
+            defines.append((name, expr.parse(code, line_no, len(code) - len(body))))
         elif head == "FAIRNESS":
-            fairness.append(_EXPR.parse(code, line_no, at))
+            fairness.append(expr.parse(code, line_no, at))
         elif head == "SPEC":
             if spec_text is not None:
                 raise ModelError(f"line {line_no}: duplicate SPEC section")
@@ -503,10 +541,11 @@ def parse_model(text) -> SymbolicModel:
     if not vars_:
         raise ModelError("model declares no VAR")
 
+    true = node("true", ())
     m = SymbolicModel(
         vars=tuple(vars_),
-        init=init_expr if init_expr is not None else BTRUE,
-        trans=band_all(trans_exprs),
+        init=true if init_expr is None else init_expr,
+        trans=reduce(lambda a, b: node("&", (a, b)), trans_exprs or [true]),
         defines=tuple(defines),
         fairness=tuple(fairness),
         inputs=frozenset(inputs),
@@ -543,16 +582,20 @@ def _validate(m):
 
 def _names(expr):
     """The names ``expr`` reads in the current state and under next(), as
-    two sets; defines are not expanded."""
+    two sets; defines are not expanded.  Each distinct node is visited
+    once, so a shared subterm costs one visit."""
     names, nexts = set(), set()
     stack = [expr]
+    seen = set()  # ids of the nodes whose operands are stacked; every node stays alive in expr
     while stack:
         e = stack.pop()
         if e.kind == "var":
             names.add(e.name)
         elif e.kind == "next":
             nexts.add(e.name)
-        stack.extend(e.args)
+        elif id(e) not in seen:
+            seen.add(id(e))
+            stack.extend(e.args)
     return names, nexts
 
 
@@ -716,30 +759,35 @@ def eval_expr(expr, cur, nxt=None, defines=None):
 
     ``&``, ``|`` and ``->`` short-circuit left to right.  The walk uses an
     explicit stack of pending nodes and operator continuations, so long
-    TRANS chains do not hit the recursion limit.
+    TRANS chains do not hit the recursion limit.  The value of each
+    operator node is kept by ``id`` once computed, so a node shared in a
+    DAG (a hash-consed model, a ``shift`` with defines inlined) is
+    evaluated once per call.
     """
     define_map = defines or {}
     if not isinstance(define_map, dict):
         define_map = dict(define_map)
-    todo = [expr]  # nodes to evaluate and (operator, right operand) pairs
+    memo = {}  # id(operator node) -> its value; every node stays alive in expr or define_map
+    todo = [expr]  # nodes to evaluate and (operator, right operand, operator node) continuations
     vals = []
     while todo:
         e = todo.pop()
-        if e.__class__ is tuple:  # the left operand's value is on vals
-            op, right = e
+        if e.__class__ is tuple:  # on vals: the left operand's value, or the right's if op is None
+            op, right, node = e
             v = vals.pop()
             if op == "!":
-                vals.append(not v)
+                v = not v
             elif op == "<->":
-                vals.append(vals.pop() == v)
-            elif op == "&" and not v:
-                vals.append(v)
-            elif op == "|" and v:
-                vals.append(v)
+                v = vals.pop() == v
             elif op == "->" and not v:
-                vals.append(True)
-            else:  # the right operand decides
+                v = True
+            elif op is not None and not (op == "&" and not v or op == "|" and v):
+                # the right operand decides
+                todo.append((None, None, node))
                 todo.append(right)
+                continue
+            memo[id(node)] = v
+            vals.append(v)
             continue
         k = e.kind
         if k == "var":
@@ -757,15 +805,17 @@ def eval_expr(expr, cur, nxt=None, defines=None):
             vals.append(True)
         elif k == "false":
             vals.append(False)
+        elif id(e) in memo:
+            vals.append(memo[id(e)])
         elif k == "!":
-            todo.append(("!", None))
+            todo.append(("!", None, e))
             todo.append(e.args[0])
         elif k == "<->":
-            todo.append(("<->", None))
+            todo.append(("<->", None, e))
             todo.append(e.args[1])
             todo.append(e.args[0])
         elif k in ("&", "|", "->"):
-            todo.append((k, e.args[1]))
+            todo.append((k, e.args[1], e))
             todo.append(e.args[0])
         else:
             raise ModelError(f"unknown expression kind {k!r}")
@@ -775,62 +825,74 @@ def eval_expr(expr, cur, nxt=None, defines=None):
 def eval_expr_np(expr, cur, nxt=None, defines=None):
     """Vectorised evaluation; ``cur``/``nxt`` map names to bool ndarrays.
 
-    Each define is evaluated once per call.  The walk is post-order over an
-    explicit stack: operands are pushed, then the operator that consumes
-    them, so long TRANS chains do not hit the recursion limit and every
-    intermediate array is freed as soon as its operator has used it.
+    Two passes over the distinct nodes of ``expr``, with defines expanded
+    (a name in ``cur`` shadows a define): the first lists them operands
+    first, on an explicit stack, and counts the reads of each; the second
+    evaluates each node once, in that order, and drops a node's array when
+    its last reader has read it.  So a node shared in a DAG costs one
+    array operation, each define is evaluated once per call, long TRANS
+    chains do not hit the recursion limit, and no intermediate array is
+    kept longer than a reader needs it.
     """
     define_map = defines or {}
     if not isinstance(define_map, dict):
         define_map = dict(define_map)
-    cache = {}
-    todo = [expr]  # nodes, operator kinds (str), and (define name,) markers
-    vals = []
-    while todo:
-        e = todo.pop()
-        if e.__class__ is str:  # the operands' values are on top of vals
-            b = vals.pop()
-            if e == "!":
-                vals.append(~b)
-                continue
-            a = vals.pop()
-            if e == "&":
-                vals.append(a & b)
-            elif e == "|":
-                vals.append(a | b)
-            elif e == "->":
-                vals.append(~a | b)
+    operands = {}  # id(node) -> its operands, once they are stacked; a define's name reads its body
+    reads = {}  # id(node) -> how many operands of distinct nodes it is
+    order = []  # (node, its operands) per distinct node, operands first
+    done = set()  # ids of the nodes in order
+    stack = [expr]
+    while stack:  # every node stays alive in expr or define_map, so no id is reused
+        e = stack[-1]
+        args = operands.get(id(e))
+        if args is None:
+            if e.kind == "var" and e.name not in cur:
+                if e.name not in define_map:
+                    raise ModelError(f"unknown name {e.name!r}")
+                args = (define_map[e.name],)
+            elif e.kind == "next" and nxt is None:
+                raise ModelError("next() evaluated without a next state")
             else:
-                vals.append(~(a ^ b))
+                args = e.args
+            operands[id(e)] = args
+            for a in args:
+                reads[id(a)] = reads.get(id(a), 0) + 1
+            stack.extend(a for a in reversed(args) if id(a) not in operands)
             continue
-        if e.__class__ is tuple:  # a define's body has just been evaluated
-            cache[e[0]] = vals[-1]
-            continue
+        stack.pop()
+        if id(e) not in done:
+            done.add(id(e))
+            order.append((e, args))
+    vals = {}  # id(node) -> its array, until its last reader has read it
+    for e, args in order:
+        xs = [vals[id(a)] for a in args]
+        for a in args:
+            reads[id(a)] -= 1
+            if not reads[id(a)]:
+                del vals[id(a)]
         k = e.kind
         if k == "var":
-            if e.name in cur:
-                vals.append(cur[e.name])
-            elif e.name in cache:
-                vals.append(cache[e.name])
-            elif e.name in define_map:
-                todo.append((e.name,))
-                todo.append(define_map[e.name])
-            else:
-                raise ModelError(f"unknown name {e.name!r}")
+            v = xs[0] if xs else cur[e.name]
         elif k == "next":
-            if nxt is None:
-                raise ModelError("next() evaluated without a next state")
-            vals.append(nxt[e.name])
+            v = nxt[e.name]
         elif k == "true":
-            vals.append(np.True_)
+            v = np.True_
         elif k == "false":
-            vals.append(np.False_)
-        elif k in ("!", "&", "|", "->", "<->"):
-            todo.append(k)
-            todo.extend(reversed(e.args))
+            v = np.False_
+        elif k == "!":
+            v = ~xs[0]
+        elif k == "&":
+            v = xs[0] & xs[1]
+        elif k == "|":
+            v = xs[0] | xs[1]
+        elif k == "->":
+            v = ~xs[0] | xs[1]
+        elif k == "<->":
+            v = ~(xs[0] ^ xs[1])
         else:
             raise ModelError(f"unknown expression kind {k!r}")
-    return vals[0]
+        vals[id(e)] = v
+    return vals[id(expr)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from pltlbmc.l2s import (
     check_l2s_reachability,
     l2s_transform,
 )
+from pltlbmc.check import WitnessFound, run_bmc
 from pltlbmc.oracle import fair_lasso_search
 
 from _fixtures import FIXTURES
@@ -197,3 +199,34 @@ class TestTotality:
         m = parse_model("VAR a\nINIT !a\nTRANS !a\n")
         r = check_l2s_reachability(l2s_transform(m))
         assert isinstance(r, Reachable) and r.depth == 1
+
+
+def nested_fairness(n):
+    """A FAIRNESS define d_{n-1} in which d_i names d_{i-1} twice:
+    ``l2s_transform`` inlines it through ``shift``, which shares each d_i,
+    so its transition relation is a DAG of 2^n paths."""
+    lines = ["VAR a b", "TRANS next(a) <-> !a", "DEFINE d0 := a"]
+    lines += [f"DEFINE d{i} := d{i - 1} <-> (b | d{i - 1})" for i in range(1, n)]
+    return parse_model("\n".join(lines + [f"FAIRNESS d{n - 1}"]) + "\n")
+
+
+class TestNestedFairnessDefines:
+    """Each shared node of the shifted fairness is evaluated once."""
+
+    def test_witness_validation(self):
+        t = l2s_transform(nested_fairness(24))
+        start = time.perf_counter()
+        v = run_bmc(t.model, "G !LoopClosed")
+        elapsed = time.perf_counter() - start
+        assert isinstance(v, WitnessFound)
+        assert elapsed < 0.5
+
+    def test_the_search_and_the_expansion(self):
+        t = l2s_transform(nested_fairness(18))
+        start = time.perf_counter()
+        r = check_l2s_reachability(t)
+        em = explicit_expand(t.model)
+        elapsed = time.perf_counter() - start
+        assert isinstance(r, Reachable) and r.depth == 2
+        assert em.nstates == 128 and len(em.initial) == 16
+        assert elapsed < 0.5

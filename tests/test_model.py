@@ -1,5 +1,8 @@
+import dataclasses
+import gc
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -10,10 +13,14 @@ from pltlbmc.model import (
     BoolExpr,
     ModelError,
     TotalityError,
+    _names,
     band,
     band_all,
+    biff,
+    bimp,
     bnext,
     bnot,
+    bor,
     bvar,
     compile_expr,
     eval_expr,
@@ -32,7 +39,7 @@ from pltlbmc.encode import TimedVarMap, _expr_lit, unroll_model
 from pltlbmc.sat import SAT, Solver
 
 from _fixtures import FIXTURES
-from _grid import random_symbolic_model
+from _grid import minterm, random_symbolic_model
 
 COUNTER = (FIXTURES / "counter.mod").read_text()
 
@@ -531,3 +538,174 @@ class TestSerialization:
         e = parse_expr("a & b | c")
         assert e.kind == "|"
         assert e.args[0].kind == "&"
+
+
+def distinct_nodes(*roots):
+    """The distinct nodes under ``roots``, by id."""
+    seen, stack = {}, list(roots)
+    while stack:
+        e = stack.pop()
+        if id(e) not in seen:
+            seen[id(e)] = e
+            stack.extend(e.args)
+    return seen
+
+
+def model_nodes(m):
+    return distinct_nodes(m.init, m.trans, *m.fairness, *(e for _, e in m.defines))
+
+
+def unshared(e):
+    """A copy of ``e`` in which no node has two parents."""
+    return BoolExpr(e.kind, e.name, tuple(map(unshared, e.args)))
+
+
+SHARED = """VAR a b c
+DEFINE d := a & !b
+DEFINE e := d | (a & !b) | c
+INIT !a & !b | d
+TRANS d -> next(a) & !next(b)
+TRANS (a & !b) -> (next(c) <-> c)
+TRANS !d -> (next(a) <-> (a & !b))
+FAIRNESS e & (a & !b)
+FAIRNESS !d
+"""
+
+
+def minterm_text(rng, bits=3):
+    """A model in the style of the benchmark's: minterm TRANS lines that
+    repeat each minterm many times."""
+    lines = ["VAR " + " ".join(f"v{j}" for j in range(bits)), f"INIT {minterm(bits, 0)}"]
+    for s in range(1 << bits):
+        succ = rng.sample(range(1 << bits), 2)
+        succ_text = " | ".join(f"({minterm(bits, t, True)})" for t in succ)
+        lines.append(f"TRANS ({minterm(bits, s)}) -> {succ_text}")
+    lines.append(f"DEFINE f := ({minterm(bits, 1)}) | ({minterm(bits, 2)})")
+    lines.append(f"FAIRNESS f | ({minterm(bits, 3)})")
+    return "\n".join(lines) + "\n"
+
+
+def parsed_line_by_line(text):
+    """The model of ``text`` with each expression parsed by a ``parse_expr``
+    call of its own, and the TRANS lines conjoined by ``band_all``."""
+    m = parse_model(text)
+    exprs = {"INIT": [], "TRANS": [], "FAIRNESS": [], "DEFINE": []}
+    for line in text.splitlines():
+        head, rest = line.split(None, 1)
+        if head == "DEFINE":
+            name, body = rest.split(":=")
+            exprs[head].append((name.strip(), parse_expr(body)))
+        elif head in exprs:
+            exprs[head].append(parse_expr(rest, allow_next=head == "TRANS"))
+    return m, dataclasses.replace(
+        m,
+        init=exprs["INIT"][0],
+        trans=band_all(exprs["TRANS"]),
+        defines=tuple(exprs["DEFINE"]),
+        fairness=tuple(exprs["FAIRNESS"]),
+    )
+
+
+class TestHashConsing:
+    def test_equal_subterms_of_one_model_are_one_node(self):
+        m = parse_model(SHARED)
+        body = m.define_map["d"]
+        first, second, third = m.trans.args[0].args[0], m.trans.args[0].args[1], m.trans.args[1]
+        # a & !b: the body of d, a subterm of two TRANS lines, a FAIRNESS line and the body of e
+        assert second.args[0] is body and third.args[1].args[1] is body
+        assert m.fairness[0].args[1] is body and m.define_map["e"].args[0].args[1] is body
+        assert m.init.args[0].args[1] is body.args[1]  # !b
+        # one leaf per name, and the define names d are one node
+        leaves = [n for n in model_nodes(m).values() if not n.args]
+        assert sorted(n.kind + (n.name or "") for n in leaves) == sorted(
+            ["vara", "varb", "varc", "vard", "vare", "nexta", "nextb", "nextc"]
+        )
+        assert first.args[0] is third.args[0].args[0] and first.args[0] is m.fairness[1].args[0]
+
+    def test_the_conjunction_of_the_trans_lines_shares_with_the_lines(self):
+        m = parse_model("VAR a\nTRANS a | next(a)\nTRANS a | next(a)\nTRANS (a | next(a)) & (a | next(a))\n")
+        left, right = m.trans.args
+        assert left is right and left.args[0] is left.args[1]
+        init = parse_model("VAR a\nINIT true & !true\n").init
+        assert init.args[0] is init.args[1].args[0]
+
+    def test_parse_expr_shares_within_its_call_only(self):
+        e, f = parse_expr("(a -> b) & !(a -> b)"), parse_expr("(a -> b) & !(a -> b)")
+        assert e.args[0] is e.args[1].args[0]
+        assert e == f and not set(distinct_nodes(e)) & set(distinct_nodes(f))
+
+    def test_two_models_share_no_node_and_a_dropped_model_is_freed(self):
+        m, same = parse_model(SHARED), parse_model(SHARED)
+        assert model_to_text(m) == model_to_text(same)
+        assert not set(model_nodes(m)) & set(model_nodes(same))
+        ref = weakref.ref(m.define_map["d"])
+        assert m.trans_program
+        del m
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shared_nodes_lower_and_print_as_lines_parsed_one_by_one(self, seed):
+        text = SHARED if seed == 0 else minterm_text(random.Random(seed))
+        m, lines = parsed_line_by_line(text)
+        assert len(model_nodes(m)) < len(model_nodes(lines))
+        assert m.init_program == lines.init_program and m.trans_program == lines.trans_program
+        assert m.fairness_programs == lines.fairness_programs
+        assert all(m.define_program(n) == lines.define_program(n) for n, _ in m.defines)
+        assert model_to_text(m) == model_to_text(lines)
+
+
+def random_dag(rng, size=40):
+    """``size`` nodes over a, b, c, next(a), next(b) and the define names
+    d0 and d1, each operator reading earlier nodes at random, so that nodes
+    are shared at several depths; with the defines, bodies from the DAG."""
+    nodes = [bvar("a"), bvar("b"), bvar("c"), bnext("a"), bnext("b"), BTRUE]
+    defines = {}
+    for n in range(size):
+        if n in (size // 3, size // 2):
+            name = f"d{len(defines)}"
+            defines[name] = rng.choice(nodes[6:])
+            nodes.append(bvar(name))
+            continue
+        k = rng.choice(["!", "&", "|", "->", "<->"])
+        pick = lambda: nodes[-1 - min(int(rng.expovariate(0.3)), len(nodes) - 1)]
+        nodes.append(BoolExpr(k, args=(pick(),) if k == "!" else (pick(), pick())))
+    return nodes[6:], defines
+
+
+class TestEvaluationOnDags:
+    def test_a_shared_node_at_several_depths_and_a_define_read_twice(self):
+        s = band(bvar("a"), bnot(bnext("b")))
+        defines = {"d": bor(s, bvar("c"))}
+        d = bvar("d")
+        e = bor(biff(bimp(s, d), band(d, bor(s, bnot(s)))), band(bnext("a"), d))
+        self._agree(e, defines)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_dags_evaluate_alike(self, seed):
+        nodes, defines = random_dag(random.Random(seed))
+        self._agree(nodes[-1], defines)
+
+    def test_a_deep_dag_evaluates_in_linear_time(self):
+        e = bvar("a")
+        for _ in range(60):
+            e = biff(e, bor(bvar("b"), e))
+        self._agree(e, {})
+
+    @staticmethod
+    def _agree(e, defines):
+        idx = np.arange(32)
+        cur = {v: ((idx >> j) & 1).astype(bool) for j, v in enumerate("abc")}
+        nxt = {v: ((idx >> (j + 3)) & 1).astype(bool) for j, v in enumerate("ab")}
+        got = np.broadcast_to(eval_expr_np(e, cur, nxt, defines), (32,)).tolist()
+        for s in range(32):
+            c = {v: bool(cur[v][s]) for v in "abc"}
+            n = {v: bool(nxt[v][s]) for v in "ab"}
+            assert got[s] == eval_expr(e, c, n, defines)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_names_of_a_dag_are_those_of_the_equal_tree(self, seed):
+        e = band_all(random_dag(random.Random(seed), size=16)[0])
+        tree = unshared(e)
+        assert tree == e and len(distinct_nodes(tree)) > len(distinct_nodes(e))
+        assert _names(e) == _names(tree)
