@@ -981,14 +981,15 @@ def explicit_expand(m: SymbolicModel, max_bits=16, require_total=True) -> Explic
     idx = np.arange(nstates, dtype=np.int64)
     cur = valuations(m.vars, idx)
 
-    init_mask = np.broadcast_to(eval_expr_np(m.init, cur, None, define_map), (nstates,))
+    # each define once, after the defines it reads: their masks shadow their bodies
     label_masks = dict(cur)
-    for name, expr in m.defines:
-        label_masks[name] = np.broadcast_to(eval_expr_np(expr, cur, None, define_map), (nstates,))
+    for name in m.define_order:
+        label_masks[name] = np.broadcast_to(eval_expr_np(define_map[name], label_masks, None, define_map), (nstates,))
+    init_mask = np.broadcast_to(eval_expr_np(m.init, label_masks, None, define_map), (nstates,))
 
     fair_sets = []
     for expr in m.fairness:
-        mask = np.broadcast_to(eval_expr_np(expr, cur, None, define_map), (nstates,))
+        mask = np.broadcast_to(eval_expr_np(expr, label_masks, None, define_map), (nstates,))
         fair_sets.append(frozenset(int(s) for s in np.nonzero(mask)[0]))
 
     succ = successors(m, idx, require_total)

@@ -2,11 +2,15 @@
 explicit fair-lasso search.
 
 Everything here is deliberately independent of the SAT encodings it is used
-to validate.  The loop-case evaluator physically unrolls the lasso far enough
-for all subformula values to stabilise (one extra copy of the loop per level
-of past-operator nesting) and computes future operators by a fixpoint sweep
-over the final loop copy; a second evaluator recomputes the same values by
-direct quantifier scans and both are cross-checked in the tests.
+to validate.  One row evaluator, ``path_rows``, serves both cases of the
+bounded semantics: it computes the truth row of every subformula over a list
+of label sets and a loop index, with one recurrence per operator.  A lasso
+is physically unrolled far enough for all subformula values to stabilise
+(one extra copy of the loop per level of past-operator nesting) and its
+future operators take exact values on the final loop copy; a loop-free path
+ends where X is false and until must already be fulfilled.  A second
+evaluator, ``eval_lasso_scan``, recomputes the lasso values by direct
+quantifier scans and both are cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .pltl import Formula, closure, memoised, past_depth
+from .pltl import Formula, closure, past_depth
 from .model import ExplicitModel, reachable_states
 
 
@@ -92,31 +96,27 @@ def _check_atom(word_names, name):
 
 
 # ---------------------------------------------------------------------------
-# Exact lasso evaluation (recurrences + loop fixpoint)
+# Row evaluation: finite paths and lassos
 # ---------------------------------------------------------------------------
 
 
-def eval_lasso(word: LassoWord, f: Formula, pos: int, names=None) -> bool:
-    """Exact PLTL truth of ``f`` on the infinite word at position ``pos``."""
-    p = word.period
-    stem = len(word.prefix)
-    rows = lasso_rows(word, f, names)
-    n = stem + (past_depth(f) + 1) * p
-    while pos >= n:
-        pos -= p
-    return rows[f.fid][pos]
+def path_rows(labels, loop, f: Formula, names=None) -> dict:
+    """Truth row of every closure member of ``f`` over a path of label sets.
 
-
-def lasso_rows(word: LassoWord, f: Formula, names=None) -> dict:
-    """Truth arrays per subformula over the unrolled positions.
-
-    The word is unrolled to ``|prefix| + (depth(f)+1) * period`` positions,
-    which is far enough for every subformula value to become periodic; the
-    final loop copy wraps onto itself for future operators.
+    ``loop`` is the position that follows the last one, as in
+    ``BoundedPath.loop``, or None for a loop-free path.  A loop-free row
+    covers the path's positions: at the last one X is false, until needs
+    its right operand and release both operands.  A lasso is unrolled to
+    ``loop + (depth(f)+1) * period`` positions, far enough for every value
+    to become periodic, and the final loop copy wraps onto itself.  The
+    backward sweep of U and R from there is the same in both cases.
     """
-    p = word.period
-    stem = len(word.prefix)
-    n = stem + (past_depth(f) + 1) * p
+    if loop is not None and not (0 <= loop < len(labels)):
+        raise OracleError(f"loop {loop} outside 0..{len(labels) - 1}")
+    p = 0 if loop is None else len(labels) - loop  # period; 0 without a loop
+    n = len(labels) if loop is None else loop + (past_depth(f) + 1) * p
+    at = [labels[t] if t < len(labels) else labels[loop + (t - loop) % p] for t in range(n)]
+    tail = n - max(p, 1)  # start of the final loop copy; the last position without a loop
     rows = {}
     for g in closure(f):
         k = g.kind
@@ -126,10 +126,10 @@ def lasso_rows(word: LassoWord, f: Formula, names=None) -> dict:
             row = [False] * n
         elif k == "atom":
             _check_atom(names, g.name)
-            row = [g.name in word.at(t) for t in range(n)]
+            row = [g.name in s for s in at]
         elif k == "natom":
             _check_atom(names, g.name)
-            row = [g.name not in word.at(t) for t in range(n)]
+            row = [g.name not in s for s in at]
         elif k == "&":
             a, b = rows[g.left.fid], rows[g.right.fid]
             row = [a[t] and b[t] for t in range(n)]
@@ -154,15 +154,17 @@ def lasso_rows(word: LassoWord, f: Formula, names=None) -> dict:
                 row.append(b[t] and (a[t] or row[t - 1]))
         elif k == "X":
             a = rows[g.left.fid]
-            row = a[1:] + [a[n - p]]
+            row = a[1:] + [p > 0 and a[n - p]]
         elif k in ("U", "R"):
             a, b = rows[g.left.fid], rows[g.right.fid]
             row = [None] * n
-            # exact values on the final loop copy (cyclic scan)
-            for c in range(n - p, n):
-                row[c] = _cycle_until(a, b, c, n, p, g.kind)
-            for t in range(n - p - 1, -1, -1):
-                if g.kind == "U":
+            if p:  # exact values on the final loop copy (cyclic scan)
+                for c in range(tail, n):
+                    row[c] = _cycle_until(a, b, c, n, p, k)
+            else:
+                row[tail] = b[tail] and (k == "U" or a[tail])
+            for t in range(tail - 1, -1, -1):
+                if k == "U":
                     row[t] = b[t] or (a[t] and row[t + 1])
                 else:
                     row[t] = b[t] and (a[t] or row[t + 1])
@@ -170,6 +172,14 @@ def lasso_rows(word: LassoWord, f: Formula, names=None) -> dict:
             raise OracleError(f"unknown kind {k!r}")
         rows[g.fid] = row
     return rows
+
+
+def eval_lasso(word: LassoWord, f: Formula, pos: int, names=None) -> bool:
+    """Exact PLTL truth of ``f`` on the infinite word at position ``pos``."""
+    row = path_rows(word.prefix + word.loop, len(word.prefix), f, names)[f.fid]
+    while pos >= len(row):
+        pos -= word.period
+    return row[pos]
 
 
 def _cycle_until(a, b, c, n, p, kind):
@@ -305,55 +315,8 @@ def eval_bounded(path: BoundedPath, f: Formula, i: int) -> bool:
     k = path.k
     if not (0 <= i <= k):
         raise OracleError(f"position {i} outside 0..{k}")
-    if path.loop is not None:
-        return eval_lasso(path.word(), f, i, names=path.em.names())
     labels = [path.em.labels[s] for s in path.states]
-    names = path.em.names()
-
-    def rule(key):
-        g, t = key
-        kk = g.kind
-        if kk == "true":
-            return True
-        if kk == "false":
-            return False
-        if kk == "atom":
-            _check_atom(names, g.name)
-            return g.name in labels[t]
-        if kk == "natom":
-            _check_atom(names, g.name)
-            return g.name not in labels[t]
-        if kk == "&":
-            return (yield g.left, t) and (yield g.right, t)
-        if kk == "|":
-            return (yield g.left, t) or (yield g.right, t)
-        if kk == "X":
-            return t < k and (yield g.left, t + 1)
-        if kk == "U":
-            for j in range(t, k + 1):
-                if (yield g.right, j):
-                    return True
-                if not (yield g.left, j):
-                    return False
-            return False
-        if kk == "R":
-            for j in range(t, k + 1):
-                if not (yield g.right, j):
-                    return False
-                if (yield g.left, j):
-                    return True
-            return False
-        if kk == "Y":
-            return t > 0 and (yield g.left, t - 1)
-        if kk == "Z":
-            return t == 0 or (yield g.left, t - 1)
-        if kk == "S":
-            return (yield g.right, t) or (t > 0 and (yield g.left, t) and (yield g, t - 1))
-        if kk == "T":
-            return (yield g.right, t) and (t == 0 or (yield g.left, t) or (yield g, t - 1))
-        raise OracleError(f"unknown kind {kk!r}")
-
-    return memoised(rule, (f, i))
+    return path_rows(labels, path.loop, f, path.em.names())[f.fid][i]
 
 
 @dataclass
@@ -374,20 +337,16 @@ def exists_witness_bounded(em: ExplicitModel, f: Formula, k: int, budget: Budget
         raise BudgetExceeded(f"{len(em.var_names)} bits exceeds oracle budget {budget.max_bits}")
     if k > budget.max_k:
         raise BudgetExceeded(f"k={k} exceeds oracle budget {budget.max_k}")
+    names = em.names()
     count = 0
     for path in _paths(em, k):
         count += 1
         if count > budget.max_paths:
             raise BudgetExceeded(f"more than {budget.max_paths} paths")
-        bp = BoundedPath(em, path, None)
-        if eval_bounded(bp, f, 0):
+        labels = [em.labels[s] for s in path]
+        loops = [None] + [l for l in range(1, k + 1) if path[l - 1] == path[k]]
+        if any(path_rows(labels, l, f, names)[f.fid][0] for l in loops):
             return True
-        last = path[k]
-        for l in range(1, k + 1):
-            if path[l - 1] == last:
-                bp = BoundedPath(em, path, l)
-                if eval_bounded(bp, f, 0):
-                    return True
     return False
 
 

@@ -53,9 +53,9 @@ def random_symbolic_model(rng: random.Random, bits=3, fair_sets=0, n_inputs=0):
     return parse_model("\n".join(lines))
 
 
-def random_pnf_formula(rng: random.Random, atoms, max_cl=8, max_delta=3, allow_past=True):
+def random_pnf_formula(rng: random.Random, atoms, max_cl=8, max_delta=3, allow_past=True, allow_future=True):
     """Random PNF formula with bounded closure size and past depth."""
-    future = ["X", "U", "R"]
+    future = ["X", "U", "R"] if allow_future else []
     past = ["Y", "Z", "S", "T"] if allow_past else []
     for _ in range(200):
         f = _rand_formula(rng, atoms, rng.randint(1, 4), future + past)

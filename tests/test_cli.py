@@ -3,6 +3,7 @@ import os
 import random
 import sys
 import tempfile
+import time
 
 import pytest
 
@@ -290,6 +291,13 @@ class TestOracle:
         code, out, _ = run(capsys, ["oracle", COUNTER, "--spec", "G !p7", "--max-k", "5"])
         assert code == 2 and out.startswith("VERDICT UNKNOWN max_k=5")
 
+    def test_an_undeclared_atom_is_an_error(self, capsys):
+        """Also where the left operand of ``|`` already decides the value
+        at the last position of a loop-free path."""
+        code, out, err = run(capsys, ["oracle", COUNTER, "--spec", "!(x0 | nosuch)"])
+        assert code == 3 and "error: atom 'nosuch' is not a label of the model" in err
+        assert "VERDICT" not in out
+
     def test_a_model_with_thousands_of_trans_lines(self, capsys, tmp_path):
         """The oracle's expansion evaluates the chain without recursion and
         agrees with ``check``."""
@@ -411,6 +419,16 @@ class TestDeepExpressions:
             assert code == 1, err
             outs.append(out)
         assert outs[0] == outs[1] and outs[0].startswith("VERDICT WITNESS k=4")
+
+    def test_oracle_on_a_deep_define_chain(self, capsys, tmp_path):
+        # the expansion labels each define once, so the chain costs linear time
+        path = tmp_path / "chain.mod"
+        path.write_text(chain_model(CHAIN_DEFINES))
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["oracle", str(path), "--spec", "G X !d1499"])
+        assert time.perf_counter() - start < 2.0
+        assert code == 1, err
+        assert out.startswith("VERDICT WITNESS k=1")
 
     def test_a_define_chain_written_in_reverse_order(self, capsys, tmp_path):
         m = self.l2s_output(capsys, tmp_path, chain_model(CHAIN_DEFINES[::-1]))

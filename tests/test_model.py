@@ -34,6 +34,7 @@ from pltlbmc.model import (
     parse_model,
     reachable_states,
     successors,
+    valuations,
 )
 from pltlbmc.encode import TimedVarMap, _expr_lit, unroll_model
 from pltlbmc.sat import SAT, Solver
@@ -200,6 +201,27 @@ class TestExpansion:
         em = explicit_expand(parse_model(COUNTER))
         assert "x0" in em.labels[0]
         assert "x4" in em.labels[4] and "b2" in em.labels[4]
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    def test_a_define_chain_labels_as_each_define_evaluated_alone(self, reverse):
+        """Labels, initial states and fair sets read a 40-deep define chain
+        as evaluating each define on its own does, whichever order the
+        chain is declared in."""
+        defines = ["DEFINE d0 := a & !c"] + [f"DEFINE d{i} := d{i - 1} <-> {'abc'[i % 3]}" for i in range(1, 40)]
+        if reverse:
+            defines.reverse()
+        m = parse_model("\n".join(["VAR a b c", "INIT d39 | c", "TRANS true"] + defines + ["FAIRNESS d20"]) + "\n")
+        em = explicit_expand(m)
+        cur = valuations(m.vars, np.arange(em.nstates))
+
+        def states(expr):
+            return np.nonzero(np.broadcast_to(eval_expr_np(expr, cur, None, m.define_map), (em.nstates,)))[0].tolist()
+
+        for name, expr in m.defines:
+            assert [s for s in range(em.nstates) if name in em.labels[s]] == states(expr), name
+        assert len({frozenset(states(expr)) for _, expr in m.defines}) > 2
+        assert list(em.initial) == states(m.init)
+        assert em.fair_sets == (frozenset(states(m.fairness[0])),)
 
     def test_fair_sets(self):
         m = parse_model("VAR a\nINIT true\nTRANS true\nFAIRNESS a\n")

@@ -17,6 +17,7 @@ from pltlbmc.oracle import (
     fair_lasso_search,
     make_lasso,
     minimal_witness_k,
+    path_rows,
 )
 
 from _fixtures import FIXTURES
@@ -72,6 +73,9 @@ class TestExactLassoEvaluation:
     def test_unknown_atom_rejected(self, counter_loop):
         with pytest.raises(OracleError, match="atom"):
             eval_bounded(counter_loop, pnf("nosuch"), 0)
+        # without a loop, where x0 already decides the disjunction
+        with pytest.raises(OracleError, match="atom"):
+            eval_bounded(BoundedPath(counter_loop.em, [0], None), pnf("x0 | nosuch"), 0)
 
     def test_two_evaluators_agree(self):
         rng = random.Random(41)
@@ -112,6 +116,48 @@ class TestBoundedSemantics:
     def test_loop_case_equals_exact_semantics(self, counter_loop):
         f = pnf("G F x4")
         assert eval_bounded(counter_loop, f, 0) is True
+
+
+def random_labels(rng, atoms, n):
+    return [frozenset(a for a in atoms if rng.random() < 0.5) for _ in range(n)]
+
+
+def words_extending(rng, labels, atoms):
+    """Lasso words whose first positions carry ``labels``: the path's own
+    lasso for every loop start, and the path followed by a random lasso."""
+    words = [make_lasso(labels[:l], labels[l:]) for l in range(len(labels))]
+    tail = random_lasso_word(rng, atoms, max_total=4)
+    return words + [make_lasso(labels + list(tail.prefix), tail.loop)]
+
+
+class TestLoopFreeSemantics:
+    """The loop-free rows of ``path_rows`` against the lasso semantics of
+    ``eval_lasso``, which ``eval_lasso_scan`` cross-checks."""
+
+    ATOMS = ["p", "q", "r"]
+
+    def test_a_value_that_holds_holds_on_every_extension(self):
+        rng = random.Random(53)
+        held = 0
+        for _ in range(300):
+            f = random_pnf_formula(rng, self.ATOMS, max_cl=8, max_delta=2)
+            labels = random_labels(rng, self.ATOMS, rng.randint(1, 5))
+            row = path_rows(labels, None, f, set(self.ATOMS))[f.fid]
+            for w in words_extending(rng, labels, self.ATOMS):
+                for i, value in enumerate(row):
+                    if value:
+                        held += 1
+                        assert eval_lasso(w, f, i), (f, labels, w, i)
+        assert held > 300
+
+    def test_past_formulas_read_only_the_prefix(self):
+        rng = random.Random(59)
+        for _ in range(300):
+            f = random_pnf_formula(rng, self.ATOMS, max_cl=8, max_delta=3, allow_future=False)
+            labels = random_labels(rng, self.ATOMS, rng.randint(1, 5))
+            row = path_rows(labels, None, f)[f.fid]
+            for w in words_extending(rng, labels, self.ATOMS):
+                assert row == [eval_lasso(w, f, i) for i in range(len(labels))], (f, labels, w)
 
 
 class TestWitnessSearch:

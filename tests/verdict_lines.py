@@ -10,10 +10,19 @@ off, ``d_max`` None, 0 and 1, increments 1 and 2, and ``--complete`` on the
 ``pltl`` and ``eventuality`` sessions; 144 runs per model.  Each run prints
 one line: the model's index, the formula, the scheme, the driver option,
 ``d_max``, the increment, the completeness flag, then the verdict line, or
-the class name of the exception the run raised.  Two versions agree when
-their outputs are equal:
+the class name of the exception the run raised.  After the runs of a
+(model, formula) pair, one more line has ``oracle`` in the scheme column
+and ``-`` in the option columns, then the verdict line of
+``oracle.minimal_witness_k`` at ``MAX_K``: the smallest bound with a
+bounded witness on any path, which reads no FAIRNESS line.  Two versions
+agree when their outputs are equal:
 
     diff <(python old/tests/verdict_lines.py 100) <(python tests/verdict_lines.py 100)
+
+With the ``oracle`` lines removed, the output equals that of a version
+from before they were added:
+
+    python tests/verdict_lines.py 100 | grep -vP '\\toracle\\t'
 
 The script imports the package from the ``src`` directory beside its own
 ``tests`` directory, so a copy of the script in another checkout runs that
@@ -27,6 +36,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from pltlbmc.check import SCHEMES, RunOptions, run_bmc, verdict_line
+from pltlbmc.model import explicit_expand
+from pltlbmc.oracle import minimal_witness_k
 
 from _grid import random_pnf_formula, random_symbolic_model
 
@@ -72,6 +83,15 @@ def runs(n, seed):
                 driver = "incremental" if incremental else "monolithic"
                 complete_flag = "--complete" if complete else "-"
                 yield f"m{index}\t{psi}\t{scheme}\t{driver}\td_max={d_max}\tinc={increment}\t{complete_flag}\t{outcome}"
+            yield f"m{index}\t{psi}\toracle\t-\t-\t-\t-\t{oracle_outcome(m, psi)}"
+
+
+def oracle_outcome(m, psi):
+    try:
+        k = minimal_witness_k(explicit_expand(m), psi, MAX_K)
+    except Exception as exc:
+        return type(exc).__name__
+    return f"VERDICT UNKNOWN max_k={MAX_K}" if k is None else f"VERDICT WITNESS k={k}"
 
 
 def main(argv):
