@@ -984,7 +984,8 @@ def explicit_expand(m: SymbolicModel, max_bits=16, require_total=True) -> Explic
     # each define once, after the defines it reads: their masks shadow their bodies
     label_masks = dict(cur)
     for name in m.define_order:
-        label_masks[name] = np.broadcast_to(eval_expr_np(define_map[name], label_masks, None, define_map), (nstates,))
+        mask = eval_expr_np(define_map[name], label_masks, None, define_map)
+        label_masks[name] = np.broadcast_to(mask, (nstates,))
     init_mask = np.broadcast_to(eval_expr_np(m.init, label_masks, None, define_map), (nstates,))
 
     fair_sets = []
