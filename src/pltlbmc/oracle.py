@@ -4,13 +4,12 @@ explicit fair-lasso search.
 Everything here is deliberately independent of the SAT encodings it is used
 to validate.  One row evaluator, ``path_rows``, serves both cases of the
 bounded semantics: it computes the truth row of every subformula over a list
-of label sets and a loop index, with one recurrence per operator.  A lasso
-is physically unrolled far enough for all subformula values to stabilise
-(one extra copy of the loop per level of past-operator nesting) and its
-future operators take exact values on the final loop copy; a loop-free path
-ends where X is false and until must already be fulfilled.  A second
-evaluator, ``eval_lasso_scan``, recomputes the lasso values by direct
-quantifier scans and both are cross-checked in the tests.
+of label sets and a loop index, with one recurrence per operator and one per
+duality pair (U/R, S/T), seeded by the fixpoint kind.  A lasso is unrolled
+until all values are periodic, and U and R sweep its final loop copy twice,
+which makes them exact there; a loop-free path ends where X is false and
+until must already be fulfilled.  A second evaluator, ``eval_lasso_scan``,
+recomputes the lasso values by quantifier scans; the tests cross-check both.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ def make_lasso(prefix, loop) -> LassoWord:
 class BoundedPath:
     """A k-step path of an explicit model with an optional loop choice.
 
-    ``loop`` is an index l with 1 <= l <= k and states[l-1] == states[k];
+    ``loop`` is an index l that closes a (k,l)-loop (``_loops_back``);
     None means the path is read as a prefix of arbitrary extensions.
     """
 
@@ -78,16 +77,23 @@ class BoundedPath:
         for a, b in zip(self.states, self.states[1:]):
             if b not in em.succ[a]:
                 raise OracleError("path uses a missing transition")
-        if self.loop is not None:
-            l = self.loop
-            if not (1 <= l <= self.k) or self.states[l - 1] != self.states[self.k]:
-                raise OracleError("invalid loop choice")
+        _check_loop(self)
 
     def word(self) -> LassoWord:
         if self.loop is None:
             raise OracleError("no loop choice")
         labels = [self.em.labels[s] for s in self.states]
         return LassoWord(tuple(labels[: self.loop]), tuple(labels[self.loop : self.k + 1]))
+
+
+def _loops_back(states, l) -> bool:
+    """The (k,l)-loop rule: 1 <= l <= k and states[l-1] == states[k]."""
+    return 1 <= l < len(states) and states[l - 1] == states[-1]
+
+
+def _check_loop(path: BoundedPath):
+    if path.loop is not None and not _loops_back(path.states, path.loop):
+        raise OracleError("invalid loop choice")
 
 
 def _check_atom(word_names, name):
@@ -104,12 +110,15 @@ def path_rows(labels, loop, f: Formula, names=None) -> dict:
     """Truth row of every closure member of ``f`` over a path of label sets.
 
     ``loop`` is the position that follows the last one, as in
-    ``BoundedPath.loop``, or None for a loop-free path.  A loop-free row
-    covers the path's positions: at the last one X is false, until needs
-    its right operand and release both operands.  A lasso is unrolled to
-    ``loop + (depth(f)+1) * period`` positions, far enough for every value
-    to become periodic, and the final loop copy wraps onto itself.  The
-    backward sweep of U and R from there is the same in both cases.
+    ``BoundedPath.loop``, or None for a loop-free path, at whose end X is
+    false.  A lasso is unrolled to ``loop + (depth(f)+1) * period``
+    positions, far enough for every value to become periodic.  U and S
+    (R and T) are the least (greatest) fixpoints of ``b or (a and later)``
+    (``b and (a or later)``), one seeded sweep per duality pair: S and T
+    forward from the empty past, U and R backward from False past a
+    loop-free end, or from the fixpoint value over a lasso's final loop
+    copy twice, as the first pass sees a whole period from the copy's first
+    position and so leaves it exact.
     """
     if loop is not None and not (0 <= loop < len(labels)):
         raise OracleError(f"loop {loop} outside 0..{len(labels) - 1}")
@@ -136,38 +145,22 @@ def path_rows(labels, loop, f: Formula, names=None) -> dict:
         elif k == "|":
             a, b = rows[g.left.fid], rows[g.right.fid]
             row = [a[t] or b[t] for t in range(n)]
-        elif k == "Y":
-            a = rows[g.left.fid]
-            row = [False] + a[: n - 1]
-        elif k == "Z":
-            a = rows[g.left.fid]
-            row = [True] + a[: n - 1]
-        elif k == "S":
-            a, b = rows[g.left.fid], rows[g.right.fid]
-            row = [b[0]]
-            for t in range(1, n):
-                row.append(b[t] or (a[t] and row[t - 1]))
-        elif k == "T":
-            a, b = rows[g.left.fid], rows[g.right.fid]
-            row = [b[0]]
-            for t in range(1, n):
-                row.append(b[t] and (a[t] or row[t - 1]))
+        elif k in ("Y", "Z"):
+            row = [k == "Z"] + rows[g.left.fid][: n - 1]
         elif k == "X":
             a = rows[g.left.fid]
             row = a[1:] + [p > 0 and a[n - p]]
-        elif k in ("U", "R"):
+        elif k in ("U", "R", "S", "T"):
             a, b = rows[g.left.fid], rows[g.right.fid]
+            least = k in ("U", "S")
+            if k in ("S", "T"):  # forward, seeded with the empty past
+                order, v = range(n), not least
+            else:  # backward; a lasso sweeps its final loop copy twice
+                order = [*range(n - 1, tail - 1, -1)] * (p > 0) + [*range(n - 1, -1, -1)]
+                v = p > 0 and not least  # the fixpoint's value; False past a loop-free end
             row = [None] * n
-            if p:  # exact values on the final loop copy (cyclic scan)
-                for c in range(tail, n):
-                    row[c] = _cycle_until(a, b, c, n, p, k)
-            else:
-                row[tail] = b[tail] and (k == "U" or a[tail])
-            for t in range(tail - 1, -1, -1):
-                if k == "U":
-                    row[t] = b[t] or (a[t] and row[t + 1])
-                else:
-                    row[t] = b[t] and (a[t] or row[t + 1])
+            for t in order:
+                v = row[t] = b[t] or (a[t] and v) if least else b[t] and (a[t] or v)
         else:
             raise OracleError(f"unknown kind {k!r}")
         rows[g.fid] = row
@@ -180,26 +173,6 @@ def eval_lasso(word: LassoWord, f: Formula, pos: int, names=None) -> bool:
     while pos >= len(row):
         pos -= word.period
     return row[pos]
-
-
-def _cycle_until(a, b, c, n, p, kind):
-    """Until/release at cycle position c, where positions n-p..n-1 repeat."""
-    if kind == "U":
-        for j in range(p):
-            t = n - p + (c - (n - p) + j) % p
-            if b[t]:
-                return True
-            if not a[t]:
-                return False
-        return False  # a holds forever but b never does
-    # release
-    for j in range(p):
-        t = n - p + (c - (n - p) + j) % p
-        if not b[t]:
-            return False
-        if a[t]:
-            return True
-    return True  # b holds around the whole loop
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +280,15 @@ def _height(f):
 def eval_bounded(path: BoundedPath, f: Formula, i: int) -> bool:
     """Truth of ``f`` at position ``i`` under the bounded semantics.
 
-    With a loop choice the induced infinite path is evaluated exactly; in the
-    no-loop case the prefix semantics is applied literally (X is false at the
-    end, until must be fulfilled inside the prefix, release needs an actual
-    release point).
+    With a loop choice, which must close a (k,l)-loop, the induced infinite
+    path is evaluated exactly; in the no-loop case the prefix semantics is
+    applied literally (X is false at the end, until must be fulfilled
+    inside the prefix, release needs an actual release point).
     """
     k = path.k
     if not (0 <= i <= k):
         raise OracleError(f"position {i} outside 0..{k}")
+    _check_loop(path)
     labels = [path.em.labels[s] for s in path.states]
     return path_rows(labels, path.loop, f, path.em.names())[f.fid][i]
 
@@ -344,7 +318,7 @@ def exists_witness_bounded(em: ExplicitModel, f: Formula, k: int, budget: Budget
         if count > budget.max_paths:
             raise BudgetExceeded(f"more than {budget.max_paths} paths")
         labels = [em.labels[s] for s in path]
-        loops = [None] + [l for l in range(1, k + 1) if path[l - 1] == path[k]]
+        loops = [None] + [l for l in range(1, k + 1) if _loops_back(path, l)]
         if any(path_rows(labels, l, f, names)[f.fid][0] for l in loops):
             return True
     return False
@@ -421,12 +395,8 @@ def fair_lasso_search(em: ExplicitModel, budget: Budget = None):
             count += 1
             if count > budget.max_paths:
                 raise BudgetExceeded(f"more than {budget.max_paths} paths in fair lasso search")
-            last = path[k]
             for l in range(1, k + 1):
-                if path[l - 1] != last:
-                    continue
-                loop_states = set(path[l : k + 1])
-                if all(loop_states & fs for fs in em.fair_sets):
+                if _loops_back(path, l) and all(set(path[l : k + 1]) & fs for fs in em.fair_sets):
                     return (k, l, path)
     raise OracleError("fair lasso exists but was not found within the length bound")
 

@@ -317,19 +317,14 @@ def _pnf(f, neg):
 
 def embed(f: Formula) -> SurfaceFormula:
     """Inject a PNF formula back into the surface representation."""
-    return memoised(_embed_rule, f)
-
-
-def _embed_rule(f):
-    """``embed`` of ``f`` as a :func:`memoised` rule: it asks for the
-    operands' surface forms and builds the node over them."""
-    operands = []
-    for g in (f.left, f.right):
-        if g is not None:
-            operands.append((yield g))
-    if f.kind == "natom":
-        return s_not(s_atom(f.name))
-    return SurfaceFormula(f.kind, f.name, *operands)
+    out = {}  # fid -> surface node
+    for g in closure(f):  # operands before their nodes
+        if g.kind == "natom":
+            out[g.fid] = s_not(s_atom(g.name))
+        else:
+            operands = [out[c.fid] for c in (g.left, g.right) if c is not None]
+            out[g.fid] = SurfaceFormula(g.kind, g.name, *operands)
+    return out[f.fid]
 
 
 def past_depth(f: Formula) -> int:

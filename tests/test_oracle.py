@@ -113,6 +113,13 @@ class TestBoundedSemantics:
         with pytest.raises(OracleError, match="position"):
             eval_bounded(counter_loop, pnf("x0"), 7)
 
+    def test_invalid_loop_choice_rejected(self, counter_em):
+        # states[0] != states[2], so there is no (2,1)-loop to evaluate on
+        path = BoundedPath(counter_em, [0, 1, 2], 1)
+        for call in (path.check, lambda: eval_bounded(path, pnf("G F x1"), 0)):
+            with pytest.raises(OracleError, match="invalid loop choice"):
+                call()
+
     def test_loop_case_equals_exact_semantics(self, counter_loop):
         f = pnf("G F x4")
         assert eval_bounded(counter_loop, f, 0) is True
